@@ -14,7 +14,6 @@ import re
 import sys
 import time
 
-from . import tm
 from .graphs import ParseError, TmhError
 from .tm import find_tm_model, pF_oracle
 from .linkage import TamingBudget, tame_linkage
@@ -438,11 +437,12 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # tm.default_budget applies the cap; a junk value is a usage error
+    # before any subcommand runs
     cap = os.environ.get("TMH_BUDGET_NODES")
-    saved_cap = tm.DEFAULT_BUDGET_NODES
     if cap is not None:
         try:
-            tm.DEFAULT_BUDGET_NODES = int(cap)
+            int(cap)
         except ValueError:
             sys.stderr.write("TMH_BUDGET_NODES must be an integer, got %r\n"
                              % (cap,))
@@ -461,8 +461,6 @@ def main(argv=None):
         stage = getattr(err, "stage", args.command)
         sys.stderr.write("failure in %s: %s\n" % (stage, err))
         return EXIT_FAIL
-    finally:
-        tm.DEFAULT_BUDGET_NODES = saved_cap
     sys.stdout.write(emit_report(report))
     return code
 

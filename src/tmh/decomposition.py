@@ -123,15 +123,27 @@ def _decomposition_from_order(g, order):
 def exact_treewidth(g, cap=DEFAULT_EXACT_TW_CAP):
     """Exact treewidth with a witnessing decomposition.
 
-    Dynamic program over subsets: the best width achievable when a subset
-    is eliminated first, with the cost of eliminating v after S being the
-    number of vertices outside seen from v through S.
+    Dynamic program over elimination prefixes (Bodlaender, Fomin, Koster,
+    Kratsch and Thilikos, ESA 2006): best[S] is the least width achievable
+    when the set S is eliminated first, and eliminating v after S costs the
+    number of vertices outside S + v seen from v through S.  The layers
+    run forward by prefix size and keep only prefixes with best[S] at most
+    the min-fill width ub.  Every prefix on an optimal order has a value of
+    at most tw <= ub, so the optimum survives; a mask's value is kept
+    exactly when it is at most ub, and then all of its minimal
+    predecessors are kept too.  Each mask keeps the least (value, index)
+    pair, i.e. the lowest-index vertex among the optimal last picks, so
+    the elimination order and the decomposition built from it do not
+    depend on the pruning.  Costs come from the components of G[S],
+    found once per kept prefix: v sees adj(v) plus the outer neighbourhood
+    of every component it touches.
     """
     n = g.n
     if n > cap:
         raise InstanceTooLarge("exact treewidth capped at %d vertices, got %d" % (cap, n))
     if n == 0:
         return -1, TreeDecomposition(Graph(), {})
+    ub = greedy_treewidth(g).width
     vs = list(g.vertices)
     pos = {v: i for i, v in enumerate(vs)}
     adjm = [0] * n
@@ -139,44 +151,48 @@ def exact_treewidth(g, cap=DEFAULT_EXACT_TW_CAP):
         adjm[pos[u]] |= 1 << pos[v]
         adjm[pos[v]] |= 1 << pos[u]
 
-    def cost(prev, i):
-        allowed = prev | (1 << i)
-        comp = 1 << i
-        frontier = 1 << i
-        while frontier:
-            nxt = 0
-            m = frontier
+    full = (1 << n) - 1
+    layer = {0: 0}
+    choice = {}
+    for _ in range(n):
+        nxt = {}
+        for prev, base in layer.items():
+            # seen[v]: adj(v) plus the outer neighbourhood of each
+            # component of G[prev] that v borders
+            seen = adjm[:]
+            rest = prev
+            while rest:
+                comp = frontier = rest & -rest
+                outer = 0
+                while frontier:
+                    b = frontier & -frontier
+                    frontier ^= b
+                    nbrs = adjm[b.bit_length() - 1]
+                    outer |= nbrs
+                    grow = nbrs & prev & ~comp
+                    comp |= grow
+                    frontier |= grow
+                rest &= ~comp
+                outer &= ~prev
+                m = outer
+                while m:
+                    b = m & -m
+                    seen[b.bit_length() - 1] |= outer
+                    m ^= b
+            m = full & ~prev
             while m:
                 b = m & -m
-                nxt |= adjm[b.bit_length() - 1]
                 m ^= b
-            frontier = nxt & allowed & ~comp
-            comp |= frontier
-        nbrs = 0
-        m = comp
-        while m:
-            b = m & -m
-            nbrs |= adjm[b.bit_length() - 1]
-            m ^= b
-        return (nbrs & ~prev & ~(1 << i)).bit_count()
-
-    full = (1 << n) - 1
-    best = {0: 0}
-    choice = {}
-    for mask in sorted(range(1, full + 1), key=lambda m: m.bit_count()):
-        b_val = None
-        b_pick = None
-        m = mask
-        while m:
-            b = m & -m
-            i = b.bit_length() - 1
-            prev = mask ^ b
-            val = max(best[prev], cost(prev, i))
-            if b_val is None or val < b_val or (val == b_val and i < b_pick):
-                b_val, b_pick = val, i
-            m ^= b
-        best[mask] = b_val
-        choice[mask] = b_pick
+                i = b.bit_length() - 1
+                val = max(base, (seen[i] & ~prev & ~b).bit_count())
+                if val > ub:
+                    continue
+                mask = prev | b
+                old = nxt.get(mask)
+                if old is None or (val, i) < old:
+                    nxt[mask] = (val, i)
+        layer = {mask: val for mask, (val, _) in nxt.items()}
+        choice.update((mask, i) for mask, (_, i) in nxt.items())
     order = []
     mask = full
     while mask:
@@ -185,7 +201,7 @@ def exact_treewidth(g, cap=DEFAULT_EXACT_TW_CAP):
         mask ^= 1 << i
     order.reverse()
     td = _decomposition_from_order(g, order)
-    return best[full], td
+    return layer[full], td
 
 
 def greedy_treewidth(g):

@@ -22,7 +22,7 @@ of returning an unverified object.
 from collections import deque
 
 from .graphs import DiskRegion, Graph, NestedCycles, TmhError, _normalize_edge
-from .annulus import RailedAnnulus, rail_geometry
+from .annulus import RailedAnnulus, _path_edges, rail_geometry
 from .tm import TmPair, arcs, check_confined, default_budget, dissolve
 
 
@@ -34,10 +34,6 @@ class TameFailed(TmhError):
         super().__init__("taming failed during %s: %s" % (stage, detail))
         self.stage = stage
         self.detail = detail
-
-
-def _path_edges(seq):
-    return [_normalize_edge(a, b) for a, b in zip(seq, seq[1:])]
 
 
 def _default_f1(k):

@@ -575,9 +575,20 @@ def find_irrelevant_vertex(k, h, g, budget=None, force=False, params=None,
                              "inner": len(fam.inner), "injected": True},
                   "unverified")
 
+    # refusals the arguments already decide come before the reduction
+    # and the folio scan
+    if mode == "safe":
+        if family is None:
+            raise TmhError("safe mode needs the pattern family to verify "
+                           "the vertex against the deletion oracle")
+        if not _oracle_feasible(g.n, k, oracle_cap):
+            raise TmhError("safe mode refuses: oracle sweep over %d vertices "
+                           "with up to %d deletions exceeds the cap %d"
+                           % (g.n, k, oracle_cap))
+
     r_set = reduce_solution_space(params, gr, w, fam.outer, force=force)
     reduce_status = "unverified"
-    if family is not None and mode == "safe":
+    if mode == "safe":
         if _oracle_feasible(gr.graph.n, k, oracle_cap):
             verify_reduction_safety(gr.graph, fam.outer, r_set, family, k)
             reduce_status = "verified"
@@ -606,13 +617,6 @@ def find_irrelevant_vertex(k, h, g, budget=None, force=False, params=None,
     v = closed[0]
 
     if mode == "safe":
-        if family is None:
-            raise TmhError("safe mode needs the pattern family to verify "
-                           "the vertex against the deletion oracle")
-        if not _oracle_feasible(g.n, k, oracle_cap):
-            raise TmhError("safe mode refuses: oracle sweep over %d vertices "
-                           "with up to %d deletions exceeds the cap %d"
-                           % (g.n, k, oracle_cap))
         before = pF_oracle(g, family, k, budget=default_budget()) is not None
         after = pF_oracle(g.delete_vertices([v]), family, k,
                           budget=default_budget()) is not None

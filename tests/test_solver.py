@@ -24,6 +24,7 @@ from tmh.annulus import AnnulusFamily, sub_annulus, synthetic_disk_host
 from tmh.decomposition import (
     TreeDecomposition,
     build_elementary_wall,
+    exact_treewidth,
     greedy_treewidth,
 )
 from tmh.solver import (
@@ -487,6 +488,25 @@ class TestSolve:
                     assert out.witness is not None
                     assert len(out.witness) <= k
                     assert is_F_free(g.delete_vertices(out.witness), fam)
+
+    @pytest.mark.parametrize("seed,n,fam,t,h", [
+        (0, 12, PatternFamily([K3]), 9, 12),
+        (3, 15, PatternFamily([C4]), 15, 19),
+    ], ids=["seed0-K3", "seed3-C4"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_decomposition_exit_trace_is_stable(self, seed, n, fam, t, h, k):
+        # tmh verify replays stored traces, so the fallback's recorded
+        # width (the exact DP's) and the records around it must not move
+        g = random_planar_graph(seed, n)
+        out = solve_tm_deletion(g, fam, k)
+        assert (out.answer, out.witness) == (False, None)
+        assert out.trace.steps[0].payload["width"] == exact_treewidth(g)[0]
+        reason = ("boundaried-graph census for t=%d h=%d exceeds 2000000 "
+                  "graphs; parameters infeasible at desk scale" % (t, h))
+        assert out.trace.as_records() == [
+            {"kind": "wall", "status": "verified",
+             "payload": {"branch": "decomposition", "width": 4,
+                         "reason": reason}}]
 
     def test_large_sparse_instance_in_fast_mode(self):
         # series-parallel hosts never contain the 4-clique, so the
