@@ -175,6 +175,9 @@ class RailedAnnulus:
         return bad_v, bad_e
 
     def confines(self, model, s, rail_indices):
+        """Does the model graph stay on the given rails across the middle
+        s-band?  s=1 checks the middle cycle alone and s=r the whole
+        annulus."""
         bad_v, bad_e = self.confinement_offenders(model, s, rail_indices)
         return not bad_v and not bad_e
 

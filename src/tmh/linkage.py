@@ -23,7 +23,7 @@ from collections import deque
 
 from .graphs import DiskRegion, Graph, NestedCycles, TmhError, _normalize_edge
 from .annulus import RailedAnnulus, _path_edges, rail_geometry
-from .tm import TmPair, arcs, check_confined, default_budget, dissolve
+from .tm import TmPair, arcs, default_budget, dissolve
 
 
 class TameFailed(TmhError):
@@ -388,16 +388,15 @@ def _flood_faces(emb, allowed, blocked_edges, seeds):
     return reach
 
 
-def _contact_components(p_verts, p_edges, cyc_set, cyc_edges):
-    """Connected components of the intersection of a path with a cycle, as
-    vertex sets."""
-    shared = [v for v in p_verts if v in cyc_set]
-    if not shared:
-        return []
-    shared_set = set(shared)
-    es = [e for e in p_edges
-          if e in cyc_edges and e[0] in shared_set and e[1] in shared_set]
-    return Graph(shared, es).connected_components()
+def _contact_runs(p, cyc_set, cyc_edges):
+    """Number of components of the intersection of a simple path with a
+    cycle: maximal runs of consecutive path vertices on the cycle joined
+    by cycle edges."""
+    runs = 0
+    for i, v in enumerate(p):
+        if v in cyc_set and not (i and _normalize_edge(p[i - 1], v) in cyc_edges):
+            runs += 1
+    return runs
 
 
 def classify_terrain(g, cycles, d, l):
@@ -480,13 +479,9 @@ def classify_terrain(g, cycles, d, l):
                             if not (pv <= regions[0].vertices("closed")
                                     and pe <= regions[0].edges("closed")):
                                 continue
-                        comps = _contact_components(
-                            p, pe, cset, cyc_edge_sets[base_i - 1])
-                        if len(comps) != 2:
-                            continue
-                        ends_split = ((p[0] in comps[0] and p[-1] in comps[1])
-                                      or (p[0] in comps[1] and p[-1] in comps[0]))
-                        if not ends_split:
+                        # both ends are on the cycle, so they lie in the
+                        # first and the last run: two runs split them
+                        if _contact_runs(p, cset, cyc_edge_sets[base_i - 1]) != 2:
                             continue
                         if kind == "mountain":
                             allowed = reg.interior_faces
@@ -1200,7 +1195,7 @@ def tame_tm_model(g, a, m, s, i_set, budget=None, force=False, node_budget=None)
     re = {e for e in rebuilt.model.edges if e not in band.edges}
     if not (rv <= mv and re <= me):
         raise TameFailed("verification", "new material appeared outside the annulus")
-    if not check_confined(rebuilt, a, s, sorted(set(i_set))):
+    if not a.confines(rebuilt.model, s, sorted(set(i_set))):
         off_v, off_e = a.confinement_offenders(rebuilt.model, s, sorted(set(i_set)))
         witness = sorted(off_v)[:3] or sorted(off_e)[:3]
         raise TameFailed("verification", "model not confined, offenders %r"

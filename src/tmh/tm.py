@@ -196,8 +196,20 @@ def find_tm_model(g, h, budget=None, candidates=None, forbidden_interior=()):
 
     def allowed(p):
         base = candidates.get(p, host_vs) if candidates is not None else host_vs
-        return [c for c in sorted(base) if c in g and g.degree(c) >= h.degree(p)]
+        need = h.degree(p)
+        if candidates is None or not forbidden_interior:
+            return [c for c in sorted(base) if c in g and g.degree(c) >= need]
+        # each arc at the image of p leaves through its own neighbour: an arc
+        # interior vertex, never forbidden, or the image of a pattern
+        # neighbour reached over a direct edge; images short of such
+        # neighbours root subtrees without a model, so dropping them keeps
+        # the first model found
+        ends = set().union(*(candidates.get(q, host_vs) for q in h.neighbors(p)))
+        return [c for c in sorted(base) if c in g
+                and sum(w not in forbidden_interior or w in ends
+                        for w in g.neighbors(c)) >= need]
 
+    allowed_at = {p: allowed(p) for p in pattern_vs}
     pattern_edges = sorted((min(e), max(e)) for e in h.edges)
     image = {}
     paths = {}
@@ -208,7 +220,7 @@ def find_tm_model(g, h, budget=None, candidates=None, forbidden_interior=()):
             return route(0, frozenset(image.values()))
         p = pattern_vs[i]
         taken = set(image.values())
-        for c in allowed(p):
+        for c in allowed_at[p]:
             if c in taken:
                 continue
             image[p] = c
@@ -711,15 +723,22 @@ def enumerate_boundaried_graphs(t, h, max_enumeration=2_000_000):
     return [seen[k] for k in sorted(seen)]
 
 
-_F3_CACHE = {}
+_CENSUS = {}
+
+
+def _census(t, h):
+    """enumerate_boundaried_graphs(t, h), built once per (t, h): members
+    are never mutated and carry their canonical forms, so every folio and
+    census count can share them."""
+    if (t, h) not in _CENSUS:
+        _CENSUS[(t, h)] = tuple(enumerate_boundaried_graphs(t, h))
+    return _CENSUS[(t, h)]
 
 
 def f3(t, h):
     """Number of pairwise non-label-isomorphic t-boundaried graphs on at
     most h vertices."""
-    if (t, h) not in _F3_CACHE:
-        _F3_CACHE[(t, h)] = len(enumerate_boundaried_graphs(t, h))
-    return _F3_CACHE[(t, h)]
+    return len(_census(t, h))
 
 
 class Folio:
@@ -774,7 +793,7 @@ def compute_folio(bg, t, h, w=None, check_width=False, budget=None):
             raise TmhError("boundaried graph has treewidth %d > bound %d" % (tw, w))
     budget = budget or default_budget()
     members = []
-    for cand in enumerate_boundaried_graphs(t, h):
+    for cand in _census(t, h):
         if btm_contains(bg, cand, budget=budget):
             members.append(cand)
     return Folio(t, h, members)
@@ -819,14 +838,3 @@ def folio_via_model_enumeration(bg, t, h):
 def _subsets(items):
     for r in range(len(items) + 1):
         yield from itertools.combinations(items, r)
-
-
-# -- confinement of a model within a railed annulus -------------------------
-
-
-def check_confined(pair, annulus, s, rail_indices):
-    """Is the model confined to the given rails across the middle band of
-    the annulus?  Width s must be odd, as must the annulus depth; the band
-    spans the s cycle levels centered on the middle cycle, so s=1 checks
-    the middle cycle alone and s=r the whole annulus."""
-    return annulus.confines(pair.model, s, rail_indices)

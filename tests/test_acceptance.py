@@ -57,7 +57,6 @@ from tmh.tm import (
     BUILTIN_PATTERNS,
     PatternFamily,
     TmPair,
-    check_confined,
     compute_folio,
     dissolve,
     pF_oracle,
@@ -389,7 +388,7 @@ def test_05_tamed_models_keep_branches_shape_and_confinement(annulus_matrix):
             violations += 1
         if dissolve(out) != dissolve(pair):
             violations += 1
-        if not check_confined(out, band, 1, (mid,)):
+        if not band.confines(out.model, 1, (mid,)):
             violations += 1
         if not (set(out.model.vertices) - band_vs) \
                 <= (set(pair.model.vertices) - band_vs):

@@ -20,7 +20,7 @@ from tmh.annulus import (
 )
 from tmh.decomposition import build_elementary_wall, extract_subwall_at, wall_layers
 from tmh.graphs import Graph, PartiallyDiskEmbedded, TmhError
-from tmh.tm import TmPair, check_confined
+from tmh.tm import TmPair
 
 
 def rail_path_graph(rail):
@@ -235,28 +235,28 @@ class TestConfinement:
         a = synthetic_annulus(5, 8, core=True)
         hub = 5 * 16
         pair = TmPair(Graph([hub], []), [hub])
-        assert check_confined(pair, a, 1, []) is True
-        assert check_confined(pair, a, 5, []) is True
+        assert a.confines(pair.model, 1, []) is True
+        assert a.confines(pair.model, 5, []) is True
 
     def test_non_rail_vertex_on_middle_cycle_breaks_confinement(self):
         a = synthetic_annulus(5, 8)
         stray = 2 * 16 + 1  # middle ring, between rails
         pair = TmPair(Graph([stray], []), [stray])
-        assert check_confined(pair, a, 1, list(range(1, 9))) is False
+        assert a.confines(pair.model, 1, list(range(1, 9))) is False
 
     def test_model_planted_on_two_rails_is_confined_at_full_depth(self):
         a = synthetic_annulus(5, 8)
         r1, r2 = list(a.rails[0]), list(a.rails[1])
         model = rail_path_graph(r1).union(rail_path_graph(r2))
         pair = TmPair(model, [r1[0], r1[-1], r2[0], r2[-1]])
-        assert check_confined(pair, a, 5, [1, 2]) is True
-        assert check_confined(pair, a, 5, [1]) is False
+        assert a.confines(pair.model, 5, [1, 2]) is True
+        assert a.confines(pair.model, 5, [1]) is False
 
     def test_allowed_rail_vertex_on_middle_cycle_is_fine(self):
         a = synthetic_annulus(5, 8)
         v = a.entries[(3, 2)]
         pair = TmPair(Graph([v], []), [v])
-        assert check_confined(pair, a, 1, [2]) is True
+        assert a.confines(pair.model, 1, [2]) is True
 
     def test_band_edges_count_not_just_vertices(self):
         # a chord joining two allowed rails inside the band must be caught
@@ -292,24 +292,24 @@ class TestConfinement:
         assert a.confines(Graph([8], []), 1, [2]) is True
         # the chord bulges strictly inside the middle cycle, so the
         # width-1 band sees only its two (allowed) endpoints
-        assert check_confined(pair, a, 1, [1, 2, 3]) is True
+        assert a.confines(pair.model, 1, [1, 2, 3]) is True
         # at full width the chord edge itself is in the band and no
         # allowed rail covers it
-        assert check_confined(pair, a, 3, [1, 2, 3]) is False
+        assert a.confines(pair.model, 3, [1, 2, 3]) is False
 
     def test_width_must_be_odd_and_in_range(self):
         a = synthetic_annulus(5, 8)
         pair = TmPair(Graph([0], []), [0])
         with pytest.raises(TmhError):
-            check_confined(pair, a, 2, [1])
+            a.confines(pair.model, 2, [1])
         with pytest.raises(TmhError):
-            check_confined(pair, a, 7, [1])
+            a.confines(pair.model, 7, [1])
 
     def test_unknown_rail_index_rejected(self):
         a = synthetic_annulus(5, 8)
         pair = TmPair(Graph([0], []), [0])
         with pytest.raises(TmhError):
-            check_confined(pair, a, 1, [9])
+            a.confines(pair.model, 1, [9])
 
     @settings(max_examples=25, deadline=None)
     @given(j=st.integers(min_value=1, max_value=8),
@@ -320,7 +320,7 @@ class TestConfinement:
         rail = list(a.rails[j - 1])
         seg = rail[lo:lo + 2]
         pair = TmPair(rail_path_graph(seg), seg)
-        assert check_confined(pair, a, s, [j]) is True
+        assert a.confines(pair.model, s, [j]) is True
 
 
 class TestBoundariedAtCycle:

@@ -29,7 +29,7 @@ from tmh.linkage import (
     tame_linkage,
     tame_tm_model,
 )
-from tmh.tm import TmPair, check_confined, dissolve
+from tmh.tm import TmPair, dissolve
 
 
 def ring_graph(vertices):
@@ -558,7 +558,7 @@ class TestTameModel:
         out = tame_tm_model(g, band, m, 1, (4,), budget=zero_budget())
         assert out.branches == m.branches
         assert dissolve(out) == dissolve(m)
-        assert check_confined(out, band, 1, (4,))
+        assert band.confines(out.model, 1, (4,))
         band_vertices = band.cycles.annulus(1, band.r).vertices
         assert (set(out.model.vertices) - band_vertices) \
             <= (set(m.model.vertices) - band_vertices)

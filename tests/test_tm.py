@@ -2,10 +2,13 @@
 that keep the structural fast paths honest against the generic search."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tmh import synth
+from tmh.annulus import boundaried_at_cycle, sub_annulus, synthetic_disk_host
 from tmh.graphs import Graph, TmhError
 from tmh.tm import (
     BUILTIN_PATTERNS,
@@ -17,7 +20,6 @@ from tmh.tm import (
     TmPair,
     arcs,
     btm_contains,
-    check_confined,
     classify_pattern,
     compute_folio,
     dissolve,
@@ -327,15 +329,32 @@ def test_folio_single_labeled_vertex():
     assert len(labeled) == 1
 
 
+def tiny_hosts_touching_the_boundary():
+    """Seeded hosts with n <= 8 and m <= 14 whose first boundary vertex
+    neighbours a least-degree inner vertex of degree at least two, the
+    shape where an inner vertex has fewer usable neighbours than its
+    degree."""
+    for seed in range(10):
+        g = synth.random_planar_graph(seed, 5 + seed % 4, tries=3 + seed % 4)
+        t = 1 + seed % 2
+        low = min((v for v in g.vertices if g.degree(v) >= 2),
+                  key=lambda v: (g.degree(v), v))
+        first = min(g.neighbors(low))
+        rest = [v for v in sorted(g.vertices) if v not in (low, first)]
+        bnd = [first] + random.Random(seed).sample(rest, t - 1)
+        yield BoundariedGraph(g, {v: i + 1 for i, v in enumerate(bnd)}), t
+
+
 def test_folio_two_routes_agree():
     hosts = [
-        BoundariedGraph(path_graph(3), {0: 1}),
-        BoundariedGraph(cycle_graph(4), {0: 1, 2: 2}),
-        BoundariedGraph(Graph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)]), {3: 1}),
+        (BoundariedGraph(path_graph(3), {0: 1}), 2),
+        (BoundariedGraph(cycle_graph(4), {0: 1, 2: 2}), 2),
+        (BoundariedGraph(Graph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)]), {3: 1}), 2),
+        *tiny_hosts_touching_the_boundary(),
     ]
-    for host in hosts:
-        direct = compute_folio(host, 2, 3)
-        exhaustive = folio_via_model_enumeration(host, 2, 3)
+    for host, t in hosts:
+        direct = compute_folio(host, t, 3)
+        exhaustive = folio_via_model_enumeration(host, t, 3)
         assert direct.keys == exhaustive.keys, host
 
 
@@ -351,3 +370,70 @@ def test_folio_size_bounded_by_census():
     host = BoundariedGraph(grid_graph(2, 2), {0: 1, 3: 2})
     fol = compute_folio(host, 2, 3)
     assert len(fol) <= f3(2, 3)
+
+
+# -- branch images must be able to carry their arcs --------------------------
+
+
+def outer_cycle_host():
+    """The forced pipeline's host and inner annulus.  Cut at cycle 1 with
+    one boundary vertex, inner vertex 37 has degree two, but one of its
+    neighbours is the boundary vertex 36, which no arc may use."""
+    gr, full = synthetic_disk_host(25, 3, seed=1, noise=2)
+    return gr.graph, sub_annulus(full, 7, 25)
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (0, 2)], [(0, 1), (0, 2), (1, 2)]])
+def test_unusable_branch_images_are_not_tried(edges):
+    g, a = outer_cycle_host()
+    host = boundaried_at_cycle(g, a, 1, 1)
+    budget = SearchBudget(10_000_000)
+    assert btm_contains(host, BoundariedGraph(Graph.from_edges(edges), {}),
+                        budget=budget)
+    # trying every placement around vertex 37 first spent over 37,000 nodes
+    assert budget.used <= 100
+
+
+def test_forced_pipeline_folio_sizes():
+    g, a = outer_cycle_host()
+    sizes = [len(compute_folio(boundaried_at_cycle(g, a, ci, 1), 1, 3))
+             for ci in range(1, a.r + 1)]
+    assert sizes == [17] * 18 + [16]
+
+
+# (host seed, census index, model edges, branches) with n = 8 + seed % 6,
+# t = 1 + seed % 2 and the boundary sampled by the seed; every case has a
+# candidate branch image with enough neighbours but too few usable ones
+BOUNDARIED_MODELS = [
+    (1, 14, [(0, 3), (3, 5)], [0, 3, 5]),
+    (1, 15, None, None),
+    (14, 9, [(0, 2), (2, 3)], [0, 2, 3]),
+    (15, 15, None, None),
+    (19, 18, None, None),
+    (26, 10, [(4, 5), (4, 9), (5, 7), (7, 9)], [4, 5, 7]),
+    (28, 10, None, None),
+    (31, 14, [(2, 5), (2, 6)], [2, 5, 6]),
+    (32, 9, [(2, 4), (3, 5), (3, 7), (4, 8), (7, 8)], [2, 3, 5]),
+    (41, 15, [(1, 3), (1, 9), (3, 4), (4, 8), (8, 9)], [1, 3, 4]),
+    (47, 33, [(1, 8), (1, 11), (8, 11)], [1, 8, 11]),
+    (59, 15, [(2, 4), (2, 8), (4, 10), (8, 10)], [2, 4, 8]),
+]
+
+
+@pytest.mark.parametrize("seed,index,edges,branches", BOUNDARIED_MODELS)
+def test_boundaried_search_returns_the_frozen_model(seed, index, edges, branches):
+    t = 1 + seed % 2
+    g = synth.random_planar_graph(seed, 8 + seed % 6, tries=2 + seed % 4)
+    boundary = random.Random(seed).sample(sorted(g.vertices), t)
+    by_label = {i + 1: v for i, v in enumerate(boundary)}
+    inner = [v for v in g.vertices if v not in boundary]
+    pattern = enumerate_boundaried_graphs(t, 3)[index]
+    candidates = {p: [by_label[pattern.labels[p]]] if p in pattern.labels else inner
+                  for p in pattern.graph.vertices}
+    pair = find_tm_model(g, pattern.graph, candidates=candidates,
+                         forbidden_interior=boundary)
+    if edges is None:
+        assert pair is None
+    else:
+        assert sorted(pair.model.edges) == edges
+        assert sorted(pair.branches) == branches
