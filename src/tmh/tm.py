@@ -194,18 +194,17 @@ def find_tm_model(g, h, budget=None, candidates=None, forbidden_interior=()):
     pattern_vs = sorted(h.vertices, key=lambda v: (-h.degree(v), v))
     host_vs = list(g.vertices)
 
+    cands = candidates or {}
+
     def allowed(p):
-        base = candidates.get(p, host_vs) if candidates is not None else host_vs
-        need = h.degree(p)
-        if candidates is None or not forbidden_interior:
-            return [c for c in sorted(base) if c in g and g.degree(c) >= need]
         # each arc at the image of p leaves through its own neighbour: an arc
         # interior vertex, never forbidden, or the image of a pattern
         # neighbour reached over a direct edge; images short of such
         # neighbours root subtrees without a model, so dropping them keeps
         # the first model found
-        ends = set().union(*(candidates.get(q, host_vs) for q in h.neighbors(p)))
-        return [c for c in sorted(base) if c in g
+        need = h.degree(p)
+        ends = set().union(*(cands.get(q, host_vs) for q in h.neighbors(p)))
+        return [c for c in sorted(cands.get(p, host_vs)) if c in g
                 and sum(w not in forbidden_interior or w in ends
                         for w in g.neighbors(c)) >= need]
 
@@ -729,7 +728,8 @@ _CENSUS = {}
 def _census(t, h):
     """enumerate_boundaried_graphs(t, h), built once per (t, h): members
     are never mutated and carry their canonical forms, so every folio and
-    census count can share them."""
+    census count can share them.  The memo is never cleared, so it keeps
+    the members of every census asked for alive for the whole process."""
     if (t, h) not in _CENSUS:
         _CENSUS[(t, h)] = tuple(enumerate_boundaried_graphs(t, h))
     return _CENSUS[(t, h)]
