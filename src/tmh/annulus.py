@@ -63,6 +63,13 @@ def _crossing_path(cycle_v, cycle_e, rail):
     return shared
 
 
+def _check_counts(r, q):
+    if r < 3 or r % 2 == 0:
+        raise TmhError("need an odd number of cycles, at least 3, got %d" % r)
+    if q < 3:
+        raise TmhError("need at least 3 rails, got %d" % q)
+
+
 class RailedAnnulus:
     """Nested cycles C_1..C_r (outermost first) crossed by q pairwise
     disjoint rails, each oriented inward; every rail meets every cycle in
@@ -73,16 +80,25 @@ class RailedAnnulus:
                  "crossings", "entries")
 
     def __init__(self, embedding, cycle_list, rail_list):
-        r = len(cycle_list)
-        q = len(rail_list)
-        if r < 3 or r % 2 == 0:
-            raise TmhError("need an odd number of cycles, at least 3, got %d" % r)
-        if q < 3:
-            raise TmhError("need at least 3 rails, got %d" % q)
-        self.cycles = NestedCycles(embedding, cycle_list)
-        self.embedding = embedding
-        self.r = r
-        self.q = q
+        _check_counts(len(cycle_list), len(rail_list))
+        self._attach(NestedCycles(embedding, cycle_list), rail_list)
+
+    @classmethod
+    def _window(cls, a, lo, hi, rail_list):
+        """The annulus on cycle levels lo..hi of a, in a's embedding, with
+        a's disks of those cycles reused; the rails are validated as in
+        the constructor."""
+        _check_counts(len(a.cycles.cycles[lo - 1:hi]), len(rail_list))
+        self = cls.__new__(cls)
+        regions = a.cycles.regions[lo - 1:hi]
+        self._attach(NestedCycles._of_regions(a.embedding, regions), rail_list)
+        return self
+
+    def _attach(self, nested, rail_list):
+        self.cycles = nested
+        self.embedding = embedding = nested.embedding
+        self.r = r = nested.r
+        self.q = q = len(rail_list)
         g = embedding.graph
         band = self.cycles.annulus(1, r)
         for j, rail in enumerate(rail_list):
@@ -404,29 +420,77 @@ class RailGeometry:
     cycle into a linear order of the rails, which is what makes lateral
     shortest paths well defined.  Cycles where both arcs avoid the second
     rail are recorded in ambiguous_cycles (the shorter arc is used).
+
+    Only the reference edges are computed up front.  Lateral and radial
+    paths and frame disks are computed on first request and kept in
+    l_paths, r_paths and delta_disks, so a caller pays for the pieces it
+    reads.  A lateral path that does not exist is refused with TmhError
+    when it is first requested.
     """
 
     __slots__ = ("annulus", "reference_edges", "l_paths", "r_paths",
-                 "delta_disks", "ambiguous_cycles")
+                 "delta_disks", "ambiguous_cycles", "_all_ref", "_cycle_graphs")
 
-    def __init__(self, annulus, reference_edges, l_paths, r_paths,
-                 ambiguous_cycles):
+    def __init__(self, annulus, reference_edges, ambiguous_cycles):
         self.annulus = annulus
         self.reference_edges = reference_edges
-        self.l_paths = l_paths
-        self.r_paths = r_paths
         self.ambiguous_cycles = tuple(ambiguous_cycles)
+        self.l_paths = {}
+        self.r_paths = {}
         self.delta_disks = {}
+        self._all_ref = frozenset(e for es in reference_edges.values() for e in es)
+        self._cycle_graphs = {}
 
     def l_path(self, i, j, jp):
+        """Shortest path on cycle i from a crossing of rail j to one of
+        rail jp that avoids every reference edge; among equally short
+        ones, the first crossing vertex of rail j wins."""
         if j == jp:
             raise TmhError("lateral path needs two distinct rails, got %d" % j)
-        return self.l_paths[(i, j, jp)]
+        key = (i, j, jp)
+        if key in self.l_paths:
+            return self.l_paths[key]
+        a = self.annulus
+        targets = set(a.crossings[(i, jp)])
+        sources = a.crossings[(i, j)]
+        if i not in self._cycle_graphs:
+            cyc = list(a.cycles.cycles[i - 1])
+            self._cycle_graphs[i] = Graph(cyc, _path_edges(cyc + [cyc[0]]))
+        cyc_graph = self._cycle_graphs[i]
+        best = None
+        for src in sources:
+            path = cyc_graph.shortest_path(src, targets,
+                                           forbidden_edges=self._all_ref)
+            if path is not None and (best is None or len(path) < len(best)):
+                best = path
+        if best is None:
+            raise TmhError("no lateral path from rail %d to %d on cycle %d"
+                           % (j, jp, i))
+        self.l_paths[key] = tuple(best)
+        return self.l_paths[key]
 
     def r_path(self, i, ip, j):
+        """The segment of rail j from its crossing with cycle i to its
+        crossing with cycle ip, oriented from i."""
         if i == ip:
             raise TmhError("radial path needs two distinct cycles, got %d" % i)
-        return self.r_paths[(i, ip, j)]
+        key = (i, ip, j)
+        if key in self.r_paths:
+            return self.r_paths[key]
+        a = self.annulus
+        runs = {c: a.crossings[(c, j)] for c in (i, ip)}
+        rail = list(a.rails[j - 1])
+        pos = {v: k for k, v in enumerate(rail)}
+        spans = {}
+        for c, run in runs.items():
+            ks = [pos[v] for v in run]
+            spans[c] = (min(ks), max(ks))
+        lo, hi = (i, ip) if spans[i][0] < spans[ip][0] else (ip, i)
+        seg = rail[spans[lo][1]:spans[hi][0] + 1]
+        if lo != i:
+            seg = list(reversed(seg))
+        self.r_paths[key] = tuple(seg)
+        return self.r_paths[key]
 
     def delta_disk(self, i, ip, j, jp):
         """The closed disk bounded by the unique cycle in the frame made of
@@ -484,8 +548,11 @@ def _cycle_arc(order, start, end, step):
 
 
 def rail_geometry(a):
-    """Compute the reference edges, all lateral and radial connector
-    paths, and a lazily filled table of enclosed disks."""
+    """The rail geometry of an annulus: the reference edges now, and the
+    lateral and radial paths and enclosed disks lazily, on first request
+    (see RailGeometry).  A cycle on which no arc avoids the second rail is
+    refused here with TmhError; a missing lateral path is refused only
+    when that path, or a disk framed by it, is first requested."""
     ref = {}
     ambiguous = []
     rail2 = set(a.rails[1])
@@ -519,46 +586,7 @@ def rail_geometry(a):
             choices.sort(key=len)
         ref[i] = frozenset(_path_edges(choices[0]))
 
-    all_ref = frozenset(e for es in ref.values() for e in es)
-    l_paths = {}
-    for i in range(1, a.r + 1):
-        cyc = list(a.cycles.cycles[i - 1])
-        cyc_graph = Graph(cyc, _path_edges(cyc + [cyc[0]]))
-        for j in range(1, a.q + 1):
-            for jp in range(1, a.q + 1):
-                if j == jp:
-                    continue
-                targets = set(a.crossings[(i, jp)])
-                best = None
-                for src in a.crossings[(i, j)]:
-                    path = cyc_graph.shortest_path(src, targets,
-                                                   forbidden_edges=all_ref)
-                    if path is not None and (best is None or len(path) < len(best)):
-                        best = path
-                if best is None:
-                    raise TmhError("no lateral path from rail %d to %d on cycle %d"
-                                   % (j, jp, i))
-                l_paths[(i, j, jp)] = tuple(best)
-
-    r_paths = {}
-    for j in range(1, a.q + 1):
-        rail = list(a.rails[j - 1])
-        pos = {v: k for k, v in enumerate(rail)}
-        spans = {}
-        for i in range(1, a.r + 1):
-            ks = [pos[v] for v in a.crossings[(i, j)]]
-            spans[i] = (min(ks), max(ks))
-        for i in range(1, a.r + 1):
-            for ip in range(1, a.r + 1):
-                if i == ip:
-                    continue
-                lo, hi = (i, ip) if spans[i][0] < spans[ip][0] else (ip, i)
-                seg = rail[spans[lo][1]:spans[hi][0] + 1]
-                if lo != i:
-                    seg = list(reversed(seg))
-                r_paths[(i, ip, j)] = tuple(seg)
-
-    return RailGeometry(a, ref, l_paths, r_paths, ambiguous)
+    return RailGeometry(a, ref, ambiguous)
 
 
 def sub_annulus(a, lo, hi):

@@ -334,10 +334,6 @@ def parse_graph(text):
     return Graph(range(n), edges)
 
 
-def delete_vertices(g, s):
-    return g.delete_vertices(s)
-
-
 def is_separation(g, a, b):
     """True iff (a, b) covers V(g) and no edge joins a-only to b-only."""
     a, b = set(a), set(b)
@@ -501,27 +497,31 @@ class DiskRegion:
         self.embedding = embedding
         self.interior_faces = frozenset(interior_faces)
         self.boundary_cycle = tuple(boundary_cycle)
-        boundary = set(self.boundary_cycle)
-        closed_v, open_v = set(), set()
-        for v in embedding.graph.vertices:
-            fs = embedding.faces_of_vertex(v)
-            if fs and fs <= self.interior_faces:
-                open_v.add(v)
-                closed_v.add(v)
-            elif fs & self.interior_faces or v in boundary:
-                closed_v.add(v)
-        self._closed_v = frozenset(closed_v)
-        self._open_v = frozenset(open_v - boundary)
-        closed_e, open_e = set(), set()
-        for e in embedding.graph.edges:
-            fs = embedding.faces_of_edge(*e)
-            inside = [f in self.interior_faces for f in fs]
-            if all(inside):
-                open_e.add(e)
-                closed_e.add(e)
-            elif any(inside):
-                closed_e.add(e)
-        self._closed_e = frozenset(closed_e)
+        # anything on no interior face and off the boundary is in neither
+        # set, so only the interior faces' own vertices and edges are scanned;
+        # an edge is kept as the face's own (low, high) step where one
+        # exists, so regions share their edge tuples with the embedding
+        interior = self.interior_faces
+        touched_v, touched_e, reversed_e = set(), set(), []
+        for f in interior:
+            for step in embedding.faces[f]:
+                u, v = step
+                touched_v.add(u)
+                if u < v:
+                    touched_e.add(step)
+                else:
+                    reversed_e.append(step)
+        for u, v in reversed_e:
+            if (v, u) not in touched_e:
+                touched_e.add((v, u))
+        boundary = {v for v in self.boundary_cycle if v in embedding.graph}
+        vertex_faces = embedding._vertex_faces
+        edge_faces = embedding._edge_faces
+        open_v = {v for v in touched_v - boundary if vertex_faces[v] <= interior}
+        open_e = {e for e in touched_e if interior.issuperset(edge_faces[e])}
+        self._closed_v = frozenset(touched_v | boundary)
+        self._open_v = frozenset(open_v)
+        self._closed_e = frozenset(touched_e)
         self._open_e = frozenset(open_e)
 
     @classmethod
@@ -549,7 +549,7 @@ class DiskRegion:
                 e = _normalize_edge(u, v)
                 if e in cycle_edges:
                     continue
-                for g in embedding.faces_of_edge(u, v):
+                for g in embedding._edge_faces[e]:
                     if g not in outside:
                         outside.add(g)
                         queue.append(g)
@@ -592,15 +592,28 @@ class NestedCycles:
     __slots__ = ("embedding", "cycles", "regions")
 
     def __init__(self, embedding, cycles):
+        self._build(embedding, [tuple(c) for c in cycles], None)
+
+    @classmethod
+    def _of_regions(cls, embedding, regions):
+        """The family bounded by disks already computed in this embedding,
+        outermost first, checked as the constructor checks it."""
+        self = cls.__new__(cls)
+        self._build(embedding, [d.boundary_cycle for d in regions], list(regions))
+        return self
+
+    def _build(self, embedding, cycles, regions):
         self.embedding = embedding
-        self.cycles = [tuple(c) for c in cycles]
+        self.cycles = cycles
         seen = set()
         for c in self.cycles:
             cs = set(c)
             if cs & seen:
                 raise EmbeddingError("nested cycles must be pairwise vertex-disjoint")
             seen |= cs
-        self.regions = [DiskRegion.of_cycle(embedding, c) for c in self.cycles]
+        if regions is None:
+            regions = [DiskRegion.of_cycle(embedding, c) for c in self.cycles]
+        self.regions = regions
         for a, b in itertools.pairwise(self.regions):
             if not (b.interior_faces <= a.interior_faces):
                 raise EmbeddingError("cycle disks do not nest")

@@ -388,17 +388,6 @@ def _flood_faces(emb, allowed, blocked_edges, seeds):
     return reach
 
 
-def _contact_runs(p, cyc_set, cyc_edges):
-    """Number of components of the intersection of a simple path with a
-    cycle: maximal runs of consecutive path vertices on the cycle joined
-    by cycle edges."""
-    runs = 0
-    for i, v in enumerate(p):
-        if v in cyc_set and not (i and _normalize_edge(p[i - 1], v) in cyc_edges):
-            runs += 1
-    return runs
-
-
 def classify_terrain(g, cycles, d, l):
     """Enumerate every stream, river, mountain, and valley of l against the
     nested cycle family, with heights, pocket disks, and tightness flags.
@@ -415,6 +404,7 @@ def classify_terrain(g, cycles, d, l):
     regions = cycles.regions
     band = cycles.annulus(1, r)
     cyc_sets = [set(c) for c in cycles.cycles]
+    cyc_of = {v: i for i, c in enumerate(cycles.cycles, start=1) for v in c}
     cyc_edge_sets = [set(_path_edges(list(c) + [c[0]])) for c in cycles.cycles]
     all_faces = set(range(len(emb.faces)))
     inner_seed = regions[r - 1].interior_faces
@@ -441,78 +431,83 @@ def classify_terrain(g, cycles, d, l):
                 j += 1
             runs.append((idx, j))
             idx = j + 1
+        # a stream meets C_1 and C_r only at its ends, one on each, so its
+        # ends are consecutive contacts of the run with those two cycles
         for lo, hi in runs:
-            for a in range(lo, hi + 1):
-                for b in range(a + 1, hi + 1):
+            ends = [t for t in range(lo, hi + 1) if cyc_of.get(pi[t]) in (1, r)]
+            for a, b in zip(ends, ends[1:]):
+                if cyc_of[pi[a]] != cyc_of[pi[b]]:
                     p = pi[a:b + 1]
-                    s1 = [v for v in p if v in cyc_sets[0]]
-                    sr = [v for v in p if v in cyc_sets[r - 1]]
-                    if len(s1) != 1 or len(sr) != 1:
-                        continue
-                    if {s1[0], sr[0]} != {p[0], p[-1]}:
-                        continue
-                    oriented = p if p[0] in cyc_sets[0] else tuple(reversed(p))
-                    streams.append(tuple(oriented))
+                    streams.append(p if cyc_of[p[0]] == 1 else tuple(reversed(p)))
 
+        # a feature has both ends on its base cycle (the cycles are
+        # disjoint, so the start fixes it) and meets that cycle in exactly
+        # two runs; the run count only grows with the subpath, so each
+        # start scans forward until a third run begins
         for a in range(n):
+            base_i = cyc_of.get(pi[a])
+            if base_i is None:
+                continue
+            reg = regions[base_i - 1]
+            cyc_edges = cyc_edge_sets[base_i - 1]
+            contact_runs = 1
             for b in range(a + 1, n):
+                if cyc_of.get(pi[b]) != base_i:
+                    continue
+                if _normalize_edge(pi[b - 1], pi[b]) not in cyc_edges:
+                    contact_runs += 1
+                    if contact_runs > 2:
+                        break
+                if contact_runs < 2:
+                    continue
                 p = pi[a:b + 1]
                 pv = set(p)
                 pe = set(_path_edges(p))
-                for base_i in range(1, r + 1):
-                    reg = regions[base_i - 1]
-                    cset = cyc_sets[base_i - 1]
-                    if p[0] not in cset or p[-1] not in cset:
+                for kind in ("mountain", "valley"):
+                    if kind == "mountain":
+                        if not (pv <= reg.vertices("closed")
+                                and pe <= reg.edges("closed")):
+                            continue
+                        if (pv & regions[r - 1].vertices("open")
+                                or pe & regions[r - 1].edges("open")):
+                            continue
+                    else:
+                        if (pv & reg.vertices("open")
+                                or pe & reg.edges("open")):
+                            continue
+                        if not (pv <= regions[0].vertices("closed")
+                                and pe <= regions[0].edges("closed")):
+                            continue
+                    if kind == "mountain":
+                        allowed = reg.interior_faces
+                        seeds = inner_seed
+                    else:
+                        allowed = all_faces - reg.interior_faces
+                        seeds = outer_seed
+                    reach = _flood_faces(emb, allowed, pe, seeds)
+                    pocket_faces = allowed - reach
+                    if not pocket_faces:
                         continue
-                    for kind in ("mountain", "valley"):
-                        if kind == "mountain":
-                            if not (pv <= reg.vertices("closed")
-                                    and pe <= reg.edges("closed")):
-                                continue
-                            if (pv & regions[r - 1].vertices("open")
-                                    or pe & regions[r - 1].edges("open")):
-                                continue
-                        else:
-                            if (pv & reg.vertices("open")
-                                    or pe & reg.edges("open")):
-                                continue
-                            if not (pv <= regions[0].vertices("closed")
-                                    and pe <= regions[0].edges("closed")):
-                                continue
-                        # both ends are on the cycle, so they lie in the
-                        # first and the last run: two runs split them
-                        if _contact_runs(p, cset, cyc_edge_sets[base_i - 1]) != 2:
-                            continue
-                        if kind == "mountain":
-                            allowed = reg.interior_faces
-                            seeds = inner_seed
-                        else:
-                            allowed = all_faces - reg.interior_faces
-                            seeds = outer_seed
-                        reach = _flood_faces(emb, allowed, pe, seeds)
-                        pocket_faces = allowed - reach
-                        if not pocket_faces:
-                            continue
-                        pocket = DiskRegion(emb, pocket_faces, ())
-                        pocket_v = pocket.vertices("closed")
-                        if pocket_v & l.terminals:
-                            continue
-                        if d is not None and (pocket_faces & d_faces
-                                              or pocket_v & d_closed):
-                            continue
-                        if kind == "mountain":
-                            deep = max(j for j in range(base_i, r + 1)
-                                       if pv & cyc_sets[j - 1])
-                            dehe = deep - base_i + 1
-                        else:
-                            shallow = min(j for j in range(1, base_i + 1)
-                                          if pv & cyc_sets[j - 1])
-                            dehe = base_i - shallow + 1
-                        feature = TerrainFeature(kind, p, base_i, dehe, pocket)
-                        if kind == "mountain":
-                            mountains.append(feature)
-                        else:
-                            valleys.append(feature)
+                    pocket = DiskRegion(emb, pocket_faces, ())
+                    pocket_v = pocket.vertices("closed")
+                    if pocket_v & l.terminals:
+                        continue
+                    if d is not None and (pocket_faces & d_faces
+                                          or pocket_v & d_closed):
+                        continue
+                    if kind == "mountain":
+                        deep = max(j for j in range(base_i, r + 1)
+                                   if pv & cyc_sets[j - 1])
+                        dehe = deep - base_i + 1
+                    else:
+                        shallow = min(j for j in range(1, base_i + 1)
+                                      if pv & cyc_sets[j - 1])
+                        dehe = base_i - shallow + 1
+                    feature = TerrainFeature(kind, p, base_i, dehe, pocket)
+                    if kind == "mountain":
+                        mountains.append(feature)
+                    else:
+                        valleys.append(feature)
 
     feature_vsets = [set(f.path) for f in mountains + valleys]
     rivers = [s for s in streams
@@ -747,15 +742,13 @@ def ca_cycles(a, geo=None):
     if geo is None:
         geo = rail_geometry(a)
     z = min(a.r, a.q) // 2
-    orders = [list(geo.delta_disk(i, a.r - i + 1, i, a.q - i + 1).boundary_cycle)
-              for i in range(1, z + 1)]
-    return NestedCycles(a.embedding, orders)
+    disks = [geo.delta_disk(i, a.r - i + 1, i, a.q - i + 1) for i in range(1, z + 1)]
+    return NestedCycles._of_regions(a.embedding, disks)
 
 
 def _sub_annulus(a, lo, hi):
     """The railed annulus on cycles lo..hi with every rail clipped to that
-    band."""
-    cycles = [list(c) for c in a.cycles.cycles[lo - 1:hi]]
+    band, in a's embedding and on a's disks of those cycles."""
     rails = []
     for j in range(1, a.q + 1):
         rail = list(a.rails[j - 1])
@@ -763,7 +756,7 @@ def _sub_annulus(a, lo, hi):
         start = pos[a.crossings[(lo, j)][0]]
         end = pos[a.crossings[(hi, j)][-1]]
         rails.append(rail[start:end + 1])
-    return RailedAnnulus(a.embedding, cycles, rails)
+    return RailedAnnulus._window(a, lo, hi, rails)
 
 
 # -- confined crossing families along rails ----------------------------------

@@ -1,12 +1,16 @@
 """Railed annuli: validation, wall extraction, capacity accounting, the
 annulus-family extractor, confinement, entry vertices, and rail geometry."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmh.annulus import (
     AnnulusFamily,
     RailedAnnulus,
+    _cycle_arc,
+    _path_edges,
     annuli_capacity,
     annulus_from_wall,
     boundaried_at_cycle,
@@ -18,8 +22,14 @@ from tmh.annulus import (
     synthetic_disk_host,
     wall_height_needed,
 )
-from tmh.decomposition import build_elementary_wall, extract_subwall_at, wall_layers
-from tmh.graphs import Graph, PartiallyDiskEmbedded, TmhError
+from tmh.decomposition import (
+    build_elementary_wall,
+    extract_subwall_at,
+    find_wall,
+    wall_layers,
+)
+from tmh.graphs import DiskRegion, Graph, PartiallyDiskEmbedded, TmhError
+from tmh.linkage import _sub_annulus, ca_cycles
 from tmh.tm import TmPair
 
 
@@ -31,6 +41,121 @@ def wall_in_disk(h):
     w = build_elementary_wall(h)
     g = PartiallyDiskEmbedded(w.host_subgraph, w.embedding, w.perimeter)
     return g, w
+
+
+def _reference_rail_geometry(a):
+    """The eager rail geometry: every reference edge set, lateral path and
+    radial path of the annulus, computed up front, with the refusals
+    raised in loop order.  rail_geometry must agree on every path."""
+    ref = {}
+    ambiguous = []
+    rail2 = set(a.rails[1])
+    for i in range(1, a.r + 1):
+        cyc = list(a.cycles.cycles[i - 1])
+        pos = {v: k for k, v in enumerate(cyc)}
+        n = len(cyc)
+
+        def run_bounds(verts):
+            ks = sorted(pos[v] for v in verts)
+            if len(ks) == n:
+                raise TmhError("a crossing swallows the whole cycle")
+            if len(ks) == 1:
+                return ks[0], ks[0]
+            gaps = [(b - a_) % n for a_, b in zip(ks, ks[1:] + ks[:1])]
+            widest = max(range(len(gaps)), key=lambda m: gaps[m])
+            start = ks[(widest + 1) % len(ks)]
+            return start, ks[widest]
+
+        sq, eq = run_bounds(a.crossings[(i, a.q)])
+        so, eo = run_bounds(a.crossings[(i, 1)])
+        forward = _cycle_arc(cyc, eq, so, +1)
+        backward = _cycle_arc(cyc, sq, eo, -1)
+        choices = [arc for arc in (forward, backward)
+                   if not (set(arc) & rail2)]
+        if not choices:
+            raise TmhError("no reference arc avoids the second rail on cycle %d" % i)
+        if len(choices) == 2:
+            ambiguous.append(i)
+            choices.sort(key=len)
+        ref[i] = frozenset(_path_edges(choices[0]))
+
+    all_ref = frozenset(e for es in ref.values() for e in es)
+    l_paths = {}
+    for i in range(1, a.r + 1):
+        cyc = list(a.cycles.cycles[i - 1])
+        cyc_graph = Graph(cyc, _path_edges(cyc + [cyc[0]]))
+        for j in range(1, a.q + 1):
+            for jp in range(1, a.q + 1):
+                if j == jp:
+                    continue
+                targets = set(a.crossings[(i, jp)])
+                best = None
+                for src in a.crossings[(i, j)]:
+                    path = cyc_graph.shortest_path(src, targets,
+                                                   forbidden_edges=all_ref)
+                    if path is not None and (best is None or len(path) < len(best)):
+                        best = path
+                if best is None:
+                    raise TmhError("no lateral path from rail %d to %d on cycle %d"
+                                   % (j, jp, i))
+                l_paths[(i, j, jp)] = tuple(best)
+
+    r_paths = {}
+    for j in range(1, a.q + 1):
+        rail = list(a.rails[j - 1])
+        pos = {v: k for k, v in enumerate(rail)}
+        spans = {}
+        for i in range(1, a.r + 1):
+            ks = [pos[v] for v in a.crossings[(i, j)]]
+            spans[i] = (min(ks), max(ks))
+        for i in range(1, a.r + 1):
+            for ip in range(1, a.r + 1):
+                if i == ip:
+                    continue
+                lo, hi = (i, ip) if spans[i][0] < spans[ip][0] else (ip, i)
+                seg = rail[spans[lo][1]:spans[hi][0] + 1]
+                if lo != i:
+                    seg = list(reversed(seg))
+                r_paths[(i, ip, j)] = tuple(seg)
+
+    return ref, l_paths, r_paths, ambiguous
+
+
+def _taming_band(q, girth, noise):
+    """A band of the acceptance gate's taming matrix: the depth-13 host
+    with the given rail count, girth and noise, cut to cycles 2..12."""
+    full = synthetic_annulus(13, q, girth=girth, seed=7 * q + noise, noise=noise)
+    return full, _sub_annulus(full, 2, 12)
+
+
+def _scanned_membership(region):
+    """Closed and open vertex and edge sets of a region, by a scan over
+    every vertex and edge of its embedding."""
+    emb = region.embedding
+    inside = region.interior_faces
+    boundary = set(region.boundary_cycle)
+    closed_v, open_v = set(), set()
+    for v in emb.graph.vertices:
+        fs = emb.faces_of_vertex(v)
+        if fs and fs <= inside:
+            open_v.add(v)
+            closed_v.add(v)
+        elif fs & inside or v in boundary:
+            closed_v.add(v)
+    closed_e, open_e = set(), set()
+    for e in emb.graph.edges:
+        flags = [f in inside for f in emb.faces_of_edge(*e)]
+        if all(flags):
+            open_e.add(e)
+            closed_e.add(e)
+        elif any(flags):
+            closed_e.add(e)
+    return closed_v, open_v - boundary, closed_e, open_e
+
+
+def _membership(region):
+    return (region.vertices("closed"), region.vertices("open"),
+            region.edges("closed"), region.edges("open"))
 
 
 class TestCapacityFormula:
@@ -452,6 +577,89 @@ class TestRailGeometry:
         geo = rail_geometry(a)
         assert geo.delta_disk(1, 3, 1, 2) is not None
         assert geo.delta_disk(2, 4, 2, 3) is not None
+
+    def test_lazy_paths_match_the_eager_reference(self):
+        hosts = [synthetic_annulus(5, 8), synthetic_annulus(5, 4, girth=24, span=2)]
+        hosts += [_taming_band(q, girth, 2)[1]
+                  for q, girth in ((5, 26), (8, 32), (11, 50))]
+        for a in hosts:
+            ref, l_paths, r_paths, ambiguous = _reference_rail_geometry(a)
+            geo = rail_geometry(a)
+            assert geo.reference_edges == ref
+            assert list(geo.ambiguous_cycles) == ambiguous
+            assert not geo.l_paths and not geo.r_paths
+            for (i, j, jp), path in l_paths.items():
+                assert geo.l_path(i, j, jp) == path
+            for (i, ip, j), path in r_paths.items():
+                assert geo.r_path(i, ip, j) == path
+            assert geo.l_paths == l_paths and geo.r_paths == r_paths
+
+    def test_missing_lateral_path_is_refused_when_requested(self):
+        # listing the last two rails swapped puts the crossing of rail 4
+        # inside the reference arc from rail 5 to rail 1, cut off from the
+        # rest of the cycle
+        emb, cycles, rails = synthetic_annulus_parts(5, 5)
+        a = RailedAnnulus(emb, cycles, rails[:3] + [rails[4], rails[3]])
+        with pytest.raises(TmhError) as eager:
+            _reference_rail_geometry(a)
+        geo = rail_geometry(a)
+        assert geo.l_path(1, 1, 2)
+        with pytest.raises(TmhError) as lazy:
+            geo.l_path(1, 1, 4)
+        assert str(lazy.value) == str(eager.value) \
+            == "no lateral path from rail 1 to 4 on cycle 1"
+        with pytest.raises(TmhError, match="no lateral path from rail 1 to 4"):
+            geo.delta_disk(1, 2, 1, 4)
+
+
+class TestDiskMembership:
+    def test_every_built_region_matches_a_full_scan(self, monkeypatch):
+        built = []
+        init = DiskRegion.__init__
+
+        def recording(self, *args):
+            init(self, *args)
+            built.append(self)
+
+        monkeypatch.setattr(DiskRegion, "__init__", recording)
+        for a in (synthetic_annulus(5, 8),
+                  synthetic_annulus(7, 6, girth=24, seed=3, noise=4, core=True)):
+            geo = rail_geometry(a)
+            for i in range(1, a.r):
+                for ip in range(i + 1, a.r + 1):
+                    for j in range(1, a.q):
+                        for jp in range(j + 1, a.q + 1):
+                            geo.delta_disk(i, ip, j, jp)
+            ca_cycles(a, geo=geo)
+        w = build_elementary_wall(7)
+        annulus_from_wall(w, 3)
+        find_wall(w.host_subgraph, 5)
+        monkeypatch.undo()
+        assert len(built) > 600
+        for region in built:
+            assert _membership(region) == _scanned_membership(region)
+
+    def test_arbitrary_face_sets_match_a_full_scan(self):
+        # pockets are built from bare face sets, with no boundary cycle
+        a = synthetic_annulus(7, 6, girth=24, seed=3, noise=4, core=True)
+        emb = a.embedding
+        rng = random.Random(5)
+        for _ in range(40):
+            faces = rng.sample(range(len(emb.faces)), rng.randint(0, 12))
+            boundary = a.cycles.cycles[rng.randrange(a.r)] if rng.random() < 0.5 else ()
+            region = DiskRegion(emb, faces, boundary)
+            assert _membership(region) == _scanned_membership(region)
+
+    def test_window_regions_equal_fresh_disks(self):
+        for q, girth, noise in ((5, 20, 0), (8, 38, 2), (11, 44, 3)):
+            full, band = _taming_band(q, girth, noise)
+            assert band.embedding is full.embedding
+            for k, region in enumerate(band.cycles.regions):
+                assert region is full.cycles.regions[k + 1]
+                fresh = DiskRegion.of_cycle(full.embedding, band.cycles.cycles[k])
+                assert region.interior_faces == fresh.interior_faces
+                assert region.boundary_cycle == fresh.boundary_cycle
+                assert _membership(region) == _membership(fresh)
 
 
 class TestSubwallOffsets:

@@ -12,7 +12,6 @@ from tmh.graphs import (
     PlaneEmbedding,
     TmhError,
     annulus_region,
-    delete_vertices,
     embed_planar,
     is_separation,
     parse_graph,
@@ -70,21 +69,21 @@ class TestParseGraph:
 
 class TestGraphBasics:
     def test_delete_one_of_triangle(self):
-        g = delete_vertices(triangle(), {2})
+        g = triangle().delete_vertices({2})
         assert g.vertices == (0, 1)
         assert g.edges == frozenset({(0, 1)})
 
     def test_delete_nothing_is_identity(self):
         g = triangle()
-        assert delete_vertices(g, set()) == g
+        assert g.delete_vertices(set()) == g
 
     def test_delete_everything(self):
-        g = delete_vertices(triangle(), {0, 1, 2})
+        g = triangle().delete_vertices({0, 1, 2})
         assert g.n == 0 and g.m == 0
 
     def test_delete_unknown_errors(self):
         with pytest.raises(TmhError):
-            delete_vertices(triangle(), {9})
+            triangle().delete_vertices({9})
 
     def test_separation_path(self):
         p = parse_graph("3 2\n0 1\n1 2")

@@ -2,18 +2,25 @@
 linkages, terrain classification with tightness, stream orderings, grid and
 rail rerouting, composite boundary cycles, and the two taming entry points."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from tmh.annulus import rail_geometry, synthetic_annulus
+import tmh.linkage
+from tmh.annulus import _path_edges, rail_geometry, synthetic_annulus
 from tmh.decomposition import exact_treewidth, grid_bramble, validate_bramble
-from tmh.graphs import DiskRegion, Graph, TmhError
+from tmh.graphs import DiskRegion, Graph, TmhError, _normalize_edge
 from tmh.linkage import (
     LBPair,
     Linkage,
     TameFailed,
     TamingBudget,
+    Terrain,
+    TerrainFeature,
+    _flood_faces,
+    _require_in_graph,
     _sub_annulus,
     ca_cycles,
     check_tight,
@@ -99,6 +106,188 @@ def dip_path(depth):
     across = tuple(vid(depth, k, M6) for k in range(1, 12))
     up = tuple(vid(i, 12, M6) for i in range(depth, -1, -1))
     return down + across + up
+
+
+def _reference_classify_terrain(g, cycles, d, l):
+    """The exhaustive terrain scan: every subpath of every path is built
+    and tested as a stream and, at every base cycle, as a mountain and a
+    valley.  classify_terrain must return the same terrain in the same
+    order."""
+    _require_in_graph(g, l)
+    emb = cycles.embedding
+    r = cycles.r
+    regions = cycles.regions
+    band = cycles.annulus(1, r)
+    cyc_sets = [set(c) for c in cycles.cycles]
+    cyc_edge_sets = [set(_path_edges(list(c) + [c[0]])) for c in cycles.cycles]
+    all_faces = set(range(len(emb.faces)))
+    inner_seed = regions[r - 1].interior_faces
+    outer_seed = all_faces - regions[0].interior_faces
+    d_faces = d.interior_faces if d is not None else frozenset()
+    d_closed = d.vertices("closed") if d is not None else frozenset()
+
+    def contact_runs(p, cyc_set, cyc_edges):
+        runs = 0
+        for i, v in enumerate(p):
+            if v in cyc_set and not (i and _normalize_edge(p[i - 1], v) in cyc_edges):
+                runs += 1
+        return runs
+
+    streams, mountains, valleys = [], [], []
+    for pi in l.paths:
+        n = len(pi)
+        runs = []
+        idx = 0
+        while idx < n:
+            if pi[idx] not in band.vertices:
+                idx += 1
+                continue
+            j = idx
+            while (j + 1 < n and pi[j + 1] in band.vertices
+                   and _normalize_edge(pi[j], pi[j + 1]) in band.edges):
+                j += 1
+            runs.append((idx, j))
+            idx = j + 1
+        for lo, hi in runs:
+            for a in range(lo, hi + 1):
+                for b in range(a + 1, hi + 1):
+                    p = pi[a:b + 1]
+                    s1 = [v for v in p if v in cyc_sets[0]]
+                    sr = [v for v in p if v in cyc_sets[r - 1]]
+                    if len(s1) != 1 or len(sr) != 1:
+                        continue
+                    if {s1[0], sr[0]} != {p[0], p[-1]}:
+                        continue
+                    oriented = p if p[0] in cyc_sets[0] else tuple(reversed(p))
+                    streams.append(tuple(oriented))
+
+        for a in range(n):
+            for b in range(a + 1, n):
+                p = pi[a:b + 1]
+                pv = set(p)
+                pe = set(_path_edges(p))
+                for base_i in range(1, r + 1):
+                    reg = regions[base_i - 1]
+                    cset = cyc_sets[base_i - 1]
+                    if p[0] not in cset or p[-1] not in cset:
+                        continue
+                    for kind in ("mountain", "valley"):
+                        if kind == "mountain":
+                            if not (pv <= reg.vertices("closed")
+                                    and pe <= reg.edges("closed")):
+                                continue
+                            if (pv & regions[r - 1].vertices("open")
+                                    or pe & regions[r - 1].edges("open")):
+                                continue
+                        else:
+                            if pv & reg.vertices("open") or pe & reg.edges("open"):
+                                continue
+                            if not (pv <= regions[0].vertices("closed")
+                                    and pe <= regions[0].edges("closed")):
+                                continue
+                        if contact_runs(p, cset, cyc_edge_sets[base_i - 1]) != 2:
+                            continue
+                        if kind == "mountain":
+                            allowed = reg.interior_faces
+                            seeds = inner_seed
+                        else:
+                            allowed = all_faces - reg.interior_faces
+                            seeds = outer_seed
+                        reach = _flood_faces(emb, allowed, pe, seeds)
+                        pocket_faces = allowed - reach
+                        if not pocket_faces:
+                            continue
+                        pocket = DiskRegion(emb, pocket_faces, ())
+                        pocket_v = pocket.vertices("closed")
+                        if pocket_v & l.terminals:
+                            continue
+                        if d is not None and (pocket_faces & d_faces
+                                              or pocket_v & d_closed):
+                            continue
+                        if kind == "mountain":
+                            deep = max(j for j in range(base_i, r + 1)
+                                       if pv & cyc_sets[j - 1])
+                            dehe = deep - base_i + 1
+                        else:
+                            shallow = min(j for j in range(1, base_i + 1)
+                                          if pv & cyc_sets[j - 1])
+                            dehe = base_i - shallow + 1
+                        feature = TerrainFeature(kind, p, base_i, dehe, pocket)
+                        (mountains if kind == "mountain" else valleys).append(feature)
+
+    feature_vsets = [set(f.path) for f in mountains + valleys]
+    rivers = [s for s in streams if not any(set(s) <= fv for fv in feature_vsets)]
+    terrain = Terrain(streams, rivers, mountains, valleys)
+    for f in mountains + valleys:
+        f.tight = True if f.dehe <= 2 else check_tight(f, terrain)
+    return terrain
+
+
+def _terrain_key(t):
+    def features(fs):
+        return [(f.kind, f.path, f.base, f.dehe, f.tight, f.disk.interior_faces)
+                for f in fs]
+    return t.streams, t.rivers, features(t.mountains), features(t.valleys)
+
+
+def _matrix_rows():
+    """(R, q, girth, noise) of each annulus of the acceptance gate's
+    taming matrix, in order."""
+    rows = [(13, q, 4 * q + pad, noise)
+            for q in range(5, 12) for pad in (0, 6) for noise in (0, 2, 3)]
+    return rows + [(11, q, 4 * q, noise) for q in range(5, 9) for noise in (0, 2)]
+
+
+def _matrix_case(idx):
+    """Annulus idx of the taming matrix with the linkage and the model the
+    acceptance gate plants on it: (host, band, chosen rail, linkage,
+    model)."""
+    R, q, m, noise = _matrix_rows()[idx]
+    full = synthetic_annulus(R, q, girth=m, seed=7 * q + noise, noise=noise)
+    band = _sub_annulus(full, 2, R - 1)
+    p = [k * m // q for k in range(q)]
+    ring = (R + 1) // 2
+    kind = idx % 4
+    if kind == 0:
+        paths = [full.rails[1]]
+    elif kind == 1:
+        # down one rail, around the middle ring, down the neighbour rail
+        r1, r2 = full.rails[0], full.rails[1]
+        c = list(full.cycles.cycles[ring - 1])
+        a_end, b_start = full.crossings[(ring, 1)][-1], full.crossings[(ring, 2)][0]
+        ia, ib = c.index(a_end), c.index(b_start)
+        seg = tuple(c[(ia + t) % len(c)] for t in range(1, (ib - ia) % len(c)))
+        paths = [r1[:r1.index(a_end) + 1] + seg + r2[r2.index(b_start):]]
+    elif kind == 2:
+        # a dip to the middle ring and back up the next rail position
+        paths = [tuple(vid(i, p[0], m) for i in range(ring + 1))
+                 + tuple(vid(ring, k, m) for k in range(p[0] + 1, p[1]))
+                 + tuple(vid(i, p[1], m) for i in range(ring, -1, -1))]
+    else:
+        # an outer arc, a full rail and an inner arc
+        paths = [tuple(vid(0, k, m) for k in range(p[1] + 1, p[2])), full.rails[0],
+                 tuple(vid(R - 1, k, m) for k in range(p[3] + 1, p[4]))]
+    spine = [vid(i, p[0], m) for i in range(R)]
+    tail = [vid(R - 1, p[0] + t, m) for t in range(4)]
+    kind = idx % 5
+    if kind == 0:
+        legs, marks = [spine], {spine[0], spine[-1]}
+    elif kind == 1:
+        legs, marks = [spine, tail], {spine[0], tail[0], tail[-1]}
+    elif kind == 2:
+        left = [vid(0, p[1] - t, m) for t in range(3)]
+        right = [vid(0, p[1] + t, m) for t in range(3)]
+        down = [vid(i, p[1], m) for i in range(R)]
+        legs, marks = [left, right, down], {left[0], left[-1], right[-1], down[-1]}
+    elif kind == 3:
+        legs, marks = [spine, tail], {spine[0]} | set(tail)
+    else:
+        outer = [vid(0, k, m) for k in range(m)]
+        legs, marks = [outer + outer[:1]], {vid(0, k, m) for k in (0, 3, 7, 10)}
+    model = Graph({v for leg in legs for v in leg},
+                  [e for leg in legs for e in zip(leg, leg[1:])])
+    return (full.embedding.graph, band, (q + 1) // 2 + 1, Linkage(paths),
+            TmPair(model, frozenset(marks)))
 
 
 class TestLinkageType:
@@ -642,3 +831,48 @@ class TestInvariants:
         scrambled = [ordered[1], ordered[0]] + ordered[2:]
         with pytest.raises(TmhError):
             grid_bramble(g, arcs, scrambled, boundary)
+
+
+class TestTamingIdentity:
+    def test_terrain_matches_the_reference_on_weave_and_staircase(
+            self, seven_rails_17, five_rails_17):
+        for (full, band), path in ((seven_rails_17, weave_path()),
+                                   (five_rails_17, staircase_path())):
+            args = (full.embedding.graph, band.cycles, None, Linkage([path]))
+            assert _terrain_key(classify_terrain(*args)) == \
+                _terrain_key(_reference_classify_terrain(*args))
+
+    def test_terrain_matches_the_reference_on_settled_linkages(self, monkeypatch):
+        # every terrain tame_linkage classifies on the taming matrix: the
+        # settled linkages, against the cycles of the band and the sector
+        seen = []
+
+        def recording(*args):
+            seen.append(args)
+            return classify_terrain(*args)
+
+        monkeypatch.setattr(tmh.linkage, "classify_terrain", recording)
+        for idx in range(len(_matrix_rows())):
+            g, band, mid, l, _ = _matrix_case(idx)
+            tame_linkage(g, band, l, 1, (mid,), budget=zero_budget())
+        monkeypatch.undo()
+        assert len(seen) == 50
+        assert sum(len(a[3].paths) for a in seen) > 50
+        for args in seen:
+            assert _terrain_key(classify_terrain(*args)) == \
+                _terrain_key(_reference_classify_terrain(*args))
+
+    def test_tamed_outputs_are_frozen(self):
+        # three linkages and three models over q in {5, 8, 11} and noise 0
+        # and 2; any difference here is a change of taming's behaviour
+        frozen = json.loads(Path(__file__).with_name("tamed_outputs.json").read_text())
+        assert len(frozen["tame_linkage"]) == len(frozen["tame_tm_model"]) == 3
+        for idx, paths in frozen["tame_linkage"].items():
+            g, band, mid, l, _ = _matrix_case(int(idx))
+            out = tame_linkage(g, band, l, 1, (mid,), budget=zero_budget())
+            assert [list(p) for p in out.paths] == paths
+        for idx, want in frozen["tame_tm_model"].items():
+            g, band, mid, _, m = _matrix_case(int(idx))
+            out = tame_tm_model(g, band, m, 1, (mid,), budget=zero_budget())
+            assert sorted(out.branches) == want["branches"]
+            assert [list(e) for e in sorted(out.model.edges)] == want["edges"]
