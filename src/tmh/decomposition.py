@@ -68,7 +68,14 @@ class DecompositionViolation:
 
 
 def validate_decomposition(g, td):
-    """Width when all axioms hold, else the first violation with a witness."""
+    """Width when all axioms hold, else the first violation with a witness.
+
+    Linear in the total bag size.  One map from each vertex to the nodes
+    whose bags hold it settles coverage and occurrence: an edge is covered
+    when the holder sets of its ends meet, and the holders of v form a
+    subtree exactly when |holders(v)| - 1 tree edges have v in both bags,
+    since a forest on those nodes with that many edges is connected.
+    """
     nodes = set(td.tree.vertices)
     if set(td.bags) != nodes:
         return DecompositionViolation(
@@ -76,19 +83,22 @@ def validate_decomposition(g, td):
     if nodes:
         if td.tree.m != len(nodes) - 1 or not td.tree.is_connected():
             return DecompositionViolation("tree-shape", None)
-    covered = set()
-    for b in td.bags.values():
-        covered |= b
+    holders = {}
+    for n, b in td.bags.items():
+        for v in b:
+            holders.setdefault(v, set()).add(n)
     for v in g.vertices:
-        if v not in covered:
+        if v not in holders:
             return DecompositionViolation("vertex-uncovered", v)
-    for e in g.sorted_edges():
-        if not any(e[0] in b and e[1] in b for b in td.bags.values()):
-            return DecompositionViolation("edge-uncovered", e)
+    for u, v in g.sorted_edges():
+        if holders[u].isdisjoint(holders[v]):
+            return DecompositionViolation("edge-uncovered", (u, v))
+    shared = dict.fromkeys(holders, 0)
+    for a, b in td.tree.edges:
+        for v in td.bags[a] & td.bags[b]:
+            shared[v] += 1
     for v in g.vertices:
-        holders = [n for n in td.bags if v in td.bags[n]]
-        sub = td.tree.subgraph(holders)
-        if len(sub.connected_components()) != 1:
+        if shared[v] != len(holders[v]) - 1:
             return DecompositionViolation("occurrence-not-subtree", v)
     width = max((len(b) for b in td.bags.values()), default=0) - 1
     if width != td.width:

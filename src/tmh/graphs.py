@@ -452,11 +452,6 @@ class PlaneEmbedding:
         return True
 
 
-def trace_faces(emb):
-    """The face list of an embedding (each face a tuple of directed edges)."""
-    return emb.faces
-
-
 def planar_rotation(g):
     """Clockwise rotation system for a planar graph, or raise EmbeddingError.
 
@@ -473,6 +468,58 @@ def planar_rotation(g):
         raise EmbeddingError("graph is not planar")
     data = emb.get_data()
     return {v: tuple(data.get(v, ())) for v in g.vertices}
+
+
+def _series_parallel_core(g):
+    """Reduce by deleting degree-<=1 vertices and smoothing degree-2
+    vertices, collapsing any parallel edges that appear.  The reduction
+    runs to a fixed point; the core is empty exactly when every block is
+    series-parallel, i.e. when no K4 shape exists."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    queue = deque(v for v in g.vertices if len(adj[v]) <= 2)
+    while queue:
+        v = queue.popleft()
+        if v not in adj:
+            continue
+        d = len(adj[v])
+        if d > 2:
+            continue
+        if d <= 1:
+            for w in adj.pop(v):
+                adj[w].discard(v)
+                if len(adj[w]) <= 2:
+                    queue.append(w)
+            continue
+        a, b = adj.pop(v)
+        adj[a].discard(v)
+        adj[b].discard(v)
+        # smoothing may create a parallel a-b edge: keep a single copy
+        if b not in adj[a]:
+            adj[a].add(b)
+            adj[b].add(a)
+        for w in (a, b):
+            if len(adj[w]) <= 2:
+                queue.append(w)
+    return {v for v in adj if adj[v]}
+
+
+def is_planar(g):
+    """Whether g is planar, for callers that need no rotation.
+
+    A graph with n >= 3 and more than 3n - 6 edges breaks Euler's bound.
+    A graph whose series-parallel core is empty has no K4 minor, hence no
+    K5 or K3,3 minor, and is planar (Duffin, 1965).  Only the graphs in
+    between reach the embedding test of planar_rotation.
+    """
+    if g.n >= 3 and g.m > 3 * g.n - 6:
+        return False
+    if not _series_parallel_core(g):
+        return True
+    try:
+        planar_rotation(g)
+    except EmbeddingError:
+        return False
+    return True
 
 
 def embed_planar(g, rotation=None):
@@ -577,12 +624,6 @@ class DiskRegion:
 
     def subgraph(self, mode="closed"):
         return self.embedding.graph.restrict(self.vertices(mode), self.edges(mode))
-
-
-def region_membership(region, v, mode):
-    if mode not in ("open", "closed"):
-        raise TmhError("mode must be 'open' or 'closed'")
-    return region.contains_vertex(v, mode)
 
 
 class NestedCycles:

@@ -124,10 +124,6 @@ class Linkage:
         return "Linkage(%d paths, %d vertices)" % (len(self.paths), len(self.vertices))
 
 
-def pattern_of(l):
-    return l.pattern
-
-
 def equivalent(l1, l2):
     return l1.pattern == l2.pattern
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph, TmhError, planar_rotation
+from .graphs import EmbeddingError, Graph, TmhError, is_planar
 from .tm import (
     BoundariedGraph,
     BudgetExceeded,
+    _peel_leaves,
     compute_folio,
     default_budget,
     f3,
@@ -481,15 +482,19 @@ def verify_area_safety(gr, region, family, k, budget=None):
     return None
 
 
+def _validated(g, td, message):
+    check = validate_decomposition(g, td)
+    if not isinstance(check, int):
+        raise TmhError("%s: %r" % (message, check))
+    return td
+
+
 def _decomposition_exit(g, cap=DEFAULT_EXACT_TW_CAP):
     if g.n <= cap:
         _, td = exact_treewidth(g, cap=cap)
     else:
         td = greedy_treewidth(g)
-    check = validate_decomposition(g, td)
-    if not isinstance(check, int):
-        raise TmhError("decomposition exit failed validation: %r" % (check,))
-    return td
+    return _validated(g, td, "decomposition exit failed validation")
 
 
 def _fall_back(g, trace, reason):
@@ -506,12 +511,28 @@ def _oracle_feasible(n, k, cap):
     return _subset_count(n, k) <= cap
 
 
+def _pass_params(k, h, budget, force, params, mode):
+    if mode not in ("safe", "fast"):
+        raise TmhError("mode must be 'safe' or 'fast', got %r" % (mode,))
+    params = params if params is not None else derive_params(k, h, budget)
+    if (params.k, params.h) != (k, h) and not force:
+        raise TmhError("parameters derived for (k=%d, h=%d) reused for "
+                       "(k=%d, h=%d) without force"
+                       % (params.k, params.h, k, h))
+    return params
+
+
 def find_irrelevant_vertex(k, h, g, budget=None, force=False, params=None,
                            annuli=None, b=2, family=None, mode="safe",
                            trace=None, oracle_cap=DEFAULT_ORACLE_SWEEP_CAP):
     """One pipeline pass over a planar graph: either a vertex whose
     deletion keeps the k-deletion answer unchanged, or a validated tree
     decomposition certifying the bounded-width exit.
+
+    A non-planar graph is refused with EmbeddingError, after the mode and
+    parameter checks.  solve_tm_deletion tests planarity once, at entry,
+    and runs its later passes without this test, since every graph a pass
+    sees is a subgraph of a planar one.
 
     In safe mode the vertex is returned only after the brute-force
     deletion oracle confirms, for the concrete family being solved, that
@@ -522,16 +543,18 @@ def find_irrelevant_vertex(k, h, g, budget=None, force=False, params=None,
     geometry bypasses the derivation and therefore demands force.
     Steps land in the supplied trace (a fresh one otherwise).
     """
-    if mode not in ("safe", "fast"):
-        raise TmhError("mode must be 'safe' or 'fast', got %r" % (mode,))
+    params = _pass_params(k, h, budget, force, params, mode)
+    if not is_planar(g):
+        raise EmbeddingError("graph is not planar")
     trace = trace if trace is not None else ReductionTrace()
-    params = params if params is not None else derive_params(k, h, budget)
-    if (params.k, params.h) != (k, h) and not force:
-        raise TmhError("parameters derived for (k=%d, h=%d) reused for "
-                       "(k=%d, h=%d) without force"
-                       % (params.k, params.h, k, h))
-    planar_rotation(g)
+    return _irrelevant_vertex_pass(k, h, g, params, force=force, annuli=annuli,
+                                   b=b, family=family, mode=mode, trace=trace,
+                                   oracle_cap=oracle_cap)
 
+
+def _irrelevant_vertex_pass(k, h, g, params, force, annuli, b, family, mode,
+                            trace, oracle_cap):
+    # find_irrelevant_vertex on a planar graph with checked parameters
     if annuli is None:
         try:
             wq = params.wall_q
@@ -545,6 +568,7 @@ def find_irrelevant_vertex(k, h, g, budget=None, force=False, params=None,
         except TmhError as err:
             return _fall_back(g, trace, str(err))
         if isinstance(found, TreeDecomposition):
+            _validated(g, found, "tree decomposition fails validation")
             trace.add("wall", {"branch": "decomposition",
                                "width": found.width,
                                "width_bound": params.c_tw * wq_geom},
@@ -634,46 +658,66 @@ def find_irrelevant_vertex(k, h, g, budget=None, force=False, params=None,
     return v
 
 
+def _min_degree_two(f):
+    return all(p.degree(v) >= 2 for p in f.patterns for v in p.vertices)
+
+
+def _minimal_obstruction(cur, f, budget):
+    """An inclusion-minimal vertex set of cur whose induced subgraph still
+    holds a model of some pattern of f; cur must hold one.
+
+    The vertices are scanned in sorted order and each is dropped when its
+    removal keeps a pattern.  Containment is monotone under vertex
+    deletion, so a vertex the scan keeps stays needed as later vertices
+    leave, and the result is minimal.  When every pattern has minimum
+    degree at least two, every model lies in the 2-core, so a full scan
+    drops each vertex outside the 2-core of cur at its turn, and the
+    2-core of what is left does not depend on those vertices; the scan
+    then starts from the 2-core and returns the same set.
+    """
+    core = _peel_leaves(cur) if _min_degree_two(f) else cur
+    for v in core.vertices:
+        smaller = core.delete_vertices([v])
+        if not is_F_free(smaller, f, budget=budget):
+            core = smaller
+    return core.vertices
+
+
 def bounded_tw_solve(g, f, k, td, trace=None, budget=None):
-    """Exact decision on a graph with a validated tree decomposition, by
-    a bounded search tree over minimal obstructions.
+    """Exact decision on a graph with a tree decomposition, by a bounded
+    search tree over minimal obstructions.
+
+    The decomposition is validated first and an invalid one is refused;
+    the solve loop validates its decomposition when the pass builds it
+    and runs the same search without a second check.
 
     An obstruction is a vertex set whose induced subgraph still holds a
-    model of some pattern; it is shrunk to an inclusion-minimal one by
-    self-reduction with the boolean is_F_free, scanning the vertices in
-    sorted order and dropping each whose removal keeps a pattern.  Every
-    deletion set that rids the graph of the family must hit that set,
-    or the set's induced subgraph would survive with its pattern, so
-    branching on deleting each of its vertices is exhaustive; candidate
-    order follows the first bag holding the vertex.  Every search charges
-    the one shared budget, whose exhaustion raises BudgetExceeded rather
+    model of some pattern (see _minimal_obstruction).  Every deletion set
+    that rids the graph of the family must hit a minimal one, or the
+    set's induced subgraph would survive with its pattern, so branching
+    on deleting each of its vertices is exhaustive; candidate order
+    follows the first bag holding the vertex.  Every search charges the
+    one shared budget, whose exhaustion raises BudgetExceeded rather
     than answering no.  The witness, when the answer is yes, is
     re-verified before returning."""
-    check = validate_decomposition(g, td)
-    if not isinstance(check, int):
-        raise TmhError("tree decomposition fails validation: %r" % (check,))
+    _validated(g, td, "tree decomposition fails validation")
+    return _bounded_tw_solve(g, f, k, td, trace=trace, budget=budget)
+
+
+def _bounded_tw_solve(g, f, k, td, trace=None, budget=None):
+    # bounded_tw_solve on a decomposition already validated against g
     budget = budget if budget is not None else default_budget()
     rank = {}
     for node in sorted(td.bags):
         for v in sorted(td.bags[node]):
             rank.setdefault(v, node)
 
-    def minimal_obstruction(cur):
-        # containment is monotone under vertex deletion: a vertex the scan
-        # keeps stays needed as later vertices leave, so the core is minimal
-        core = cur
-        for v in cur.vertices:
-            smaller = core.delete_vertices([v])
-            if not is_F_free(smaller, f, budget=budget):
-                core = smaller
-        return core.vertices
-
     def search(cur, used, left):
         if is_F_free(cur, f, budget=budget):
             return tuple(used)
         if left == 0:
             return None
-        order = sorted(minimal_obstruction(cur),
+        order = sorted(_minimal_obstruction(cur, f, budget),
                        key=lambda v: (rank.get(v, -1), v))
         for v in order:
             hit = search(cur.delete_vertices([v]), used + [v], left - 1)
@@ -698,7 +742,9 @@ def solve_tm_deletion(g, f, k, budget=None, mode="safe", force=False,
     """Decide whether deleting at most k vertices rids the planar graph
     of every pattern in the family.
 
-    The loop strips one irrelevant vertex at a time, each deletion
+    A non-planar graph is refused with EmbeddingError, even when it is
+    already free of the family.  Planarity is tested once, here: every
+    later pass sees a subgraph of this graph.  The loop strips one irrelevant vertex at a time, each deletion
     oracle-verified in safe mode, until the pipeline certifies bounded
     width; the remainder is decided exactly and the witness is lifted
     back to the original graph.  Injected annuli apply to the first pass
@@ -708,6 +754,8 @@ def solve_tm_deletion(g, f, k, budget=None, mode="safe", force=False,
         raise TmhError("deletion budget must be non-negative, got %r" % (k,))
     if mode not in ("safe", "fast"):
         raise TmhError("mode must be 'safe' or 'fast', got %r" % (mode,))
+    if not is_planar(g):
+        raise EmbeddingError("graph is not planar")
     trace = ReductionTrace()
     if is_F_free(g, f, budget=default_budget()):
         return SolveOutcome(True, (), trace)
@@ -715,13 +763,13 @@ def solve_tm_deletion(g, f, k, budget=None, mode="safe", force=False,
     cur = g
     inject = annuli
     while True:
-        out = find_irrelevant_vertex(k, f.h, cur, budget=budget, force=force,
-                                     params=params, annuli=inject,
-                                     family=f, mode=mode, trace=trace,
-                                     oracle_cap=oracle_cap)
+        out = _irrelevant_vertex_pass(
+            k, f.h, cur, _pass_params(k, f.h, budget, force, params, mode),
+            force=force, annuli=inject, b=2, family=f, mode=mode, trace=trace,
+            oracle_cap=oracle_cap)
         inject = None
         if isinstance(out, TreeDecomposition):
-            tail = bounded_tw_solve(cur, f, k, out, trace=trace)
+            tail = _bounded_tw_solve(cur, f, k, out, trace=trace)
             answer, witness = tail.answer, tail.witness
             break
         status = trace.steps[-1].status

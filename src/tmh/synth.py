@@ -9,7 +9,7 @@ depending on interpreter hash state.
 
 from __future__ import annotations
 
-from .graphs import Graph, TmhError
+from .graphs import Graph, TmhError, is_planar
 
 
 class Lcg:
@@ -77,29 +77,32 @@ def stream_cycle_fabric(r, subdivide=0):
 
 def random_planar_graph(seed, n, tries=200):
     """Seeded connected planar graph on n vertices: grow a random tree,
-    then keep adding random chords while planarity survives."""
-    from .graphs import planar_rotation, EmbeddingError
+    then keep adding random chords while planarity survives.
 
+    Every try draws its two endpoints whatever happens to the chord, so
+    the output depends only on the seed, n and tries.  A chord once
+    refused is refused again without a test: the graph only gains edges,
+    and a graph with a non-planar subgraph is not planar.
+    """
     rng = Lcg(seed)
     vertices = list(range(n))
     edges = set()
     for v in range(1, n):
         u = rng.next_int(v)
         edges.add((u, v))
+    rejected = set()
     for _ in range(tries):
         a = rng.next_int(n)
         b = rng.next_int(n)
         if a == b:
             continue
         e = (min(a, b), max(a, b))
-        if e in edges:
+        if e in edges or e in rejected:
             continue
-        candidate = Graph(vertices, edges | {e})
-        try:
-            planar_rotation(candidate)
-        except EmbeddingError:
-            continue
-        edges.add(e)
+        if is_planar(Graph(vertices, edges | {e})):
+            edges.add(e)
+        else:
+            rejected.add(e)
     return Graph(vertices, edges)
 
 

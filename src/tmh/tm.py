@@ -20,7 +20,7 @@ import math
 import os
 from collections import deque
 
-from .graphs import Graph, TmhError, _normalize_edge
+from .graphs import Graph, TmhError, _normalize_edge, _series_parallel_core
 
 
 class BudgetExceeded(TmhError):
@@ -418,39 +418,6 @@ def _peel_leaves(g):
             if v < w:
                 edges.add((v, w))
     return Graph(alive, edges)
-
-
-def _series_parallel_core(g):
-    """Reduce by deleting degree-<=1 vertices and smoothing degree-2
-    vertices, collapsing any parallel edges that appear.  The reduction
-    runs to a fixed point; the core is empty exactly when every block is
-    series-parallel, i.e. when no K4 shape exists."""
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    queue = deque(v for v in g.vertices if len(adj[v]) <= 2)
-    while queue:
-        v = queue.popleft()
-        if v not in adj:
-            continue
-        d = len(adj[v])
-        if d > 2:
-            continue
-        if d <= 1:
-            for w in adj.pop(v):
-                adj[w].discard(v)
-                if len(adj[w]) <= 2:
-                    queue.append(w)
-            continue
-        a, b = adj.pop(v)
-        adj[a].discard(v)
-        adj[b].discard(v)
-        # smoothing may create a parallel a-b edge: keep a single copy
-        if b not in adj[a]:
-            adj[a].add(b)
-            adj[b].add(a)
-        for w in (a, b):
-            if len(adj[w]) <= 2:
-                queue.append(w)
-    return {v for v in adj if adj[v]}
 
 
 def _count_internally_disjoint_long_paths(g, s, t, need):

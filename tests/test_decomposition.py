@@ -116,6 +116,90 @@ def test_validate_declared_width_mismatch():
     assert out.witness == (5, 1)
 
 
+def _reference_validate_decomposition(g, td):
+    # the quadratic check: one scan of all bags per edge, one tree
+    # subgraph per vertex
+    nodes = set(td.tree.vertices)
+    if set(td.bags) != nodes:
+        return DecompositionViolation(
+            "bag-node-mismatch", sorted(set(td.bags) ^ nodes))
+    if nodes:
+        if td.tree.m != len(nodes) - 1 or not td.tree.is_connected():
+            return DecompositionViolation("tree-shape", None)
+    covered = set()
+    for b in td.bags.values():
+        covered |= b
+    for v in g.vertices:
+        if v not in covered:
+            return DecompositionViolation("vertex-uncovered", v)
+    for e in g.sorted_edges():
+        if not any(e[0] in b and e[1] in b for b in td.bags.values()):
+            return DecompositionViolation("edge-uncovered", e)
+    for v in g.vertices:
+        holders = [n for n in td.bags if v in td.bags[n]]
+        sub = td.tree.subgraph(holders)
+        if len(sub.connected_components()) != 1:
+            return DecompositionViolation("occurrence-not-subtree", v)
+    width = max((len(b) for b in td.bags.values()), default=0) - 1
+    if width != td.width:
+        return DecompositionViolation("width-mismatch", (td.width, width))
+    return width
+
+
+def _verdict(out):
+    if isinstance(out, DecompositionViolation):
+        return (out.axiom, out.witness)
+    return out
+
+
+def _corruptions(g, td):
+    """td itself, then copies with one defect each: a bag lost, a tree
+    edge lost or added, a vertex taken out of or put into one bag, and a
+    wrong declared width."""
+    yield td
+    nodes = sorted(td.bags)
+    for n in nodes:
+        bags = {m: b for m, b in td.bags.items() if m != n}
+        yield TreeDecomposition(td.tree, bags, width=td.width)
+    for e in sorted(td.tree.edges):
+        tree = Graph(td.tree.vertices, td.tree.edges - {e})
+        yield TreeDecomposition(tree, td.bags, width=td.width)
+    if len(nodes) >= 3 and not td.tree.has_edge(nodes[0], nodes[-1]):
+        tree = td.tree.add_edges([(nodes[0], nodes[-1])])
+        yield TreeDecomposition(tree, td.bags, width=td.width)
+    for n in nodes:
+        for v in sorted(td.bags[n]):
+            bags = dict(td.bags)
+            bags[n] = td.bags[n] - {v}
+            yield TreeDecomposition(td.tree, bags, width=td.width)
+        for v in g.vertices:
+            if v not in td.bags[n]:
+                bags = dict(td.bags)
+                bags[n] = td.bags[n] | {v}
+                yield TreeDecomposition(td.tree, bags, width=td.width)
+    yield TreeDecomposition(td.tree, td.bags, width=td.width + 1)
+
+
+def test_validation_matches_the_quadratic_reference():
+    kinds = set()
+    checked = 0
+    graphs = [Graph(ng.nodes(), ng.edges())
+              for ng in graph_atlas_g()[1::9] if ng.number_of_nodes() > 0]
+    graphs += [path_graph(6), cycle_graph(7), grid_graph(3, 3), star_tree(6),
+               Graph(range(5), [(0, 1), (2, 3)])]
+    for g in graphs:
+        for td in (greedy_treewidth(g), exact_treewidth(g)[1]):
+            for bad in _corruptions(g, td):
+                want = _verdict(_reference_validate_decomposition(g, bad))
+                assert _verdict(validate_decomposition(g, bad)) == want
+                kinds.add(want[0] if isinstance(want, tuple) else "valid")
+                checked += 1
+    assert kinds == {"valid", "bag-node-mismatch", "tree-shape",
+                     "vertex-uncovered", "edge-uncovered",
+                     "occurrence-not-subtree", "width-mismatch"}
+    assert checked > 1000
+
+
 # -- exact and greedy width --------------------------------------------------
 
 

@@ -1,3 +1,6 @@
+import random
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,11 +16,10 @@ from tmh.graphs import (
     TmhError,
     annulus_region,
     embed_planar,
+    is_planar,
     is_separation,
     parse_graph,
     planar_rotation,
-    region_membership,
-    trace_faces,
 )
 
 
@@ -118,20 +120,20 @@ class TestGraphBasics:
 class TestFaces:
     def test_triangle_two_faces(self):
         emb = embed_planar(triangle())
-        assert len(trace_faces(emb)) == 2
+        assert len(emb.faces) == 2
         assert emb.check_euler()
 
     def test_k4_four_faces(self):
         k4 = Graph.from_edges([(a, b) for a in range(4) for b in range(a + 1, 4)])
         emb = embed_planar(k4)
-        assert len(trace_faces(emb)) == 4
+        assert len(emb.faces) == 4
 
     def test_cube_six_faces(self):
         edges = [(0, 1), (1, 2), (2, 3), (0, 3),
                  (4, 5), (5, 6), (6, 7), (4, 7),
                  (0, 4), (1, 5), (2, 6), (3, 7)]
         emb = embed_planar(Graph.from_edges(edges))
-        assert len(trace_faces(emb)) == 6
+        assert len(emb.faces) == 6
 
     def test_every_directed_edge_once(self):
         emb = concentric_triangles()
@@ -174,23 +176,77 @@ class TestFaces:
         assert emb.check_euler()
 
 
+def _nx_planar(g):
+    ng = nx.Graph()
+    ng.add_nodes_from(g.vertices)
+    ng.add_edges_from(g.edges)
+    return nx.check_planarity(ng)[0]
+
+
+class TestIsPlanar:
+    def test_matches_networkx_on_the_atlas(self):
+        atlas = nx.graph_atlas_g()
+        assert len(atlas) == 1253
+        for ng in atlas:
+            g = Graph(ng.nodes(), ng.edges())
+            assert is_planar(g) == _nx_planar(g), sorted(g.edges)
+
+    def test_matches_networkx_on_dense_graphs(self):
+        seen = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(6, 14)
+            p = rng.choice([0.3, 0.45, 0.6])
+            g = Graph(range(n), [(u, v) for u in range(n)
+                                 for v in range(u + 1, n) if rng.random() < p])
+            want = _nx_planar(g)
+            assert is_planar(g) == want, seed
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_disconnected_graphs(self):
+        k5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+        k4s = [(a + o, b + o) for o in (0, 4)
+               for a in range(4) for b in range(a + 1, 4)]
+        assert not is_planar(Graph(range(8), k5 + [(5, 6), (6, 7), (5, 7)]))
+        assert is_planar(Graph(range(9), k4s))
+
+    def test_fewer_than_three_vertices(self):
+        for g in (Graph(), Graph([0], []), Graph([0, 1], []),
+                  Graph.from_edges([(0, 1)])):
+            assert is_planar(g)
+
+    def test_shortcuts_skip_the_embedding(self, monkeypatch):
+        from tmh import graphs
+
+        def refuse(g):
+            raise AssertionError("embedding test reached")
+
+        monkeypatch.setattr(graphs, "planar_rotation", refuse)
+        k6 = Graph.from_edges([(a, b) for a in range(6) for b in range(a + 1, 6)])
+        assert not is_planar(k6)  # 15 edges > 3 * 6 - 6
+        wheel_free = Graph.from_edges([(i, i + 1) for i in range(9)]
+                                      + [(0, 9), (0, 5), (2, 5)])
+        assert is_planar(wheel_free)  # series-parallel: empty core
+
+
 class TestRegions:
     def test_disk_of_middle_triangle(self):
         emb = concentric_triangles()
         region = DiskRegion.of_cycle(emb, [3, 4, 5])
         assert region.vertices("closed") == frozenset({3, 4, 5, 6, 7, 8})
         assert region.vertices("open") == frozenset({6, 7, 8})
-        assert region_membership(region, 6, "closed")
-        assert region_membership(region, 6, "open")
-        assert region_membership(region, 3, "closed")
-        assert not region_membership(region, 3, "open")
-        assert not region_membership(region, 0, "closed")
+        assert region.contains_vertex(6, "closed")
+        assert region.contains_vertex(6, "open")
+        assert region.contains_vertex(3, "closed")
+        assert not region.contains_vertex(3, "open")
+        assert not region.contains_vertex(0, "closed")
 
     def test_membership_outside_compass_errors(self):
         emb = concentric_triangles()
         region = DiskRegion.of_cycle(emb, [3, 4, 5])
         with pytest.raises(EmbeddingError):
-            region_membership(region, 99, "closed")
+            region.contains_vertex(99, "closed")
 
     def test_closed_minus_open_is_boundary(self):
         emb = concentric_triangles()

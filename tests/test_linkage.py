@@ -31,7 +31,6 @@ from tmh.linkage import (
     improve_linkage,
     is_vital,
     minimal_linkage,
-    pattern_of,
     rail_linkage,
     tame_linkage,
     tame_tm_model,
@@ -305,7 +304,7 @@ class TestLinkageType:
 
     def test_same_linkage_equivalent(self):
         l = Linkage([(1, 2, 3), (4, 5)])
-        assert pattern_of(l) == {frozenset({1, 3}), frozenset({4, 5})}
+        assert l.pattern == {frozenset({1, 3}), frozenset({4, 5})}
         assert equivalent(l, l)
 
     def test_two_arcs_of_a_cycle_equivalent(self):

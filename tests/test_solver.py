@@ -3,13 +3,15 @@ reduction with its safety sweep, disk discovery with grid certificates, the
 per-vertex outer loop in both modes, the bounded-width endgame, and the full
 solver checked against the brute-force deletion oracle."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from networkx import graph_atlas_g
 
 from tmh import solver
-from tmh.graphs import Graph, TmhError
+from tmh.graphs import EmbeddingError, Graph, TmhError
 from tmh.linkage import TamingBudget
 from tmh.tm import (
     BUILTIN_PATTERNS,
@@ -26,6 +28,7 @@ from tmh.decomposition import (
     build_elementary_wall,
     exact_treewidth,
     greedy_treewidth,
+    validate_decomposition,
 )
 from tmh.solver import (
     ReductionTrace,
@@ -408,6 +411,15 @@ class TestBoundedWidthEndgame:
         with pytest.raises(TmhError, match="fails validation"):
             bounded_tw_solve(other, PatternFamily([K3]), 1,
                              greedy_treewidth(K4))
+        # a decomposition of K4 with one vertex taken out of one bag
+        td = greedy_treewidth(K4)
+        node = min(td.bags)
+        bags = dict(td.bags)
+        bags[node] = bags[node] - {min(bags[node])}
+        bad = TreeDecomposition(td.tree, bags, width=td.width)
+        assert not isinstance(validate_decomposition(K4, bad), int)
+        with pytest.raises(TmhError, match="fails validation"):
+            bounded_tw_solve(K4, PatternFamily([K3]), 1, bad)
 
     def test_matches_oracle_on_seeded_hosts(self):
         fam = PatternFamily([K3, C4])
@@ -462,6 +474,41 @@ class TestBoundedWidthEndgame:
             bounded_tw_solve(k6, fam, 1, td, budget=SearchBudget(5))
 
 
+def _reference_minimal_obstruction(cur, f, budget):
+    # the full sorted-order scan over every vertex of cur
+    core = cur
+    for v in cur.vertices:
+        smaller = core.delete_vertices([v])
+        if not is_F_free(smaller, f, budget=budget):
+            core = smaller
+    return core.vertices
+
+
+class TestMinimalObstruction:
+    """The scan from the 2-core returns what the full scan returns."""
+
+    @pytest.mark.parametrize("patterns,from_core", [
+        ([K3], True), ([C4], True), ([K4], True), ([K23], True),
+        ([K3, K4, K23, C4], True), ([K5], True),
+        # a pendant pattern vertex: these families keep the full scan
+        ([Graph(range(2), [(0, 1)])], False),
+        ([K3, Graph(range(3), [(0, 1), (1, 2)])], False),
+    ], ids=["K3", "C4", "K4", "K23", "all4", "K5", "edge", "K3+P3"])
+    def test_matches_the_full_scan_on_the_atlas(self, patterns, from_core):
+        fam = PatternFamily(patterns)
+        assert solver._min_degree_two(fam) is from_core
+        hits = 0
+        for ng in graph_atlas_g():
+            g = Graph(ng.nodes(), ng.edges())
+            if is_F_free(g, fam):
+                continue
+            hits += 1
+            got = solver._minimal_obstruction(g, fam, SearchBudget(10 ** 6))
+            want = _reference_minimal_obstruction(g, fam, SearchBudget(10 ** 6))
+            assert got == want, "atlas graph %r" % (sorted(g.edges),)
+        assert hits > 0
+
+
 class TestSolve:
     def test_pattern_free_host_answers_immediately(self):
         g = Graph(range(6), [(0, 1), (2, 3)])
@@ -507,6 +554,31 @@ class TestSolve:
             {"kind": "wall", "status": "verified",
              "payload": {"branch": "decomposition", "width": 4,
                          "reason": reason}}]
+
+    @pytest.mark.parametrize("patterns", [[K5], [K3]], ids=["K5", "K3"])
+    def test_non_planar_input_is_refused_at_entry(self, patterns):
+        # K3,3 is free of K5, but planarity is tested before the
+        # pattern-free shortcut, so both families refuse alike
+        with pytest.raises(EmbeddingError, match="not planar"):
+            solve_tm_deletion(K33, PatternFamily(patterns), 1)
+
+    def test_planarity_is_tested_once_per_solve(self, monkeypatch, injected):
+        calls = []
+
+        def counting(g):
+            calls.append(g.n)
+            return True
+
+        monkeypatch.setattr(solver, "is_planar", counting)
+        gr, fam = injected
+        out = solve_tm_deletion(gr.graph, TestForcedPipeline.FAM, 0,
+                                budget=ZERO, force=True, annuli=(gr, fam),
+                                params=derive_params(0, 2, ZERO))
+        # two passes: one deletes a vertex, the next exits to the endgame
+        assert [s.kind for s in out.trace.steps] == [
+            "annuli", "reduce_space", "irrelevant_area", "delete_vertex",
+            "wall"]
+        assert calls == [gr.graph.n]
 
     def test_large_sparse_instance_in_fast_mode(self):
         # series-parallel hosts never contain the 4-clique, so the
@@ -563,6 +635,26 @@ class TestForcedPipeline:
         vertex = [s for s in out.trace.steps
                   if s.kind == "irrelevant_area"][0].payload["vertex"]
         assert vertex == 128
+
+
+# sha256 over the sorted edge lists of the generator's outputs for the
+# benchmark and acceptance host seeds, computed with a generator that
+# tested every chord: skipping the test for a refused chord must not
+# change a single host
+GENERATOR_SHAPES = (
+    [(s, 12 + s % 7, 200) for s in list(range(7)) + list(range(900, 907))]
+    + [(s, 19 + s % 4, 200) for s in (100, 101, 102, 1000, 1001, 1002)]
+    + [(s, n, n // 8) for s in (0, 1, 900, 901) for n in (16, 20, 24)])
+GENERATOR_DIGEST = ("720cb770e033f3023b06fce595ba60f6"
+                    "918923b27c13731441ea7e7b0dce97f9")
+
+
+def test_random_planar_graph_output_is_frozen():
+    h = hashlib.sha256()
+    for seed, n, tries in GENERATOR_SHAPES:
+        g = random_planar_graph(seed, n, tries=tries)
+        h.update(repr(sorted(g.edges)).encode())
+    assert h.hexdigest() == GENERATOR_DIGEST
 
 
 def test_outcome_repr_is_compact():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from networkx import graph_atlas_g
 
 from tmh import synth
 from tmh.annulus import boundaried_at_cycle, sub_annulus, synthetic_disk_host
@@ -238,6 +239,15 @@ def test_fast_paths_agree_with_generic_search(tag, pattern):
         fast = is_F_free(g, fam_fast)
         slow = is_F_free(g, fam_fast, use_fast_paths=False)
         assert fast == slow, "route disagreement on seed %d for %s" % (seed, tag)
+    # and on every graph of at most seven vertices
+    atlas = graph_atlas_g()
+    assert len(atlas) == 1253
+    for ng in atlas:
+        g = Graph(ng.nodes(), ng.edges())
+        fast = is_F_free(g, fam_fast)
+        slow = is_F_free(g, fam_fast, use_fast_paths=False)
+        assert fast == slow, "route disagreement on %r for %s" % (
+            sorted(g.edges), tag)
 
 
 @given(st.integers(0, 10_000))
