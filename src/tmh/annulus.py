@@ -495,13 +495,21 @@ class RailGeometry:
     def delta_disk(self, i, ip, j, jp):
         """The closed disk bounded by the unique cycle in the frame made of
         the four crossings, two lateral paths, and two radial paths."""
+        key = (i, ip, j, jp)
+        if key not in self.delta_disks:
+            self.delta_disks[key] = DiskRegion.of_cycle(
+                self.annulus.embedding, self._frame_cycle(key))
+        return self.delta_disks[key]
+
+    def _frame_cycle(self, key):
+        """The unique cycle, in order, of the frame that delta_disk(*key)
+        bounds; refused when the indices do not increase or the frame does
+        not close into one cycle."""
+        i, ip, j, jp = key
         if not (i < ip):
             raise TmhError("cycle indices must increase, got %d, %d" % (i, ip))
         if not (j < jp):
             raise TmhError("rail indices must increase, got %d, %d" % (j, jp))
-        key = (i, ip, j, jp)
-        if key in self.delta_disks:
-            return self.delta_disks[key]
         a = self.annulus
         pieces = [
             a.crossings[(i, j)], self.l_path(i, j, jp), a.crossings[(i, jp)],
@@ -530,9 +538,7 @@ class RailGeometry:
         order = core.cycle_vertices_in_order()
         if order is None:
             raise TmhError("frame %r does not close into a unique cycle" % (key,))
-        disk = DiskRegion.of_cycle(a.embedding, order)
-        self.delta_disks[key] = disk
-        return disk
+        return order
 
 
 def _cycle_arc(order, start, end, step):
@@ -594,7 +600,11 @@ def sub_annulus(a, lo, hi):
     rails trimmed to their crossings with the two boundary cycles, the
     embedding restricted to the closed disk of cycle lo so the result can
     stand on its own inside an annulus family.  The level count must stay
-    odd and at least 3."""
+    odd and at least 3.
+
+    The restricted rotation is traced once; its outer face is the face
+    that walks cycle lo.  The window's disks are flooded again in the
+    restricted embedding, once for the whole family (see NestedCycles)."""
     if not (1 <= lo < hi <= a.r):
         raise TmhError("cycle window must satisfy 1 <= lo < hi <= r")
     cycles = [list(c) for c in a.cycles.cycles[lo - 1:hi]]
@@ -609,17 +619,19 @@ def sub_annulus(a, lo, hi):
     sub_g = a.embedding.graph.subgraph(keep)
     rotation = {v: tuple(u for u in a.embedding.rotation[v] if u in keep)
                 for v in sub_g.vertices}
-    boundary = frozenset(cycles[0])
-    probe = PlaneEmbedding(sub_g, rotation, outer_face_index=0)
-    outer_idx = None
-    for idx, face in enumerate(probe.faces):
-        if len(face) == len(cycles[0]) and {u for u, _ in face} == boundary:
-            outer_idx = idx
-            break
-    if outer_idx is None:
-        raise TmhError("restricted embedding lost the boundary face")
-    emb = PlaneEmbedding(sub_g, rotation, outer_face_index=outer_idx)
+    emb = PlaneEmbedding._traced(sub_g, rotation, lambda faces: _cycle_face(
+        faces, cycles[0], "restricted embedding lost the boundary face"))
     return RailedAnnulus(emb, cycles, rails)
+
+
+def _cycle_face(faces, cycle, missing):
+    """Index of the first face that walks exactly the vertices of cycle;
+    TmhError(missing) when no face does."""
+    ring = frozenset(cycle)
+    for idx, face in enumerate(faces):
+        if len(face) == len(cycle) and {u for u, _ in face} == ring:
+            return idx
+    raise TmhError(missing)
 
 
 # -- synthetic instances -----------------------------------------------------
@@ -636,7 +648,8 @@ def synthetic_annulus_parts(r, q, girth=None, seed=0, span=1, noise=0,
     diagonal edges across ring gaps without touching the rails; core adds
     a hub vertex inside the innermost ring.
 
-    Returns (embedding, cycle lists, rail lists).
+    Returns (embedding, cycle lists, rail lists).  The rotation is traced
+    once, and the face that walks the outermost ring is the outer face.
     """
     if r < 3 or r % 2 == 0:
         raise TmhError("need an odd ring count of at least 3, got %d" % r)
@@ -733,17 +746,9 @@ def synthetic_annulus_parts(r, q, girth=None, seed=0, span=1, noise=0,
         return tuple(sorted(nbrs, key=bearing))
 
     rotation = {v: clockwise(v) for v in g.vertices}
-    probe = PlaneEmbedding(g, rotation, outer_face_index=0)
-    ring0 = frozenset(vid(0, k) for k in range(m))
-    outer_idx = None
-    for idx, face in enumerate(probe.faces):
-        if len(face) == m and {u for u, _ in face} == ring0:
-            outer_idx = idx
-            break
-    if outer_idx is None:
-        raise TmhError("generator lost the outer ring face")
-    emb = PlaneEmbedding(g, rotation, outer_face_index=outer_idx)
     cycle_lists = [[vid(i, k) for k in range(m)] for i in range(r)]
+    emb = PlaneEmbedding._traced(g, rotation, lambda faces: _cycle_face(
+        faces, cycle_lists[0], "generator lost the outer ring face"))
     return emb, cycle_lists, rails
 
 

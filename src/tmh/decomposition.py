@@ -21,10 +21,12 @@ import networkx as nx
 
 from .graphs import (
     DiskRegion,
+    EmbeddingError,
     Graph,
     PartiallyDiskEmbedded,
     PlaneEmbedding,
     TmhError,
+    is_planar,
     planar_rotation,
 )
 from .tm import BudgetExceeded, SearchBudget, TmPair, arcs
@@ -541,14 +543,14 @@ def _zigzag_path(vid, j, r):
 def _embed_wall(g):
     """Embed with the unique longest face outside; walls have hexagonal
     bricks, so the perimeter is the only long face."""
-    rotation = planar_rotation(g)
-    probe = PlaneEmbedding(g, rotation, outer_face_index=0)
-    sizes = sorted(((len(f), i) for i, f in enumerate(probe.faces)), reverse=True)
-    if len(sizes) > 1 and sizes[0][0] == sizes[1][0]:
-        raise TmhError("ambiguous outer face; host is not a wall shape")
-    outer_idx = sizes[0][1]
-    emb = PlaneEmbedding(g, rotation, outer_face_index=outer_idx)
-    walk = [de[0] for de in emb.faces[outer_idx]]
+    def unique_longest(faces):
+        sizes = sorted(((len(f), i) for i, f in enumerate(faces)), reverse=True)
+        if len(sizes) > 1 and sizes[0][0] == sizes[1][0]:
+            raise TmhError("ambiguous outer face; host is not a wall shape")
+        return sizes[0][1]
+
+    emb = PlaneEmbedding._traced(g, planar_rotation(g), unique_longest)
+    walk = [de[0] for de in emb.faces[emb.outer_face]]
     if len(set(walk)) != len(walk):
         raise TmhError("outer walk revisits a vertex; host is not a wall shape")
     return emb, tuple(walk)
@@ -704,19 +706,29 @@ def find_wall(g, q, c=DEFAULT_WIDTH_FACTOR, tw_cap=DEFAULT_EXACT_TW_CAP):
     """Either a q-wall with a width-certified compass, or a tree
     decomposition of width at most c*q.  Wall recognition runs first so a
     host that is itself a wall gets the wall branch even when its width is
-    below the bound."""
+    below the bound.
+
+    A non-planar graph is refused with EmbeddingError, after the height
+    check.  The host is embedded only on the wall branch, where its
+    rotation is read; the solver's passes, which know their graph is
+    planar, run the same search without the planarity test."""
     if q % 2 == 0 or q < 3:
         raise TmhError("wall height must be odd and at least 3, got %d" % q)
-    rotation = planar_rotation(g)  # raises on non-planar input
-    bound = c * q
+    if not is_planar(g):
+        raise EmbeddingError("graph is not planar")
+    return _find_wall(g, q, c, tw_cap)
 
+
+def _find_wall(g, q, c, tw_cap):
+    # find_wall on a planar graph with a checked height; the host is
+    # embedded only when it is recognised as a wall
+    bound = c * q
     found = _recognize_elementary_wall(g)
     if found is not None and found[0] >= q:
         _, coords = found
         sub = extract_subwall_at(g, coords, q)
-        probe = PlaneEmbedding(g, rotation, outer_face_index=0)
-        sizes = sorted(((len(f), i) for i, f in enumerate(probe.faces)), reverse=True)
-        emb = PlaneEmbedding(g, rotation, outer_face_index=sizes[0][1])
+        emb = PlaneEmbedding._traced(g, planar_rotation(g), lambda faces: max(
+            (len(f), i) for i, f in enumerate(faces))[1])
         region = DiskRegion.of_cycle(emb, sub.perimeter)
         compass_graph = region.subgraph("closed")
         if compass_graph != sub.host_subgraph:

@@ -356,7 +356,8 @@ class PlaneEmbedding:
     designated the outer face.
     """
 
-    __slots__ = ("graph", "rotation", "faces", "outer_face", "_vertex_faces", "_edge_faces")
+    __slots__ = ("graph", "rotation", "faces", "outer_face", "_vertex_faces", "_edge_faces",
+                 "_plane")
 
     def __init__(self, graph, rotation, outer_edge=None, outer_face_index=None):
         """rotation: dict v -> sequence of neighbors in clockwise order.
@@ -366,7 +367,30 @@ class PlaneEmbedding:
         into the traced face list.  One of the two must be given, except for
         edgeless graphs where the single implicit face is the outer one.
         """
+        self._embed(graph, rotation)
+        if outer_face_index is not None:
+            self.outer_face = outer_face_index
+        elif outer_edge is not None:
+            self.outer_face = self.face_of_directed_edge(outer_edge)
+        elif not self.faces:
+            self.outer_face = None
+        else:
+            raise EmbeddingError("outer face must be designated")
+
+    @classmethod
+    def _traced(cls, graph, rotation, pick_outer):
+        """The embedding whose outer face is pick_outer(faces), an index
+        into the faces traced here: one trace serves both the choice of
+        the outer face and the embedding.  pick_outer may refuse by
+        raising."""
+        self = cls.__new__(cls)
+        self._embed(graph, rotation)
+        self.outer_face = pick_outer(self.faces)
+        return self
+
+    def _embed(self, graph, rotation):
         self.graph = graph
+        self._plane = None
         rot = {}
         for v in graph.vertices:
             order = tuple(rotation.get(v, ()))
@@ -384,14 +408,6 @@ class PlaneEmbedding:
                 self._edge_faces.setdefault(e, []).append(idx)
                 self._vertex_faces[u].add(idx)
                 self._vertex_faces[v].add(idx)
-        if outer_face_index is not None:
-            self.outer_face = outer_face_index
-        elif outer_edge is not None:
-            self.outer_face = self.face_of_directed_edge(outer_edge)
-        elif not self.faces:
-            self.outer_face = None
-        else:
-            raise EmbeddingError("outer face must be designated")
 
     def _trace(self):
         succ = {}
@@ -436,6 +452,14 @@ class PlaneEmbedding:
         if e not in self._edge_faces:
             raise EmbeddingError("edge %r is not embedded" % (e,))
         return tuple(self._edge_faces[e])
+
+    def _is_plane(self):
+        """Whether the graph is connected with V - E + F = 2, i.e. the
+        rotation embeds it in the sphere; computed once."""
+        if self._plane is None:
+            g = self.graph
+            self._plane = g.is_connected() and g.n - g.m + len(self.faces) == 2
+        return self._plane
 
     def check_euler(self):
         """v - e + f = 2 on each connected component (f counted locally)."""
@@ -535,15 +559,26 @@ def embed_planar(g, rotation=None):
 
 class DiskRegion:
     """A closed disk of an embedding: a set of interior faces plus the cycle
-    bounding them.  Membership is face arithmetic and nothing else."""
+    bounding them.  Membership is face arithmetic and nothing else.
 
-    __slots__ = ("embedding", "interior_faces", "boundary_cycle", "_closed_v", "_open_v",
-                 "_closed_e", "_open_e")
+    The interior faces and the boundary cycle are fixed at construction;
+    the open and closed vertex and edge sets are computed together the
+    first time vertices() or edges() is called, since most disks are only
+    compared by their faces."""
+
+    __slots__ = ("embedding", "interior_faces", "boundary_cycle", "_sets")
 
     def __init__(self, embedding, interior_faces, boundary_cycle):
         self.embedding = embedding
         self.interior_faces = frozenset(interior_faces)
         self.boundary_cycle = tuple(boundary_cycle)
+        self._sets = None
+
+    def _membership(self):
+        """(closed vertices, open vertices, closed edges, open edges)."""
+        if self._sets is not None:
+            return self._sets
+        embedding = self.embedding
         # anything on no interior face and off the boundary is in neither
         # set, so only the interior faces' own vertices and edges are scanned;
         # an edge is kept as the face's own (low, high) step where one
@@ -566,55 +601,33 @@ class DiskRegion:
         edge_faces = embedding._edge_faces
         open_v = {v for v in touched_v - boundary if vertex_faces[v] <= interior}
         open_e = {e for e in touched_e if interior.issuperset(edge_faces[e])}
-        self._closed_v = frozenset(touched_v | boundary)
-        self._open_v = frozenset(open_v)
-        self._closed_e = frozenset(touched_e)
-        self._open_e = frozenset(open_e)
+        self._sets = (frozenset(touched_v | boundary), frozenset(open_v),
+                      frozenset(touched_e), frozenset(open_e))
+        return self._sets
 
     @classmethod
     def of_cycle(cls, embedding, cycle_vertices):
         """The disk bounded by a cycle: all faces not reachable from the
         outer face in the dual graph without crossing a cycle edge."""
         cyc = list(cycle_vertices)
-        k = len(cyc)
-        if k < 3:
-            raise EmbeddingError("a bounding cycle needs at least 3 vertices")
-        cycle_edges = set()
-        for i in range(k):
-            u, v = cyc[i], cyc[(i + 1) % k]
-            if not embedding.graph.has_edge(u, v):
-                raise EmbeddingError("cycle step %r-%r is not an edge" % (u, v))
-            cycle_edges.add(_normalize_edge(u, v))
-        if embedding.outer_face is None:
-            raise EmbeddingError("embedding has no outer face")
-        # Flood the dual from the outer face, never crossing the cycle.
-        outside = {embedding.outer_face}
-        queue = deque([embedding.outer_face])
-        while queue:
-            f = queue.popleft()
-            for (u, v) in embedding.faces[f]:
-                e = _normalize_edge(u, v)
-                if e in cycle_edges:
-                    continue
-                for g in embedding._edge_faces[e]:
-                    if g not in outside:
-                        outside.add(g)
-                        queue.append(g)
+        outside = set()
+        _flood(embedding, outside, [embedding.outer_face],
+               _cycle_edges(embedding, cyc))
         interior = set(range(len(embedding.faces))) - outside
         return cls(embedding, interior, cyc)
 
     def vertices(self, mode="closed"):
         if mode == "closed":
-            return self._closed_v
+            return self._membership()[0]
         if mode == "open":
-            return self._open_v
+            return self._membership()[1]
         raise TmhError("mode must be 'open' or 'closed'")
 
     def edges(self, mode="closed"):
         if mode == "closed":
-            return self._closed_e
+            return self._membership()[2]
         if mode == "open":
-            return self._open_e
+            return self._membership()[3]
         raise TmhError("mode must be 'open' or 'closed'")
 
     def contains_vertex(self, v, mode="closed"):
@@ -626,9 +639,93 @@ class DiskRegion:
         return self.embedding.graph.restrict(self.vertices(mode), self.edges(mode))
 
 
+def _cycle_edges(embedding, cyc):
+    """The edge set of a bounding cycle, refused unless the cycle has at
+    least 3 vertices, every step is an edge, and the embedding has an
+    outer face to flood from."""
+    k = len(cyc)
+    if k < 3:
+        raise EmbeddingError("a bounding cycle needs at least 3 vertices")
+    cycle_edges = set()
+    for i in range(k):
+        u, v = cyc[i], cyc[(i + 1) % k]
+        if not embedding.graph.has_edge(u, v):
+            raise EmbeddingError("cycle step %r-%r is not an edge" % (u, v))
+        cycle_edges.add(_normalize_edge(u, v))
+    if embedding.outer_face is None:
+        raise EmbeddingError("embedding has no outer face")
+    return cycle_edges
+
+
+def _flood(embedding, outside, seeds, cut):
+    """Add to the face set outside every face the seeds reach in the dual
+    graph without crossing an edge of cut; returns the faces added."""
+    edge_faces = embedding._edge_faces
+    added = [f for f in dict.fromkeys(seeds) if f not in outside]
+    outside.update(added)
+    queue = deque(added)
+    while queue:
+        f = queue.popleft()
+        for (u, v) in embedding.faces[f]:
+            e = (u, v) if u < v else (v, u)
+            if e in cut:
+                continue
+            for g in edge_faces[e]:
+                if g not in outside:
+                    outside.add(g)
+                    added.append(g)
+                    queue.append(g)
+    return added
+
+
+def _nested_disks(embedding, cycles):
+    """The disks of cycles given outermost first, each equal to
+    DiskRegion.of_cycle's, for about one flood of the dual per family.
+
+    In a connected plane graph (V - E + F = 2) the edges of a simple
+    cycle form a minimal edge cut of the dual graph (Whitney; Mohar and
+    Thomassen, Graphs on Surfaces, 2001), so the dual minus them has two
+    sides.  The faces outside C_{i-1}, plus the faces across C_{i-1}'s
+    edges, flooded without crossing C_i, form a set closed in the dual
+    minus C_i that holds the outer face: exactly the outside of C_i, or
+    every face when C_i's disk does not lie in C_{i-1}'s.  A cycle whose
+    interior comes out empty, or that repeats a vertex, takes of_cycle,
+    and so does every cycle of an embedding that is not connected or not
+    plane.  Each cycle is checked as of_cycle checks it, in order."""
+    n_faces = len(embedding.faces)
+    if not embedding._is_plane():
+        return [DiskRegion.of_cycle(embedding, c) for c in cycles]
+    regions = []
+    outside, inside = set(), set(range(n_faces))
+    seeds = [embedding.outer_face]
+    for c in cycles:
+        cyc = list(c)
+        cut = _cycle_edges(embedding, cyc)
+        if len(set(cyc)) == len(cyc):
+            inside.difference_update(_flood(embedding, outside, seeds, cut))
+        else:
+            inside = set()
+        if inside:
+            region = DiskRegion(embedding, inside, cyc)
+        else:
+            region = DiskRegion.of_cycle(embedding, cyc)
+            inside = set(region.interior_faces)
+            outside = set(range(n_faces)) - inside
+        regions.append(region)
+        seeds = [f for e in cut for f in embedding._edge_faces[e]]
+    return regions
+
+
 class NestedCycles:
     """A sequence [C_1..C_r] of pairwise disjoint cycles whose disks nest,
-    outermost first, within one embedding."""
+    outermost first, within one embedding.
+
+    The constructor floods the dual graph about once for the whole family,
+    carrying each cycle's outside inward to the next (_nested_disks);
+    a cycle the carried flood cannot settle, and every cycle of an
+    embedding that is not a connected plane one, is flooded on its own by
+    DiskRegion.of_cycle.  The disks, and the refusals, are the same either
+    way."""
 
     __slots__ = ("embedding", "cycles", "regions")
 
@@ -653,7 +750,7 @@ class NestedCycles:
                 raise EmbeddingError("nested cycles must be pairwise vertex-disjoint")
             seen |= cs
         if regions is None:
-            regions = [DiskRegion.of_cycle(embedding, c) for c in self.cycles]
+            regions = _nested_disks(embedding, self.cycles)
         self.regions = regions
         for a, b in itertools.pairwise(self.regions):
             if not (b.interior_faces <= a.interior_faces):

@@ -21,7 +21,8 @@ of returning an unverified object.
 
 from collections import deque
 
-from .graphs import DiskRegion, Graph, NestedCycles, TmhError, _normalize_edge
+from .graphs import (DiskRegion, Graph, NestedCycles, TmhError, _nested_disks,
+                     _normalize_edge)
 from .annulus import RailedAnnulus, _path_edges, rail_geometry
 from .tm import TmPair, arcs, default_budget, dissolve
 
@@ -732,14 +733,22 @@ def ca_cycles(a, geo=None):
     """The nested family of composite cycles running along matched pairs of
     annulus cycles and the rails joining them: the i-th follows cycles i
     and r-i+1 between rails i and q-i+1.  Defined down to depth
-    min(r, q) // 2; both dimensions must be at least 5."""
+    min(r, q) // 2; both dimensions must be at least 5.
+
+    The i-th cycle bounds geo.delta_disk(i, r-i+1, i, q-i+1).  Those disks
+    are flooded together, outermost first (see NestedCycles), and kept in
+    geo.delta_disks under the same keys."""
     if a.r < 5 or a.q < 5:
         raise TmhError("composite cycles need r, q >= 5, got (%d, %d)" % (a.r, a.q))
     if geo is None:
         geo = rail_geometry(a)
     z = min(a.r, a.q) // 2
-    disks = [geo.delta_disk(i, a.r - i + 1, i, a.q - i + 1) for i in range(1, z + 1)]
-    return NestedCycles._of_regions(a.embedding, disks)
+    keys = [(i, a.r - i + 1, i, a.q - i + 1) for i in range(1, z + 1)]
+    if any(key not in geo.delta_disks for key in keys):
+        frames = [geo._frame_cycle(key) for key in keys]
+        for key, disk in zip(keys, _nested_disks(a.embedding, frames)):
+            geo.delta_disks.setdefault(key, disk)
+    return NestedCycles._of_regions(a.embedding, [geo.delta_disks[key] for key in keys])
 
 
 def _sub_annulus(a, lo, hi):

@@ -37,8 +37,8 @@ from .decomposition import (
     DEFAULT_EXACT_TW_CAP,
     DEFAULT_WIDTH_FACTOR,
     TreeDecomposition,
+    _find_wall,
     exact_treewidth,
-    find_wall,
     greedy_treewidth,
     validate_decomposition,
 )
@@ -560,9 +560,10 @@ def _irrelevant_vertex_pass(k, h, g, params, force, annuli, b, family, mode,
             wq = params.wall_q
         except TmhError as err:
             return _fall_back(g, trace, str(err))
+        # odd, and at least 5 by annuli_capacity: a height find_wall accepts
         wq_geom = _odd_up(wq)
         try:
-            found = find_wall(g, wq_geom, c=params.c_tw)
+            found = _find_wall(g, wq_geom, params.c_tw, DEFAULT_EXACT_TW_CAP)
         except BudgetExceeded:
             raise
         except TmhError as err:

@@ -17,18 +17,28 @@ from tmh.annulus import (
     family_height_needed,
     find_collection_of_annuli,
     rail_geometry,
+    sub_annulus,
     synthetic_annulus,
     synthetic_annulus_parts,
     synthetic_disk_host,
     wall_height_needed,
 )
 from tmh.decomposition import (
+    _embed_wall,
     build_elementary_wall,
     extract_subwall_at,
     find_wall,
     wall_layers,
 )
-from tmh.graphs import DiskRegion, Graph, PartiallyDiskEmbedded, TmhError
+from tmh.graphs import (
+    DiskRegion,
+    Graph,
+    NestedCycles,
+    PartiallyDiskEmbedded,
+    PlaneEmbedding,
+    TmhError,
+    planar_rotation,
+)
 from tmh.linkage import _sub_annulus, ca_cycles
 from tmh.tm import TmPair
 
@@ -751,3 +761,198 @@ class TestFamilyExtraction:
         fam = find_collection_of_annuli(3, 3, 1, g, w)
         with pytest.raises(TmhError, match="overlapping"):
             AnnulusFamily(fam.outer, [fam.inner[0], fam.inner[0]])
+
+
+def _two_trace_embedding(graph, rotation, pick):
+    """An embedding built the way the annulus and wall code built them
+    before one trace sufficed: a probe embedding to read the faces from,
+    then a second one with the chosen outer face."""
+    probe = PlaneEmbedding(graph, rotation, outer_face_index=0)
+    return PlaneEmbedding(graph, rotation, outer_face_index=pick(probe.faces))
+
+
+def _ring_face(cycle):
+    """The outer-face rule of synthetic_annulus_parts and sub_annulus: the
+    first face that walks exactly the vertices of the cycle."""
+    ring = frozenset(cycle)
+
+    def pick(faces):
+        for idx, face in enumerate(faces):
+            if len(face) == len(cycle) and {u for u, _ in face} == ring:
+                return idx
+        raise AssertionError("no face walks the cycle")
+    return pick
+
+
+def _longest_face(faces):
+    """The outer-face rule of the wall code: the longest face, the later
+    one on a tie (which _embed_wall refuses)."""
+    return sorted(((len(f), i) for i, f in enumerate(faces)), reverse=True)[0][1]
+
+
+def _reference_window_embedding(a, lo):
+    """sub_annulus's embedding built from two traces of the rotation of a
+    restricted to the closed disk of cycle lo."""
+    keep = a.cycles.closed_disk(lo)
+    sub_g = a.embedding.graph.subgraph(keep)
+    rotation = {v: tuple(u for u in a.embedding.rotation[v] if u in keep)
+                for v in sub_g.vertices}
+    return _two_trace_embedding(sub_g, rotation, _ring_face(a.cycles.cycles[lo - 1]))
+
+
+def _reference_ca_cycles(a):
+    """ca_cycles with one DiskRegion.of_cycle flood per composite frame."""
+    geo = rail_geometry(a)
+    z = min(a.r, a.q) // 2
+    disks = [geo.delta_disk(i, a.r - i + 1, i, a.q - i + 1) for i in range(1, z + 1)]
+    return NestedCycles._of_regions(a.embedding, disks)
+
+
+def _assert_per_cycle_disks(nc, membership=False):
+    """Every region of the family equals DiskRegion.of_cycle on its cycle."""
+    for region, cyc in zip(nc.regions, nc.cycles):
+        fresh = DiskRegion.of_cycle(nc.embedding, cyc)
+        assert region.interior_faces == fresh.interior_faces
+        assert region.boundary_cycle == fresh.boundary_cycle
+        if membership:
+            assert _membership(region) == _membership(fresh)
+
+
+def _same_embedding(emb, ref):
+    assert emb.graph == ref.graph
+    assert emb.faces == ref.faces
+    assert emb.outer_face == ref.outer_face
+
+
+class TestOnePassAnnuli:
+    """One face trace per embedding and one dual flood per nested cycle
+    family give the embeddings, disks and refusals that two traces and
+    one flood per cycle gave."""
+
+    def test_building_an_annulus_traces_once_and_floods_per_family(self, monkeypatch):
+        traces, floods = [], []
+        trace = PlaneEmbedding._trace
+        of_cycle = DiskRegion.of_cycle.__func__
+
+        def counting_trace(self):
+            traces.append(self)
+            return trace(self)
+
+        def counting_of_cycle(cls, emb, cyc):
+            floods.append(cyc)
+            return of_cycle(cls, emb, cyc)
+
+        monkeypatch.setattr(PlaneEmbedding, "_trace", counting_trace)
+        monkeypatch.setattr(DiskRegion, "of_cycle", classmethod(counting_of_cycle))
+        full = synthetic_annulus(13, 8, girth=32, seed=58, noise=2)
+        sub_annulus(full, 2, 12)
+        assert len(traces) == 2
+        assert floods == []
+
+    @pytest.mark.parametrize("kw", [
+        dict(r=5, q=8),
+        dict(r=7, q=6, girth=24, seed=3, noise=4, core=True),
+        dict(r=5, q=4, girth=24, span=2),
+        dict(r=25, q=3, seed=1, noise=2),
+        dict(r=13, q=11, girth=50, seed=80, noise=3),
+    ])
+    def test_generator_embedding_equals_two_traces(self, kw):
+        emb, cycles, _ = synthetic_annulus_parts(**kw)
+        _same_embedding(emb, _two_trace_embedding(emb.graph, emb.rotation,
+                                                  _ring_face(cycles[0])))
+
+    def test_window_embedding_equals_two_traces(self):
+        full = synthetic_disk_host(25, 3, seed=1, noise=2)[1]
+        taming = synthetic_annulus(13, 7, girth=34, seed=51, noise=2)
+        for a, lo, hi in ((full, 1, 3), (full, 7, 25), (full, 4, 10),
+                          (taming, 2, 12), (taming, 5, 9), (taming, 1, 13)):
+            win = sub_annulus(a, lo, hi)
+            _same_embedding(win.embedding, _reference_window_embedding(a, lo))
+            _assert_per_cycle_disks(win.cycles, membership=True)
+
+    @pytest.mark.parametrize("h", [3, 5, 7, 9])
+    def test_wall_embedding_equals_two_traces(self, h):
+        g = build_elementary_wall(h).host_subgraph
+        emb, walk = _embed_wall(g)
+        ref = _two_trace_embedding(g, planar_rotation(g), _longest_face)
+        _same_embedding(emb, ref)
+        assert walk == tuple(de[0] for de in ref.faces[ref.outer_face])
+
+    def test_wall_embedding_refuses_a_tie_for_the_outer_face(self):
+        cube = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6),
+                                 (6, 7), (4, 7), (0, 4), (1, 5), (2, 6), (3, 7)])
+        with pytest.raises(TmhError, match="^ambiguous outer face; host is not a wall shape$"):
+            _embed_wall(cube)
+
+    @pytest.mark.parametrize("h,q", [(5, 3), (7, 5), (9, 7)])
+    def test_find_wall_embedding_equals_two_traces(self, monkeypatch, h, q):
+        g = build_elementary_wall(h).host_subgraph
+        built = []
+        traced = PlaneEmbedding._traced.__func__
+
+        def recording(cls, graph, rotation, pick):
+            emb = traced(cls, graph, rotation, pick)
+            built.append(emb)
+            return emb
+
+        monkeypatch.setattr(PlaneEmbedding, "_traced", classmethod(recording))
+        find_wall(g, q)
+        monkeypatch.undo()
+        # the host is embedded last, after the template and the subwall
+        _same_embedding(built[-1], _two_trace_embedding(g, planar_rotation(g),
+                                                        _longest_face))
+
+    def test_taming_matrix_regions_equal_per_cycle_disks(self):
+        for q in range(5, 12):
+            for pad in (0, 6):
+                for noise in (0, 2, 3):
+                    full = synthetic_annulus(13, q, girth=4 * q + pad,
+                                             seed=7 * q + noise, noise=noise)
+                    band = sub_annulus(full, 2, 12)
+                    _assert_per_cycle_disks(full.cycles)
+                    _assert_per_cycle_disks(band.cycles, membership=pad == 6)
+
+    @pytest.mark.parametrize("h", [7, 9])
+    def test_wall_annulus_regions_equal_per_cycle_disks(self, h):
+        a = annulus_from_wall(build_elementary_wall(h), 3)
+        _assert_per_cycle_disks(a.cycles, membership=True)
+
+    def test_composite_cycle_regions_equal_per_cycle_disks(self):
+        hosts = [synthetic_annulus(5, 8), synthetic_annulus(7, 6, girth=24, seed=3,
+                                                            noise=4, core=True)]
+        hosts += [_taming_band(q, girth, noise)[1]
+                  for q, girth, noise in ((5, 26, 2), (8, 32, 0), (11, 50, 3))]
+        for a in hosts:
+            geo = rail_geometry(a)
+            nc = ca_cycles(a, geo=geo)
+            _assert_per_cycle_disks(nc, membership=True)
+            ref = _reference_ca_cycles(a)
+            assert nc.cycles == ref.cycles
+            for region, ref_region in zip(nc.regions, ref.regions):
+                assert region.interior_faces == ref_region.interior_faces
+            z = min(a.r, a.q) // 2
+            for i in range(1, z + 1):
+                assert geo.delta_disks[(i, a.r - i + 1, i, a.q - i + 1)] \
+                    is nc.regions[i - 1]
+            for b in range(1, z):
+                # the taming sector lookup reads the family's disk
+                assert geo.delta_disk(b + 1, a.r - b, b + 1, a.q - b) \
+                    is nc.regions[b]
+            assert ca_cycles(a, geo=geo).regions == nc.regions
+
+    @pytest.mark.parametrize("r,q,order,message", [
+        (5, 5, (0, 1, 2, 4, 3), "no lateral path from rail 2 to 4 on cycle 2"),
+        (7, 6, (0, 1, 2, 5, 3, 4), "no lateral path from rail 3 to 4 on cycle 3"),
+        (7, 6, (0, 1, 2, 4, 3, 5), "nested cycles must be pairwise vertex-disjoint"),
+        (7, 6, (0, 1, 3, 4, 2, 5), "cycle disks do not nest"),
+    ])
+    def test_composite_cycle_refusals_keep_message_and_order(self, r, q, order,
+                                                             message):
+        emb, cycles, rails = synthetic_annulus_parts(r, q)
+        a = RailedAnnulus(emb, cycles, [rails[k] for k in order])
+        with pytest.raises(TmhError) as ref:
+            _reference_ca_cycles(a)
+        with pytest.raises(TmhError) as got:
+            ca_cycles(a)
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value) == message

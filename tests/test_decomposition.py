@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
-from tmh.graphs import DiskRegion, Graph, TmhError
+import tmh.decomposition as decomposition
+import tmh.graphs as graphs
+from tmh.graphs import DiskRegion, EmbeddingError, Graph, TmhError
 from tmh.decomposition import (
     Bramble,
     DecompositionViolation,
@@ -594,3 +596,38 @@ def test_find_wall_rejects_bad_input():
         find_wall(path_graph(4), 4)
     with pytest.raises(TmhError):
         find_wall(complete_graph(5), 3)
+
+
+def test_find_wall_checks_the_height_before_planarity():
+    with pytest.raises(TmhError, match="^wall height must be odd and at least 3, got 4$"):
+        find_wall(complete_graph(5), 4)
+    with pytest.raises(EmbeddingError, match="^graph is not planar$"):
+        find_wall(complete_graph(5), 3)
+
+
+def _count_rotations(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return rotation(g)
+
+    rotation = graphs.planar_rotation
+    monkeypatch.setattr(graphs, "planar_rotation", counting)
+    monkeypatch.setattr(decomposition, "planar_rotation", counting)
+    return calls
+
+
+def test_find_wall_embeds_the_host_only_on_the_wall_branch(monkeypatch):
+    # a 5x5 grid is no wall and has a K4 minor, so only the planarity
+    # test embeds it
+    grid = grid_graph(5, 5)
+    calls = _count_rotations(monkeypatch)
+    assert isinstance(find_wall(grid, 3), TreeDecomposition)
+    assert calls == [grid]
+    wall = build_elementary_wall(5).host_subgraph
+    calls.clear()
+    assert isinstance(find_wall(wall, 3), WallWithCompass)
+    # the planarity test, then the template and the subwall, then the
+    # rotation the wall branch reads
+    assert calls[0] == wall and calls[-1] == wall and len(calls) == 4

@@ -318,3 +318,190 @@ class TestPartiallyDiskEmbedded:
         g = emb.graph.add_edges([(6, 9)])
         with pytest.raises(TmhError):
             PartiallyDiskEmbedded(g, emb, [0, 1, 2])
+
+
+def _reference_interior(emb, cyc):
+    """The interior faces of a cycle as DiskRegion.of_cycle computed them
+    on its own: one flood of the whole dual from the outer face, never
+    crossing a cycle edge."""
+    k = len(cyc)
+    cycle_edges = {tuple(sorted((cyc[i], cyc[(i + 1) % k]))) for i in range(k)}
+    outside = {emb.outer_face}
+    queue = [emb.outer_face]
+    while queue:
+        f = queue.pop()
+        for u, v in emb.faces[f]:
+            e = (u, v) if u < v else (v, u)
+            if e in cycle_edges:
+                continue
+            for g in emb.faces_of_edge(u, v):
+                if g not in outside:
+                    outside.add(g)
+                    queue.append(g)
+    return frozenset(range(len(emb.faces))) - outside
+
+
+def _reference_family(emb, cycles):
+    """NestedCycles as it was built with one DiskRegion.of_cycle flood per
+    cycle: disjointness, then each disk in order, then nesting."""
+    seen = set()
+    for c in cycles:
+        if set(c) & seen:
+            raise EmbeddingError("nested cycles must be pairwise vertex-disjoint")
+        seen |= set(c)
+    regions = [DiskRegion.of_cycle(emb, c) for c in cycles]
+    for a, b in zip(regions, regions[1:]):
+        if not b.interior_faces <= a.interior_faces:
+            raise EmbeddingError("cycle disks do not nest")
+    return regions
+
+
+def _two_trace_embedding(graph, rotation, pick):
+    """An embedding built the way the annulus and wall code built them
+    before one trace sufficed: a probe embedding to read the faces from,
+    then a second one with the chosen outer face."""
+    probe = PlaneEmbedding(graph, rotation, outer_face_index=0)
+    return PlaneEmbedding(graph, rotation, outer_face_index=pick(probe.faces))
+
+
+def _membership(region):
+    return (region.vertices("closed"), region.vertices("open"),
+            region.edges("closed"), region.edges("open"))
+
+
+def _count_of_cycle(monkeypatch):
+    calls = []
+    of_cycle = DiskRegion.of_cycle.__func__
+
+    def counting(cls, emb, cyc):
+        calls.append(tuple(cyc))
+        return of_cycle(cls, emb, cyc)
+
+    monkeypatch.setattr(DiskRegion, "of_cycle", classmethod(counting))
+    return calls
+
+
+def _rings(r, m):
+    """r concentric m-cycles joined by spokes at every position, embedded
+    with ring 0 outside; ring i is [i*m .. i*m + m - 1]."""
+    def vid(i, k):
+        return i * m + k % m
+
+    edges = [(vid(i, k), vid(i, k + 1)) for i in range(r) for k in range(m)]
+    edges += [(vid(i, k), vid(i + 1, k)) for i in range(r - 1) for k in range(m)]
+    g = Graph.from_edges(edges)
+    rot = {}
+    for i in range(r):
+        for k in range(m):
+            around = [vid(i, k + 1)]
+            if i + 1 < r:
+                around.append(vid(i + 1, k))
+            around.append(vid(i, k - 1))
+            if i > 0:
+                around.append(vid(i - 1, k))
+            rot[vid(i, k)] = tuple(around)
+    emb = PlaneEmbedding(g, rot, outer_edge=(0, 1))
+    return emb, [[vid(i, k) for k in range(m)] for i in range(r)]
+
+
+class TestNestedFlood:
+    def test_rings_fixture_is_plane_with_ring_zero_outside(self):
+        emb, rings = _rings(4, 6)
+        assert emb.check_euler() and emb._is_plane()
+        assert {u for u, _ in emb.faces[emb.outer_face]} == set(rings[0])
+
+    def test_of_cycle_matches_the_reference_flood(self):
+        emb = concentric_triangles()
+        for cyc in ([0, 1, 2], [3, 4, 5], [6, 7, 8], [0, 3, 4, 1]):
+            assert DiskRegion.of_cycle(emb, cyc).interior_faces \
+                == _reference_interior(emb, cyc)
+        emb, rings = _rings(5, 7)
+        for cyc in rings + [[7, 8, 15, 14], [0, 1, 8, 15, 14, 7]]:
+            assert DiskRegion.of_cycle(emb, cyc).interior_faces \
+                == _reference_interior(emb, cyc)
+
+    @pytest.mark.parametrize("r,m", [(3, 3), (5, 7), (9, 4)])
+    def test_family_regions_equal_per_cycle_disks(self, monkeypatch, r, m):
+        emb, rings = _rings(r, m)
+        families = [rings, rings[1:], rings[::2], [rings[0], rings[-1]]]
+        calls = _count_of_cycle(monkeypatch)
+        built = [NestedCycles(emb, cycles) for cycles in families]
+        assert calls == []
+        monkeypatch.undo()
+        for nc, cycles in zip(built, families):
+            for region, ref in zip(nc.regions, _reference_family(emb, cycles)):
+                assert region.interior_faces == ref.interior_faces \
+                    == _reference_interior(emb, list(ref.boundary_cycle))
+                assert region.boundary_cycle == ref.boundary_cycle
+                assert _membership(region) == _membership(ref)
+
+    @pytest.mark.parametrize("cycles,message", [
+        # inner first: the carried flood empties the second disk
+        ([[3, 4, 5], [0, 1, 2]], "cycle disks do not nest"),
+        ([[3, 4, 5], [0, 1, 2], [6, 7, 8]], "cycle disks do not nest"),
+        ([[0, 1, 2], [6, 7, 8], [3, 4, 5]], "cycle disks do not nest"),
+        ([[0, 1, 2], [0, 4, 5]], "nested cycles must be pairwise vertex-disjoint"),
+        ([[3, 4, 5], [6, 8, 7], [0, 1, 5]],
+         "nested cycles must be pairwise vertex-disjoint"),
+        ([[0, 1, 2], [3, 4, 7]], "cycle step 7-3 is not an edge"),
+        ([[0, 1, 2], [3, 4], [6, 7, 8]], "a bounding cycle needs at least 3 vertices"),
+        # a later cycle's own refusal comes before the nesting refusal
+        ([[3, 4, 5], [0, 1, 2], [6, 8]], "a bounding cycle needs at least 3 vertices"),
+        ([[6, 7, 8], [0, 1, 2], [3, 5, 1]],
+         "nested cycles must be pairwise vertex-disjoint"),
+    ])
+    def test_refusals_keep_message_and_order(self, cycles, message):
+        emb = concentric_triangles()
+        with pytest.raises(EmbeddingError) as ref:
+            _reference_family(emb, cycles)
+        with pytest.raises(EmbeddingError) as got:
+            NestedCycles(emb, cycles)
+        assert str(got.value) == str(ref.value) == message
+
+    def test_disconnected_embedding_floods_per_cycle(self, monkeypatch):
+        base = concentric_triangles()
+        g = base.graph.add_edges([(10, 11), (11, 12), (10, 12)])
+        rot = {**base.rotation, 10: (11, 12), 11: (12, 10), 12: (10, 11)}
+        emb = PlaneEmbedding(g, rot, outer_edge=(0, 1))
+        assert not emb._is_plane()
+        cycles = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+        calls = _count_of_cycle(monkeypatch)
+        nc = NestedCycles(emb, cycles)
+        assert calls == [tuple(c) for c in cycles]
+        for region, cyc in zip(nc.regions, cycles):
+            assert region.interior_faces == _reference_interior(emb, cyc)
+
+    def test_closed_walk_that_repeats_a_vertex_floods_on_its_own(self, monkeypatch):
+        emb = concentric_triangles()
+        walk = [3, 4, 5, 3, 4, 5]
+        calls = _count_of_cycle(monkeypatch)
+        nc = NestedCycles(emb, [[0, 1, 2], walk])
+        assert calls == [tuple(walk)]
+        assert nc.regions[1].interior_faces == _reference_interior(emb, walk)
+
+    def test_one_trace_embedding_equals_two_constructions(self):
+        emb = concentric_triangles()
+        picks = [lambda faces: 0,
+                 lambda faces: max((len(f), i) for i, f in enumerate(faces))[1],
+                 lambda faces: len(faces) - 1]
+        graphs = [(emb.graph, emb.rotation)]
+        for seed in range(4):
+            g = _rings(3 + seed, 4 + seed)[0].graph
+            graphs.append((g, planar_rotation(g)))
+        for g, rot in graphs:
+            for pick in picks:
+                one = PlaneEmbedding._traced(g, rot, pick)
+                two = _two_trace_embedding(g, rot, pick)
+                assert one.faces == two.faces
+                assert one.outer_face == two.outer_face
+                assert one.rotation == two.rotation
+                assert one.check_euler()
+
+    def test_one_trace_embedding_passes_refusals_through(self):
+        emb = concentric_triangles()
+
+        def refuse(faces):
+            raise TmhError("no such face")
+
+        with pytest.raises(TmhError, match="no such face"):
+            PlaneEmbedding._traced(emb.graph, emb.rotation, refuse)

@@ -369,7 +369,7 @@ class TestFindIrrelevantVertex:
         def refuse(*args, **kwargs):
             raise err
 
-        monkeypatch.setattr(solver, "find_wall", refuse)
+        monkeypatch.setattr(solver, "_find_wall", refuse)
         g = build_elementary_wall(5).host_subgraph
         return solve_tm_deletion(g, PatternFamily([Graph(range(2), [(0, 1)])]),
                                  0, budget=ZERO)
