@@ -720,12 +720,9 @@ class NestedCycles:
     """A sequence [C_1..C_r] of pairwise disjoint cycles whose disks nest,
     outermost first, within one embedding.
 
-    The constructor floods the dual graph about once for the whole family,
-    carrying each cycle's outside inward to the next (_nested_disks);
-    a cycle the carried flood cannot settle, and every cycle of an
-    embedding that is not a connected plane one, is flooded on its own by
-    DiskRegion.of_cycle.  The disks, and the refusals, are the same either
-    way."""
+    The constructor floods the dual graph about once for the whole family
+    (see _nested_disks), with the disks and refusals of one
+    DiskRegion.of_cycle per cycle."""
 
     __slots__ = ("embedding", "cycles", "regions")
 

@@ -744,10 +744,9 @@ def ca_cycles(a, geo=None):
         geo = rail_geometry(a)
     z = min(a.r, a.q) // 2
     keys = [(i, a.r - i + 1, i, a.q - i + 1) for i in range(1, z + 1)]
-    if any(key not in geo.delta_disks for key in keys):
-        frames = [geo._frame_cycle(key) for key in keys]
-        for key, disk in zip(keys, _nested_disks(a.embedding, frames)):
-            geo.delta_disks.setdefault(key, disk)
+    frames = [geo._frame_cycle(key) for key in keys]
+    for key, disk in zip(keys, _nested_disks(a.embedding, frames)):
+        geo.delta_disks.setdefault(key, disk)
     return NestedCycles._of_regions(a.embedding, [geo.delta_disks[key] for key in keys])
 
 
