@@ -688,7 +688,8 @@ def _nested_disks(embedding, cycles):
     sides.  The faces outside C_{i-1}, plus the faces across C_{i-1}'s
     edges, flooded without crossing C_i, form a set closed in the dual
     minus C_i that holds the outer face: exactly the outside of C_i, or
-    every face when C_i's disk does not lie in C_{i-1}'s.  A cycle whose
+    every face, which happens only when C_i's disk does not lie in
+    C_{i-1}'s.  A cycle whose
     interior comes out empty, or that repeats a vertex, takes of_cycle,
     and so does every cycle of an embedding that is not connected or not
     plane.  Each cycle is checked as of_cycle checks it, in order."""
