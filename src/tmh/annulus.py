@@ -26,6 +26,7 @@ from .graphs import (
     PartiallyDiskEmbedded,
     PlaneEmbedding,
     TmhError,
+    _cycle_order,
     _normalize_edge,
 )
 from .tm import BoundariedGraph
@@ -46,21 +47,15 @@ def _check_simple_path(g, seq, name):
 
 
 def _crossing_path(cycle_v, cycle_e, rail):
-    """The intersection of a cycle with a rail as a graph; returns the
-    shared vertices in rail order if that graph is a non-empty path,
-    else None."""
+    """The shared vertices of a cycle and a simple path rail, in rail order,
+    if the rail steps along the cycle join them into one path, else None.
+    Those steps form a linear forest on the shared vertices, which is one
+    path exactly when it has one edge fewer than it has vertices."""
     shared = [v for v in rail if v in cycle_v]
     if not shared:
         return None
-    shared_set = set(shared)
-    shared_e = [e for e in _path_edges(rail)
-                if e in cycle_e and e[0] in shared_set and e[1] in shared_set]
-    x = Graph(shared, shared_e)
-    if len(x.connected_components()) != 1:
-        return None
-    if x.m != x.n - 1 or any(x.degree(v) > 2 for v in shared):
-        return None
-    return shared
+    steps = sum(1 for e in _path_edges(rail) if e in cycle_e)
+    return shared if steps == len(shared) - 1 else None
 
 
 def _check_counts(r, q):
@@ -173,8 +168,9 @@ class RailedAnnulus:
         return self.cycles.annulus(t + 1 - half, t + 1 + half)
 
     def confinement_offenders(self, model, s, rail_indices):
-        """Vertices and edges of the model inside the middle s-band that
-        are not covered by the rails indexed by rail_indices (1-based)."""
+        """Vertices and edges of the model (any object with vertices and
+        edges: a Graph, a Linkage) inside the middle s-band that are not
+        covered by the rails indexed by rail_indices (1-based)."""
         band = self.middle_band(s)
         allowed_v = set()
         allowed_e = set()
@@ -191,9 +187,9 @@ class RailedAnnulus:
         return bad_v, bad_e
 
     def confines(self, model, s, rail_indices):
-        """Does the model graph stay on the given rails across the middle
-        s-band?  s=1 checks the middle cycle alone and s=r the whole
-        annulus."""
+        """Does the model (see confinement_offenders) stay on the given
+        rails across the middle s-band?  s=1 checks the middle cycle alone
+        and s=r the whole annulus."""
         bad_v, bad_e = self.confinement_offenders(model, s, rail_indices)
         return not bad_v and not bad_e
 
@@ -429,7 +425,7 @@ class RailGeometry:
     """
 
     __slots__ = ("annulus", "reference_edges", "l_paths", "r_paths",
-                 "delta_disks", "ambiguous_cycles", "_all_ref", "_cycle_graphs")
+                 "delta_disks", "ambiguous_cycles", "_cycle_graphs")
 
     def __init__(self, annulus, reference_edges, ambiguous_cycles):
         self.annulus = annulus
@@ -438,13 +434,13 @@ class RailGeometry:
         self.l_paths = {}
         self.r_paths = {}
         self.delta_disks = {}
-        self._all_ref = frozenset(e for es in reference_edges.values() for e in es)
         self._cycle_graphs = {}
 
     def l_path(self, i, j, jp):
         """Shortest path on cycle i from a crossing of rail j to one of
-        rail jp that avoids every reference edge; among equally short
-        ones, the first crossing vertex of rail j wins."""
+        rail jp that avoids cycle i's reference edges (no other cycle's
+        lie on it: the cycles are disjoint); among equally short ones, the
+        first crossing vertex of rail j wins."""
         if j == jp:
             raise TmhError("lateral path needs two distinct rails, got %d" % j)
         key = (i, j, jp)
@@ -460,7 +456,7 @@ class RailGeometry:
         best = None
         for src in sources:
             path = cyc_graph.shortest_path(src, targets,
-                                           forbidden_edges=self._all_ref)
+                                           forbidden_edges=self.reference_edges[i])
             if path is not None and (best is None or len(path) < len(best)):
                 best = path
         if best is None:
@@ -517,13 +513,11 @@ class RailGeometry:
             self.l_path(ip, jp, j), a.crossings[(ip, j)],
             self.r_path(ip, i, j),
         ]
-        verts = set()
-        edges = set()
+        adj = {v: set() for seq in pieces for v in seq}
         for seq in pieces:
-            verts.update(seq)
-            edges.update(_path_edges(seq))
-        frame = Graph(verts, edges)
-        adj = {v: set(frame.neighbors(v)) for v in frame.vertices}
+            for u, v in zip(seq, seq[1:]):
+                adj[u].add(v)
+                adj[v].add(u)
         stack = [v for v, nb in adj.items() if len(nb) <= 1]
         while stack:
             v = stack.pop()
@@ -533,9 +527,7 @@ class RailGeometry:
                 adj[u].discard(v)
                 if len(adj[u]) <= 1:
                     stack.append(u)
-        core = Graph(adj.keys(),
-                     {(min(u, v), max(u, v)) for v, nb in adj.items() for u in nb})
-        order = core.cycle_vertices_in_order()
+        order = _cycle_order(adj)
         if order is None:
             raise TmhError("frame %r does not close into a unique cycle" % (key,))
         return order

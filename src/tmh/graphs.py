@@ -264,29 +264,24 @@ class Graph:
         return order
 
     def cycle_vertices_in_order(self):
-        """If this graph is a single cycle, its vertices in cyclic order.
+        """The vertices of this graph in cycle order, or None (see _cycle_order)."""
+        return _cycle_order(self._adj)
 
-        Starts at the smallest vertex and proceeds toward its smaller
-        neighbor, so the result is deterministic.  Returns None otherwise.
-        """
-        if self.n < 3 or self.m != self.n:
-            return None
-        if any(self.degree(v) != 2 for v in self._vertices):
-            return None
-        if not self.is_connected():
-            return None
-        start = self._vertices[0]
-        order = [start]
-        prev = None
-        cur = start
-        while True:
-            a, b = self._adj[cur]
-            nxt = a if a != prev else b
-            if nxt == start:
-                break
-            prev, cur = cur, nxt
-            order.append(cur)
-        return order
+
+def _cycle_order(adj):
+    """If the graph with adjacency map adj (vertex -> its neighbours) is a
+    single cycle, its vertices in cyclic order from the smallest vertex
+    toward its smaller neighbour, so the order is deterministic; else None."""
+    if len(adj) < 3 or any(len(nb) != 2 for nb in adj.values()):
+        return None
+    start = min(adj)
+    order = [start]
+    prev, cur = start, min(adj[start])
+    while cur != start:
+        order.append(cur)
+        a, b = adj[cur]
+        prev, cur = cur, (a if a != prev else b)
+    return order if len(order) == len(adj) else None
 
 
 def parse_graph(text):

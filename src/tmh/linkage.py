@@ -174,6 +174,10 @@ def _search_linkages(host, pairs, node_budget, better_than=None, base_edges=None
     only strictly cheaper systems; exclude_key skips one canonical form;
     stop_on_first returns the first admissible complete system instead of
     the optimum.
+
+    Partial paths grow in place, each step pushed before its recursion
+    and popped after it, so nodes are visited as if each step copied the
+    path (a stop skips the pop: the search is over).
     """
     pairs = sorted((min(u, v), max(u, v)) for u, v in pairs)
     if len(set(pairs)) != len(pairs):
@@ -202,8 +206,10 @@ def _search_linkages(host, pairs, node_budget, better_than=None, base_edges=None
             return False
         u, v = pairs[idx]
         blocked = terminals - {u, v}
+        path = [u]
+        on_path = {u}
 
-        def extend(path, on_path, pcost):
+        def extend(pcost):
             node_budget.spend()
             last = path[-1]
             if last == v:
@@ -220,13 +226,17 @@ def _search_linkages(host, pairs, node_budget, better_than=None, base_edges=None
                     continue
                 if best[0] is not None and cost + ncost > best[0][0]:
                     continue
-                if extend(path + [w], on_path | {w}, ncost):
+                path.append(w)
+                on_path.add(w)
+                if extend(ncost):
                     return True
+                path.pop()
+                on_path.discard(w)
             return False
 
         if u not in host or v not in host:
             return False
-        return extend([u], {u}, 0)
+        return extend(0)
 
     if not pairs:
         return (0, [])
@@ -281,8 +291,8 @@ def improve_linkage(lb, budget=None, node_budget=None):
 
 
 def _cycles_base(cycles, d):
-    """The union of the cycle family minus the closed region d, as the base
-    graph linkages are allowed to reroute along."""
+    """The vertex and edge sets of the cycle family minus the closed region
+    d: the base graph linkages are allowed to reroute along."""
     verts = set()
     edges = set()
     for c in cycles.cycles:
@@ -292,7 +302,7 @@ def _cycles_base(cycles, d):
         banned = d.vertices("closed")
         verts -= banned
         edges = {e for e in edges if e[0] not in banned and e[1] not in banned}
-    return Graph(verts, edges)
+    return verts, edges
 
 
 def minimal_linkage(g, cycles, d, l, node_budget=None):
@@ -316,10 +326,10 @@ def minimal_linkage(g, cycles, d, l, node_budget=None):
         if hit:
             raise TmhError("linkage meets the forbidden region at %r"
                            % (sorted(hit)[0],))
-    base = _cycles_base(cycles, d)
-    host = l.union_graph().union(base)
+    base_v, base_e = _cycles_base(cycles, d)
+    host = Graph(l.vertices | base_v, l.edges | base_e)
     pairs = [tuple(sorted(pair)) for pair in l.pattern]
-    found = _search_linkages(host, pairs, node_budget, base_edges=base.edges)
+    found = _search_linkages(host, pairs, node_budget, base_edges=base_e)
     if found is None:
         raise TmhError("the linkage itself vanished from its own search space")
     _, paths = found
@@ -915,7 +925,7 @@ def rail_linkage(a, s, b, d, i_set, geo=None):
                     "crossing path %d does not cover its %s terminal run" % (h, name))
         paths.append(walk)
     result = Linkage(paths)
-    if not a.confines(result.union_graph(), s, rails):
+    if not a.confines(result, s, rails):
         raise TmhError("constructed crossing family leaks off its rails")
     return result
 
@@ -964,7 +974,7 @@ def tame_linkage(g, a, l, s, i_set, budget=None, force=False, node_budget=None):
     if bad:
         raise TmhError("linkage terminal %r lies inside the annulus"
                        % (sorted(bad)[0],))
-    if a.confines(l.union_graph(), s, rails):
+    if a.confines(l, s, rails):
         return l
     k = len(l.paths)
     m = budget.f1(k)
@@ -1127,8 +1137,8 @@ def tame_linkage(g, a, l, s, i_set, budget=None, force=False, node_budget=None):
     lv, le = _outside_parts(l, band)
     if not (ov <= lv and oe <= le):
         raise TameFailed("verification", "new material appeared outside the annulus")
-    if not a.confines(ltilde.union_graph(), s, rails):
-        off_v, off_e = a.confinement_offenders(ltilde.union_graph(), s, rails)
+    if not a.confines(ltilde, s, rails):
+        off_v, off_e = a.confinement_offenders(ltilde, s, rails)
         witness = sorted(off_v)[:3] or sorted(off_e)[:3]
         raise TameFailed("verification", "not confined, offenders %r" % (witness,))
     return ltilde

@@ -1,14 +1,17 @@
 """Railed annuli: validation, wall extraction, capacity accounting, the
 annulus-family extractor, confinement, entry vertices, and rail geometry."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tmh.annulus
 from tmh.annulus import (
     AnnulusFamily,
     RailedAnnulus,
+    _crossing_path,
     _cycle_arc,
     _path_edges,
     annuli_capacity,
@@ -956,3 +959,259 @@ class TestOnePassAnnuli:
             ca_cycles(a)
         assert type(got.value) is type(ref.value)
         assert str(got.value) == str(ref.value) == message
+
+
+def _reference_crossing_path(cycle_v, cycle_e, rail):
+    """_crossing_path through a Graph of the shared vertices and the shared
+    rail steps: the shared vertices in rail order if that graph is one
+    non-empty path, else None."""
+    shared = [v for v in rail if v in cycle_v]
+    if not shared:
+        return None
+    shared_set = set(shared)
+    shared_e = [e for e in _path_edges(rail)
+                if e in cycle_e and e[0] in shared_set and e[1] in shared_set]
+    x = Graph(shared, shared_e)
+    if len(x.connected_components()) != 1:
+        return None
+    if x.m != x.n - 1 or any(x.degree(v) > 2 for v in shared):
+        return None
+    return shared
+
+
+def _reference_cycle_order(g):
+    """Graph.cycle_vertices_in_order as a walk of its own: from the
+    smallest vertex toward its smaller neighbour, or None."""
+    if g.n < 3 or g.m != g.n:
+        return None
+    if any(g.degree(v) != 2 for v in g.vertices) or not g.is_connected():
+        return None
+    order = [g.vertices[0]]
+    prev, cur = None, g.vertices[0]
+    while True:
+        a, b = g.neighbors(cur)
+        nxt = a if a != prev else b
+        if nxt == order[0]:
+            return order
+        prev, cur = cur, nxt
+        order.append(cur)
+
+
+def _reference_frame_cycle(geo, key):
+    """_frame_cycle through Graph objects: the frame as a Graph, its 2-core
+    as another, ordered by _reference_cycle_order."""
+    i, ip, j, jp = key
+    if not (i < ip):
+        raise TmhError("cycle indices must increase, got %d, %d" % (i, ip))
+    if not (j < jp):
+        raise TmhError("rail indices must increase, got %d, %d" % (j, jp))
+    a = geo.annulus
+    pieces = [
+        a.crossings[(i, j)], geo.l_path(i, j, jp), a.crossings[(i, jp)],
+        geo.r_path(i, ip, jp), a.crossings[(ip, jp)],
+        geo.l_path(ip, jp, j), a.crossings[(ip, j)],
+        geo.r_path(ip, i, j),
+    ]
+    verts = set()
+    edges = set()
+    for seq in pieces:
+        verts.update(seq)
+        edges.update(_path_edges(seq))
+    frame = Graph(verts, edges)
+    adj = {v: set(frame.neighbors(v)) for v in frame.vertices}
+    stack = [v for v, nb in adj.items() if len(nb) <= 1]
+    while stack:
+        v = stack.pop()
+        if v not in adj:
+            continue
+        for u in adj.pop(v):
+            adj[u].discard(v)
+            if len(adj[u]) <= 1:
+                stack.append(u)
+    core = Graph(adj.keys(),
+                 {(min(u, v), max(u, v)) for v, nb in adj.items() for u in nb})
+    order = _reference_cycle_order(core)
+    if order is None:
+        raise TmhError("frame %r does not close into a unique cycle" % (key,))
+    return order
+
+
+def _outcome(f, *args):
+    """What a call gives: its value, or the type and message it refuses with."""
+    try:
+        return "value", f(*args)
+    except TmhError as err:
+        return "refused", type(err), str(err)
+
+
+def _walk(*pieces):
+    """The pieces joined end to end, a vertex shared by two pieces kept once."""
+    out = []
+    for piece in pieces:
+        for v in piece:
+            if not out or out[-1] != v:
+                out.append(v)
+    return out
+
+
+def _assert_crossings_match(a):
+    """Every (cycle, rail, orientation) of the annulus gives the reference
+    crossing; the rails in their own orientation cross every cycle."""
+    for cyc in a.cycles.cycles:
+        cycle_v = frozenset(cyc)
+        cycle_e = frozenset(_path_edges(list(cyc) + [cyc[0]]))
+        for rail in a.rails:
+            for cand in (list(rail), list(reversed(rail))):
+                got = _crossing_path(cycle_v, cycle_e, cand)
+                assert got == _reference_crossing_path(cycle_v, cycle_e, cand)
+            assert got is not None
+
+
+def _assert_frames_match(a):
+    """_frame_cycle gives the reference's cycle or refusal on every
+    increasing key of the annulus, and on two keys that do not increase;
+    returns the outcome kinds of the increasing keys."""
+    geo, ref_geo = rail_geometry(a), rail_geometry(a)
+    outcomes = []
+    keys = [(i, ip, j, jp)
+            for i, ip in itertools.combinations(range(1, a.r + 1), 2)
+            for j, jp in itertools.combinations(range(1, a.q + 1), 2)]
+    for key in keys + [(2, 1, 1, 2), (1, 2, 2, 1)]:
+        got = _outcome(geo._frame_cycle, key)
+        assert got == _outcome(_reference_frame_cycle, ref_geo, key)
+        outcomes.append(got[0])
+    return outcomes[:len(keys)]
+
+
+def _record_crossings(monkeypatch):
+    """Record every _crossing_path call: its arguments and result."""
+    calls = []
+
+    def recording(cycle_v, cycle_e, rail):
+        out = _crossing_path(cycle_v, cycle_e, rail)
+        calls.append((cycle_v, cycle_e, list(rail), out))
+        return out
+
+    monkeypatch.setattr(tmh.annulus, "_crossing_path", recording)
+    return calls
+
+
+class TestGraphFreeGeometry:
+    """The crossing check and the frame cycles, on plain sets and an
+    adjacency map, give what their Graph-based forms gave."""
+
+    def test_crossings_match_the_reference_on_the_taming_matrix(self, monkeypatch):
+        calls = _record_crossings(monkeypatch)
+        rows = [(13, q, 4 * q + pad, noise)
+                for q in range(5, 12) for pad in (0, 6) for noise in (0, 2, 3)]
+        rows += [(11, q, 4 * q, noise) for q in range(5, 9) for noise in (0, 2)]
+        annuli = []
+        for R, q, m, noise in rows:
+            full = synthetic_annulus(R, q, girth=m, seed=7 * q + noise, noise=noise)
+            band = _sub_annulus(full, 2, R - 1)
+            # and the windows taming cuts from the band: the shrunk band of
+            # tame_tm_model and the inner windows of one or two rivers
+            annuli += [full, band] + [_sub_annulus(band, lo, band.r + 1 - lo)
+                                      for lo in (2, 3, 4)]
+        monkeypatch.undo()
+        assert len(annuli) == 250
+        for a in annuli:
+            _assert_crossings_match(a)
+        for cycle_v, cycle_e, rail, out in calls:
+            assert out == _reference_crossing_path(cycle_v, cycle_e, rail)
+        assert sum(out is not None for *_, out in calls) > 5000
+
+    @pytest.mark.parametrize("h", [7, 9])
+    def test_crossings_match_the_reference_on_wall_runs(self, monkeypatch, h):
+        # annulus_from_wall tries every run of every wall path in the band,
+        # most of which are refused
+        calls = _record_crossings(monkeypatch)
+        a = annulus_from_wall(build_elementary_wall(h), 3)
+        monkeypatch.undo()
+        _assert_crossings_match(a)
+        for cycle_v, cycle_e, rail, out in calls:
+            assert out == _reference_crossing_path(cycle_v, cycle_e, rail)
+        assert any(out is None for *_, out in calls)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_crossing_gaps_and_chords_are_refused_like_the_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(6, 14)
+        cyc = list(range(n))
+        rng.shuffle(cyc)
+        cycle_v = frozenset(cyc)
+        cycle_e = frozenset(_path_edges(cyc + cyc[:1]))
+        start = rng.randrange(n)
+        arc = [cyc[(start + t) % n] for t in range(n - 1)]
+        k = rng.randint(1, n - 4)
+        off = list(range(n, n + rng.randint(1, 3)))
+        cases = {
+            "path": ([n + 5] + arc[k:] + [n + 6], arc[k:]),
+            "gap": (arc[:k] + off + arc[k + 1:], None),
+            "chord": (arc[:k] + arc[k + 1:], None),
+            "miss": (off, None),
+        }
+        for rail, want in cases.values():
+            for cand in (rail, rail[::-1]):
+                ref = _reference_crossing_path(cycle_v, cycle_e, cand)
+                assert _crossing_path(cycle_v, cycle_e, cand) == ref
+                assert ref == (None if want is None else
+                               [v for v in cand if v in cycle_v])
+
+    @pytest.mark.parametrize("r,q,girth,order", [
+        (5, 5, None, None),
+        (7, 6, None, None),
+        (5, 6, 24, None),
+        (5, 5, None, (0, 1, 2, 4, 3)),
+        (7, 6, None, (0, 1, 2, 5, 3, 4)),
+    ])
+    def test_frame_cycles_match_the_reference(self, r, q, girth, order):
+        emb, cycles, rails = synthetic_annulus_parts(r, q, girth=girth)
+        if order is not None:
+            rails = [rails[k] for k in order]
+        a = RailedAnnulus(emb, cycles, rails)
+        outcomes = _assert_frames_match(a)
+        assert ("refused" in outcomes) == (order is not None)
+        assert "value" in outcomes
+        if order is None:
+            # every lateral path forbids only its own cycle's reference
+            # edges, and matches the eager reference that forbids them all
+            _, l_paths, _, _ = _reference_rail_geometry(a)
+            geo = rail_geometry(a)
+            assert {key: geo.l_path(*key) for key in l_paths} == l_paths
+
+    @pytest.mark.parametrize("h,p", [(9, 3), (13, 5)])
+    def test_wall_frame_cycles_match_the_reference(self, h, p):
+        # wall crossings run along their cycles, so the frames have
+        # pendant pieces to peel
+        a = annulus_from_wall(build_elementary_wall(h), p)
+        assert "value" in _assert_frames_match(a)
+
+    @pytest.mark.parametrize("r,q,girth", [(5, 5, None), (7, 6, None), (5, 6, 24)])
+    def test_frames_that_do_not_close_are_refused_like_the_reference(self, r, q,
+                                                                     girth):
+        # a lateral path replaced by the walk around the other three sides
+        # leaves a tree; one that also runs a chord along a middle cycle
+        # leaves a theta
+        a = synthetic_annulus(r, q, girth=girth)
+        refusals = 0
+        for key in ((1, r, 1, q), (1, 3, 2, 4), (2, r, 1, 3)):
+            i, ip, j, jp = key
+            for kind in ("tree", "theta"):
+                geo = rail_geometry(a)
+                if kind == "tree":
+                    fake = _walk(geo.r_path(ip, i, jp), geo.l_path(i, jp, j),
+                                 geo.r_path(i, ip, j))
+                    geo.l_paths[(ip, jp, j)] = tuple(fake)
+                else:
+                    mid = (i + ip) // 2
+                    fake = _walk(geo.l_path(mid, j, jp), geo.r_path(mid, i, jp),
+                                 geo.l_path(i, jp, j))
+                    geo.l_paths[(i, j, jp)] = tuple(fake)
+                got = _outcome(geo._frame_cycle, key)
+                assert got == _outcome(_reference_frame_cycle, geo, key)
+                assert got == ("refused", TmhError,
+                               "frame %r does not close into a unique cycle"
+                               % (key,))
+                refusals += 1
+        assert refusals == 6

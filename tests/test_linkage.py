@@ -35,7 +35,7 @@ from tmh.linkage import (
     tame_linkage,
     tame_tm_model,
 )
-from tmh.tm import TmPair, dissolve
+from tmh.tm import DEFAULT_BUDGET_NODES, SearchBudget, TmPair, dissolve
 
 
 def ring_graph(vertices):
@@ -875,3 +875,141 @@ class TestTamingIdentity:
             out = tame_tm_model(g, band, m, 1, (mid,), budget=zero_budget())
             assert sorted(out.branches) == want["branches"]
             assert [list(e) for e in sorted(out.model.edges)] == want["edges"]
+
+
+def _reference_search_linkages(host, pairs, node_budget, better_than=None,
+                               base_edges=None, exclude_key=None,
+                               stop_on_first=False):
+    """_search_linkages with a fresh copy of the path and its vertex set at
+    every step."""
+    pairs = sorted((min(u, v), max(u, v)) for u, v in pairs)
+    if len(set(pairs)) != len(pairs):
+        raise TmhError("pattern pairs must be distinct")
+    terminals = set()
+    for u, v in pairs:
+        if u == v:
+            raise TmhError("a pattern pair needs two distinct terminals")
+        terminals.add(u)
+        terminals.add(v)
+    if base_edges is None:
+        base_edges = host.edges
+    best = [None]
+    hit = [None]
+
+    def place(idx, used, acc, cost):
+        if idx == len(pairs):
+            key = tmh.linkage._canonical_paths_key(acc)
+            if exclude_key is not None and key == exclude_key:
+                return False
+            if best[0] is None or (cost, key) < (best[0][0], best[0][1]):
+                best[0] = (cost, key, [tuple(p) for p in acc])
+            if stop_on_first:
+                hit[0] = (cost, [tuple(p) for p in acc])
+                return True
+            return False
+        u, v = pairs[idx]
+        blocked = terminals - {u, v}
+
+        def extend(path, on_path, pcost):
+            node_budget.spend()
+            last = path[-1]
+            if last == v:
+                acc.append(tuple(path))
+                stop = place(idx + 1, used | on_path, acc, cost + pcost)
+                acc.pop()
+                return stop
+            for w in host.neighbors(last):
+                if w in used or w in on_path or w in blocked:
+                    continue
+                step = 0 if _normalize_edge(last, w) in base_edges else 1
+                ncost = pcost + step
+                if better_than is not None and cost + ncost >= better_than:
+                    continue
+                if best[0] is not None and cost + ncost > best[0][0]:
+                    continue
+                if extend(path + [w], on_path | {w}, ncost):
+                    return True
+            return False
+
+        if u not in host or v not in host:
+            return False
+        return extend([u], {u}, 0)
+
+    if not pairs:
+        return (0, [])
+    place(0, frozenset(), [], 0)
+    if stop_on_first:
+        return hit[0]
+    if best[0] is None:
+        return None
+    return (best[0][0], best[0][2])
+
+
+def _record_searches(monkeypatch):
+    """Record every _search_linkages call: its arguments, result and the
+    search nodes it spent."""
+    real = tmh.linkage._search_linkages
+    calls = []
+
+    def recording(host, pairs, node_budget, **kw):
+        before = node_budget.used
+        out = real(host, pairs, node_budget, **kw)
+        calls.append((host, pairs, kw, out, node_budget.used - before))
+        return out
+
+    monkeypatch.setattr(tmh.linkage, "_search_linkages", recording)
+    return calls
+
+
+def _assert_searches_match(calls):
+    """Every recorded search gives the copying reference's result for the
+    same number of search nodes."""
+    for host, pairs, kw, out, spent in calls:
+        budget = SearchBudget(DEFAULT_BUDGET_NODES)
+        assert _reference_search_linkages(host, pairs, budget, **kw) == out
+        assert budget.used == spent
+
+
+class TestInPlaceSearch:
+    """The rerouting search extends its path in place; its results and
+    search node counts stay those of the search that copied the path."""
+
+    def test_one_taming_round_searches_like_the_copying_reference(self, monkeypatch):
+        # the 92 calls of the benchmark's taming part at seed 0: every
+        # linkage, and the model of every annulus deeper than 11
+        searches = _record_searches(monkeypatch)
+        tamed = []
+        for idx, (R, *_) in enumerate(_matrix_rows()):
+            g, band, mid, l, m = _matrix_case(idx)
+            tamed.append(tame_linkage(g, band, l, 1, (mid,), budget=zero_budget()))
+            if R > 11:
+                tamed.append(tame_tm_model(g, band, m, 1, (mid,),
+                                           budget=zero_budget()))
+        monkeypatch.undo()
+        assert len(tamed) == 92
+        assert len(searches) == 168
+        _assert_searches_match(searches)
+        # the round's search node count, as the copying search spent it
+        assert sum(spent for *_, spent in searches) == 57814
+
+    def test_vitality_and_improvement_match_the_reference(self, monkeypatch):
+        searches = _record_searches(monkeypatch)
+        verdicts = [
+            is_vital(Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)]),
+                     Linkage([(1, 2, 3, 4)])),
+            is_vital(ring_graph([1, 2, 3, 4, 5]), Linkage([(1, 2, 3)])),
+            is_vital(Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)]),
+                     Linkage([(2, 1, 3, 4)])),
+        ]
+        improve_linkage(LBPair(Linkage([(1, 2, 3)]), Graph([1, 3], [(1, 3)])))
+        for seed in range(12):
+            _, cur = seeded_lb_pair(seed)
+            while (nxt := improve_linkage(cur)) is not None:
+                cur = LBPair(nxt, cur.base)
+        monkeypatch.undo()
+        assert verdicts == [True, False, False]
+        kinds = {(kw.get("stop_on_first", False), "better_than" in kw)
+                 for _, _, kw, _, _ in searches}
+        assert kinds == {(True, False), (False, True)}
+        _assert_searches_match(searches)
+
