@@ -16,6 +16,7 @@ achievable is visible instead of papered over.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -425,7 +426,7 @@ class RailGeometry:
     """
 
     __slots__ = ("annulus", "reference_edges", "l_paths", "r_paths",
-                 "delta_disks", "ambiguous_cycles", "_cycle_graphs")
+                 "delta_disks", "ambiguous_cycles", "_lateral_orders")
 
     def __init__(self, annulus, reference_edges, ambiguous_cycles):
         self.annulus = annulus
@@ -434,7 +435,7 @@ class RailGeometry:
         self.l_paths = {}
         self.r_paths = {}
         self.delta_disks = {}
-        self._cycle_graphs = {}
+        self._lateral_orders = {}
 
     def l_path(self, i, j, jp):
         """Shortest path on cycle i from a crossing of rail j to one of
@@ -447,23 +448,49 @@ class RailGeometry:
         if key in self.l_paths:
             return self.l_paths[key]
         a = self.annulus
-        targets = set(a.crossings[(i, jp)])
-        sources = a.crossings[(i, j)]
-        if i not in self._cycle_graphs:
-            cyc = list(a.cycles.cycles[i - 1])
-            self._cycle_graphs[i] = Graph(cyc, _path_edges(cyc + [cyc[0]]))
-        cyc_graph = self._cycle_graphs[i]
+        order, pos = self._lateral_order(i)
+        hits = sorted(pos[v] for v in a.crossings[(i, jp)] if v in pos)
         best = None
-        for src in sources:
-            path = cyc_graph.shortest_path(src, targets,
-                                           forbidden_edges=self.reference_edges[i])
-            if path is not None and (best is None or len(path) < len(best)):
+        for src in a.crossings[(i, j)]:
+            k = pos.get(src)
+            if k is None:
+                continue
+            # the nearest target on each side of src along the path; on a
+            # tie the sorted-order BFS this replaces took the side of the
+            # smaller neighbour first
+            m = bisect.bisect_left(hits, k)
+            if m < len(hits) and (not m or (hits[m] - k, order[k + 1])
+                                  < (k - hits[m - 1], order[k - 1])):
+                path = order[k:hits[m] + 1]
+            elif m:
+                path = order[hits[m - 1]:k + 1][::-1]
+            else:
+                continue
+            if best is None or len(path) < len(best):
                 best = path
         if best is None:
             raise TmhError("no lateral path from rail %d to %d on cycle %d"
                            % (j, jp, i))
         self.l_paths[key] = tuple(best)
         return self.l_paths[key]
+
+    def _lateral_order(self, i):
+        """Cycle i minus its reference edges, as a vertex order and an index
+        map.  The reference arc joins two disjoint crossings, so it has at
+        least one edge and misses at least one: what is left is a path,
+        which starts where the arc ends.  The arc's inner vertices lie on
+        no remaining edge and are left out."""
+        if i not in self._lateral_orders:
+            cyc = tuple(self.annulus.cycles.cycles[i - 1])
+            n = len(cyc)
+            ref = self.reference_edges[i]
+            # on_ref[k]: the step into cyc[k] is a reference edge
+            on_ref = [_normalize_edge(cyc[k - 1], cyc[k]) in ref for k in range(n)]
+            start = next(k for k in range(n)
+                         if on_ref[k] and not on_ref[(k + 1) % n])
+            order = (cyc[start:] + cyc[:start])[:n - len(ref) + 1]
+            self._lateral_orders[i] = order, {v: k for k, v in enumerate(order)}
+        return self._lateral_orders[i]
 
     def r_path(self, i, ip, j):
         """The segment of rail j from its crossing with cycle i to its

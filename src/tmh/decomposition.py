@@ -17,8 +17,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-import networkx as nx
-
 from .graphs import (
     DiskRegion,
     EmbeddingError,
@@ -656,6 +654,8 @@ def _recognize_elementary_wall(g):
     r = int(round(r2 ** 0.5))
     if r * r != r2 or r % 2 == 0 or r < 3 or 2 * r * r - 2 != n:
         return None
+    import networkx as nx
+
     template = build_elementary_wall(r)
     ng = nx.Graph(sorted(g.edges))
     nt = nx.Graph(sorted(template.host_subgraph.edges))

@@ -519,25 +519,195 @@ def _series_parallel_core(g):
         for w in (a, b):
             if len(adj[w]) <= 2:
                 queue.append(w)
-    return {v for v in adj if adj[v]}
+    return {v: ns for v, ns in adj.items() if ns}
 
 
 def is_planar(g):
     """Whether g is planar, for callers that need no rotation.
 
-    A graph with n >= 3 and more than 3n - 6 edges breaks Euler's bound.
-    A graph whose series-parallel core is empty has no K4 minor, hence no
-    K5 or K3,3 minor, and is planar (Duffin, 1965).  Only the graphs in
-    between reach the embedding test of planar_rotation.
+    The route has three steps.  A graph with n >= 3 and more than 3n - 6
+    edges breaks Euler's bound.  A graph whose series-parallel core is
+    empty has no K4 minor, hence no K5 or K3,3 minor, and is planar
+    (Duffin, 1965).  Any other graph is planar exactly when its core is,
+    since the core only drops pendant vertices, smooths degree-2 vertices
+    and merges parallel edges; the core goes to the left-right test.
     """
     if g.n >= 3 and g.m > 3 * g.n - 6:
         return False
-    if not _series_parallel_core(g):
-        return True
-    try:
-        planar_rotation(g)
-    except EmbeddingError:
+    core = _series_parallel_core(g)
+    return not core or _lr_planar(core)
+
+
+def _lr_planar(adj):
+    """Left-right planarity test (Brandes, "The Left-Right Planarity Test",
+    2009; de Fraysseix and Rosenstiehl) on a simple graph given as a
+    symmetric adjacency dict.  Only the orientation and testing phases run,
+    without recursion, so the answer is a boolean and no rotation is built.
+
+    Ported from the iterative LRPlanarity of networkx (BSD-3-Clause,
+    Copyright (c) 2004-2025, NetworkX Developers), without its embedding
+    phase and the side and tree-edge references that only that phase reads.
+    A conflict pair is a list [left low, left high, right low, right high]
+    of back edges; an interval is empty when both of its ends are None.
+    """
+    n = len(adj)
+    if n > 2 and sum(map(len, adj.values())) > 2 * (3 * n - 6):
         return False
+    # orientation: DFS heights, lowpoints and the nesting order of edges
+    height = {}
+    parent_edge = {}
+    lowpt = {}
+    lowpt2 = {}
+    nesting = {}
+    out = {v: [] for v in adj}
+    roots = []
+
+    def finish(vw, hv, e):
+        nesting[vw] = 2 * lowpt[vw] + (lowpt2[vw] < hv)
+        if e is not None:
+            lw, le = lowpt[vw], lowpt[e]
+            if lw < le:
+                lowpt2[e] = min(le, lowpt2[vw])
+                lowpt[e] = lw
+            elif lw > le:
+                lowpt2[e] = min(lowpt2[e], lw)
+            else:
+                lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+
+    for root in adj:
+        if root in height:
+            continue
+        height[root] = 0
+        parent_edge[root] = None
+        roots.append(root)
+        frames = [(root, iter(adj[root]))]
+        while frames:
+            v, todo = frames[-1]
+            hv = height[v]
+            for w in todo:
+                if (w, v) in lowpt:
+                    continue
+                vw = (v, w)
+                out[v].append(w)
+                lowpt[vw] = lowpt2[vw] = hv
+                if w not in height:
+                    parent_edge[w] = vw
+                    height[w] = hv + 1
+                    frames.append((w, iter(adj[w])))
+                    break
+                lowpt[vw] = height[w]
+                finish(vw, hv, parent_edge[v])
+            else:
+                frames.pop()
+                e = parent_edge[v]
+                if e is not None:
+                    u = e[0]
+                    finish(e, height[u], parent_edge[u])
+
+    # testing: merge the constraints of the return edges, bottom up
+    ordered = {v: sorted(ws, key=lambda w, v=v: nesting[(v, w)])
+               for v, ws in out.items()}
+    stack = []
+    stack_bottom = {}
+    lowpt_edge = {}
+    ref = {}
+
+    def conflicting(low, high, b):
+        return (low is not None or high is not None) and lowpt[high] > lowpt[b]
+
+    def lowest(p):
+        if p[0] is None and p[1] is None:
+            return lowpt[p[2]]
+        if p[2] is None and p[3] is None:
+            return lowpt[p[0]]
+        return min(lowpt[p[0]], lowpt[p[2]])
+
+    def add_constraints(ei, e):
+        p = [None, None, None, None]
+        # merge the return edges of ei into the right interval of p
+        while True:
+            q = stack.pop()
+            if q[0] is not None or q[1] is not None:
+                q[:] = q[2], q[3], q[0], q[1]
+            if q[0] is not None or q[1] is not None:
+                return False
+            if lowpt[q[2]] > lowpt[e]:
+                if p[2] is None and p[3] is None:
+                    p[3] = q[3]
+                else:
+                    ref[p[2]] = q[3]
+                p[2] = q[2]
+            else:
+                ref[q[2]] = lowpt_edge[e]
+            if (stack[-1] if stack else None) is stack_bottom[ei]:
+                break
+        # merge the conflicting return edges of earlier siblings into the left
+        while (conflicting(stack[-1][0], stack[-1][1], ei)
+               or conflicting(stack[-1][2], stack[-1][3], ei)):
+            q = stack.pop()
+            if conflicting(q[2], q[3], ei):
+                q[:] = q[2], q[3], q[0], q[1]
+            if conflicting(q[2], q[3], ei):
+                return False
+            ref[p[2]] = q[3]
+            if q[2] is not None:
+                p[2] = q[2]
+            if p[0] is None and p[1] is None:
+                p[1] = q[1]
+            else:
+                ref[p[0]] = q[1]
+            p[0] = q[0]
+        if any(x is not None for x in p):
+            stack.append(p)
+        return True
+
+    def remove_back_edges(e):
+        u = e[0]
+        hu = height[u]
+        while stack and lowest(stack[-1]) == hu:
+            stack.pop()
+        if stack:
+            p = stack[-1]
+            # trim the left interval, then the right one
+            while p[1] is not None and p[1][1] == u:
+                p[1] = ref.get(p[1])
+            if p[1] is None and p[0] is not None:
+                ref[p[0]] = p[2]
+                p[0] = None
+            while p[3] is not None and p[3][1] == u:
+                p[3] = ref.get(p[3])
+            if p[3] is None and p[2] is not None:
+                ref[p[2]] = p[0]
+                p[2] = None
+
+    for root in roots:
+        frames = [(root, 0, False)]
+        while frames:
+            v, k, resumed = frames.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            ws = ordered[v]
+            while k < len(ws):
+                w = ws[k]
+                ei = (v, w)
+                if not resumed:
+                    stack_bottom[ei] = stack[-1] if stack else None
+                    if parent_edge[w] == ei:
+                        frames.append((v, k, True))
+                        frames.append((w, 0, False))
+                        break
+                    lowpt_edge[ei] = ei
+                    stack.append([None, None, ei, ei])
+                resumed = False
+                if lowpt[ei] < hv:
+                    if k == 0:
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not add_constraints(ei, e):
+                        return False
+                k += 1
+            else:
+                if e is not None:
+                    remove_back_edges(e)
     return True
 
 

@@ -592,7 +592,8 @@ class TestRailGeometry:
         assert geo.delta_disk(2, 4, 2, 3) is not None
 
     def test_lazy_paths_match_the_eager_reference(self):
-        hosts = [synthetic_annulus(5, 8), synthetic_annulus(5, 4, girth=24, span=2)]
+        hosts = [synthetic_annulus(5, 8), synthetic_annulus(7, 6),
+                 synthetic_annulus(5, 6), synthetic_annulus(5, 4, girth=24, span=2)]
         hosts += [_taming_band(q, girth, 2)[1]
                   for q, girth in ((5, 26), (8, 32), (11, 50))]
         for a in hosts:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import networkx as nx
@@ -21,6 +22,7 @@ from tmh.graphs import (
     parse_graph,
     planar_rotation,
 )
+from tmh.synth import random_planar_graph
 
 
 def triangle():
@@ -183,6 +185,54 @@ def _nx_planar(g):
     return nx.check_planarity(ng)[0]
 
 
+def _maximal_planar_edges(rng, n):
+    """Seeded triangulation on n >= 3 vertices: stack each new vertex into
+    a random face, then flip random edges.  A face is kept as the third
+    vertex on the left of each of its directed edges."""
+    third = {(0, 1): 2, (1, 2): 0, (2, 0): 1, (1, 0): 2, (0, 2): 1, (2, 1): 0}
+    faces = [(0, 1, 2), (0, 2, 1)]
+
+    def add_face(x, y, z):
+        third[(x, y)], third[(y, z)], third[(z, x)] = z, x, y
+
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        for face in ((a, b, v), (b, c, v), (c, a, v)):
+            faces.append(face)
+            add_face(*face)
+    edges = {(min(e), max(e)) for e in third}
+    for _ in range(4 * n):
+        a, b = rng.choice(sorted(edges))
+        c, d = third[(a, b)], third[(b, a)]
+        if c == d or (min(c, d), max(c, d)) in edges:
+            continue
+        del third[(a, b)], third[(b, a)]
+        add_face(c, a, d)
+        add_face(d, b, c)
+        edges.remove((a, b))
+        edges.add((min(c, d), max(c, d)))
+    return sorted(edges)
+
+
+def _subdivided(edges, first_id, rng):
+    """The edges with each one subdivided 0-2 times by fresh vertex ids."""
+    out = []
+    fresh = itertools.count(first_id)
+    for u, v in edges:
+        path = [u] + [next(fresh) for _ in range(rng.randint(0, 2))] + [v]
+        out.extend(zip(path, path[1:]))
+    return out
+
+
+def _assert_matches_networkx(graphs):
+    seen = set()
+    for g in graphs:
+        want = _nx_planar(g)
+        assert is_planar(g) == want, sorted(g.edges)
+        seen.add(want)
+    assert seen == {True, False}
+
+
 class TestIsPlanar:
     def test_matches_networkx_on_the_atlas(self):
         atlas = nx.graph_atlas_g()
@@ -204,6 +254,84 @@ class TestIsPlanar:
             seen.add(want)
         assert seen == {True, False}
 
+    def test_matches_networkx_on_maximal_planar_graphs(self):
+        # one extra edge breaks the Euler bound, so the left-right test
+        # sees the non-planar cases only with edges removed as well
+        rng = random.Random(0)
+        graphs = []
+        for _ in range(60):
+            n = rng.randint(5, 60)
+            edges = _maximal_planar_edges(rng, n)
+            assert len(edges) == 3 * n - 6
+            extra = rng.choice(sorted(
+                set(itertools.combinations(range(n), 2)) - set(edges)))
+            removed = set(rng.sample(edges, 5))
+            thinned = [e for e in edges if e not in removed]
+            for es in (edges, edges + [extra], thinned, thinned + [extra]):
+                graphs.append(Graph(range(n), es))
+        _assert_matches_networkx(graphs)
+
+    def test_subdivided_kuratowski_graphs_inside_planar_hosts(self):
+        k5 = list(itertools.combinations(range(5), 2))
+        k33 = [(a, b) for a in range(3) for b in range(3, 6)]
+        graphs = []
+        for seed in range(20):
+            rng = random.Random(seed)
+            host = random_planar_graph(seed, 30)
+            for pattern in (k5, k33):
+                # the pattern itself, or the pattern less one edge, which
+                # is planar; either is hung on host vertices by 1-3 edges
+                for drop in (0, 1):
+                    es = [(u + 100, v + 100)
+                          for u, v in _subdivided(pattern[drop:], 6, rng)]
+                    vs = sorted({v for e in es for v in e})
+                    links = [(h, rng.choice(vs))
+                             for h in rng.sample(sorted(host.vertices),
+                                                 rng.randint(1, 3))]
+                    graphs.append(host.union(Graph.from_edges(es))
+                                  .add_edges(links))
+        _assert_matches_networkx(graphs)
+
+    def test_blocks_components_and_relabelled_ids(self):
+        rng = random.Random(7)
+        graphs = []
+        for _ in range(40):
+            parts = []
+            for _ in range(rng.randint(2, 4)):
+                n = rng.randint(5, 16)
+                es = _maximal_planar_edges(rng, n)
+                es = [e for e in es if rng.random() < 0.85]
+                if rng.random() < 0.3:
+                    es.append(rng.choice(sorted(
+                        set(itertools.combinations(range(n), 2)) - set(es))))
+                parts.append((n, es))
+            edges, offset = [], 0
+            for n, es in parts:
+                # share a cut vertex with the previous part half the time
+                if offset and rng.random() < 0.5:
+                    offset -= 1
+                edges += [(u + offset, v + offset) for u, v in es]
+                offset += n
+            ids = rng.sample(range(-10 ** 6, 10 ** 6), offset)
+            graphs.append(Graph(ids, [(ids[u], ids[v]) for u, v in edges]))
+        _assert_matches_networkx(graphs)
+
+    def test_matches_networkx_on_the_chord_stream(self, monkeypatch):
+        # every verdict random_planar_graph asks for, up to n = 96
+        from tmh import synth
+
+        asked = []
+
+        def recording(g):
+            asked.append(g)
+            return is_planar(g)
+
+        monkeypatch.setattr(synth, "is_planar", recording)
+        for seed in range(2):
+            for n in (12, 24, 48, 96):
+                synth.random_planar_graph(seed, n)
+        _assert_matches_networkx(asked)
+
     def test_disconnected_graphs(self):
         k5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
         k4s = [(a + o, b + o) for o in (0, 4)
@@ -223,6 +351,7 @@ class TestIsPlanar:
             raise AssertionError("embedding test reached")
 
         monkeypatch.setattr(graphs, "planar_rotation", refuse)
+        monkeypatch.setattr(graphs, "_lr_planar", refuse)
         k6 = Graph.from_edges([(a, b) for a in range(6) for b in range(a + 1, 6)])
         assert not is_planar(k6)  # 15 edges > 3 * 6 - 6
         wheel_free = Graph.from_edges([(i, i + 1) for i in range(9)]

@@ -4,7 +4,10 @@ per-vertex outer loop in both modes, the bounded-width endgame, and the full
 solver checked against the brute-force deletion oracle."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -661,3 +664,46 @@ def test_outcome_repr_is_compact():
     out = SolveOutcome(True, (3, 1), ReductionTrace())
     assert out.witness == (3, 1)
     assert "answer=True" in repr(out)
+
+
+# networkx is loaded only where a rotation or an isomorphism is read; each
+# program runs in a fresh interpreter and must leave it unimported
+NO_NETWORKX_RUNS = {
+    "cli_import": "import tmh.cli",
+    "safe_solve": """
+from tmh.graphs import _series_parallel_core
+from tmh.solver import solve_tm_deletion
+from tmh.synth import random_planar_graph
+from tmh.tm import BUILTIN_PATTERNS, PatternFamily
+g = random_planar_graph(5, 17)
+assert _series_parallel_core(g)  # the planarity test runs in full
+fam = PatternFamily([BUILTIN_PATTERNS["K23"](), BUILTIN_PATTERNS["C4"]()])
+assert solve_tm_deletion(g, fam, 1, mode="safe").answer is False
+""",
+    "forced_pipeline": """
+from tmh.annulus import AnnulusFamily, sub_annulus, synthetic_disk_host
+from tmh.graphs import Graph
+from tmh.linkage import TamingBudget
+from tmh.solver import derive_params, solve_tm_deletion
+from tmh.tm import PatternFamily
+gr, full = synthetic_disk_host(25, 3)
+fam = AnnulusFamily(sub_annulus(full, 1, 3), [sub_annulus(full, 7, 25)])
+zero = TamingBudget(f1=lambda k: 0)
+out = solve_tm_deletion(gr.graph, PatternFamily([Graph(range(2), [(0, 1)])]),
+                        0, budget=zero, mode="safe", force=True,
+                        annuli=(gr, fam), params=derive_params(0, 2, zero))
+assert [s.kind for s in out.trace.steps][-1] == "wall"
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_NETWORKX_RUNS))
+def test_networkx_is_not_imported(name):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solver.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = NO_NETWORKX_RUNS[name] + "\nimport sys\nprint('networkx' in sys.modules)\n"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300,
+                         env=dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
