@@ -55,7 +55,10 @@ def _crossing_path(cycle_v, cycle_e, rail):
     shared = [v for v in rail if v in cycle_v]
     if not shared:
         return None
-    steps = sum(1 for e in _path_edges(rail) if e in cycle_e)
+    # only a step with both ends on the cycle can be a cycle edge
+    steps = sum(1 for a, b in zip(rail, rail[1:])
+                if a in cycle_v and b in cycle_v
+                and ((a, b) if a < b else (b, a)) in cycle_e)
     return shared if steps == len(shared) - 1 else None
 
 
@@ -621,9 +624,9 @@ def sub_annulus(a, lo, hi):
     stand on its own inside an annulus family.  The level count must stay
     odd and at least 3.
 
-    The restricted rotation is traced once; its outer face is the face
-    that walks cycle lo.  The window's disks are flooded again in the
-    restricted embedding, once for the whole family (see NestedCycles)."""
+    The embedding is a's restricted to that disk (PlaneEmbedding.restrict),
+    whose outer face is the face that walks cycle lo.  The window's disks
+    are flooded again in it, once for the whole family (see NestedCycles)."""
     if not (1 <= lo < hi <= a.r):
         raise TmhError("cycle window must satisfy 1 <= lo < hi <= r")
     cycles = [list(c) for c in a.cycles.cycles[lo - 1:hi]]
@@ -634,11 +637,7 @@ def sub_annulus(a, lo, hi):
         start = min(pos[v] for v in a.crossings[(lo, j)])
         end = max(pos[v] for v in a.crossings[(hi, j)])
         rails.append(list(rail[start:end + 1]))
-    keep = a.cycles.closed_disk(lo)
-    sub_g = a.embedding.graph.subgraph(keep)
-    rotation = {v: tuple(u for u in a.embedding.rotation[v] if u in keep)
-                for v in sub_g.vertices}
-    emb = PlaneEmbedding._traced(sub_g, rotation, lambda faces: _cycle_face(
+    emb = a.embedding.restrict(a.cycles.closed_disk(lo), lambda faces: _cycle_face(
         faces, cycles[0], "restricted embedding lost the boundary face"))
     return RailedAnnulus(emb, cycles, rails)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from operator import itemgetter
 
 
 class TmhError(Exception):
@@ -50,8 +51,12 @@ class Graph:
     def __init__(self, vertices=(), edges=()):
         adj = {v: set() for v in vertices}
         es = set()
-        for u, v in edges:
-            e = _normalize_edge(u, v)
+        for e in edges:
+            u, v = e
+            # an edge that is already a normalised tuple is kept, so graphs
+            # derived from one another share their edge tuples
+            if not (u < v and type(e) is tuple):
+                e = _normalize_edge(u, v)
             if e[0] not in adj or e[1] not in adj:
                 raise TmhError("edge %r has an undeclared endpoint" % (e,))
             es.add(e)
@@ -329,26 +334,27 @@ def parse_graph(text):
     return Graph(range(n), edges)
 
 
-def is_separation(g, a, b):
-    """True iff (a, b) covers V(g) and no edge joins a-only to b-only."""
-    a, b = set(a), set(b)
-    if a | b != set(g.vertices):
-        return False
-    a_only = a - b
-    b_only = b - a
-    for u, v in g.edges:
-        if (u in a_only and v in b_only) or (v in a_only and u in b_only):
-            return False
-    return True
-
-
 class PlaneEmbedding:
     """A rotation system (clockwise neighbor order per vertex) with faces.
 
     Faces are traced by following, after arriving at v from u, the neighbor
     that comes right after u in v's clockwise rotation.  Each directed edge
-    lies on exactly one face walk; the walk bounding the unbounded region is
-    designated the outer face.
+    (dart) lies on exactly one face walk; the walk bounding the unbounded
+    region is designated the outer face.
+
+    Storage.  rotation maps each vertex to a tuple, the caller's own tuple
+    where one was given.  faces is a tuple of walks, each a tuple of darts
+    (u, v) that starts at its least dart, and the walks are ordered by
+    their least darts: the order of one trace over the darts in the order
+    the graph keeps them, sorted tails and then sorted heads.  Each dart is
+    one tuple object, and the low-to-high dart of an edge is also the key
+    of the edge's entry in _edge_faces, the tuple of the faces on its two
+    sides in increasing order (a bridge lists its one face twice).
+    _vertex_faces maps each vertex to the sorted tuple of its faces.
+
+    restrict(vertices, pick_outer) embeds an induced subgraph under the
+    restricted rotation.  It keeps every face whose vertices all survive,
+    as the same tuple, and traces only the surviving darts of the others.
     """
 
     __slots__ = ("graph", "rotation", "faces", "outer_face", "_vertex_faces", "_edge_faces",
@@ -364,6 +370,9 @@ class PlaneEmbedding:
         """
         self._embed(graph, rotation)
         if outer_face_index is not None:
+            if not 0 <= outer_face_index < len(self.faces):
+                raise EmbeddingError("outer face index %r is not one of the %d faces"
+                                     % (outer_face_index, len(self.faces)))
             self.outer_face = outer_face_index
         elif outer_edge is not None:
             self.outer_face = self.face_of_directed_edge(outer_edge)
@@ -386,46 +395,108 @@ class PlaneEmbedding:
     def _embed(self, graph, rotation):
         self.graph = graph
         self._plane = None
+        for v in rotation:
+            if v not in graph:
+                raise EmbeddingError("rotation given for %r, which is not a vertex" % (v,))
         rot = {}
         for v in graph.vertices:
             order = tuple(rotation.get(v, ()))
-            if sorted(order) != sorted(graph.neighbors(v)):
+            if tuple(sorted(order)) != graph.neighbors(v):
                 raise EmbeddingError(
                     "rotation at %r does not list its neighbors exactly once" % (v,))
             rot[v] = order
         self.rotation = rot
-        self.faces = self._trace()
-        self._edge_faces = {}
-        self._vertex_faces = {v: set() for v in graph.vertices}
-        for idx, face in enumerate(self.faces):
-            for (u, v) in face:
-                e = _normalize_edge(u, v)
-                self._edge_faces.setdefault(e, []).append(idx)
-                self._vertex_faces[u].add(idx)
-                self._vertex_faces[v].add(idx)
+        self.faces = tuple(self._trace(
+            (u, v) for u in graph.vertices for v in graph.neighbors(u)))
+        self._index()
 
-    def _trace(self):
-        succ = {}
-        for v, order in self.rotation.items():
-            deg = len(order)
-            for i, u in enumerate(order):
-                # Arriving at v from u, leave toward the next clockwise neighbor.
-                succ[(u, v)] = (v, order[(i + 1) % deg])
-        unused = set(succ)
+    def restrict(self, vertices, pick_outer):
+        """The embedding of the subgraph induced on vertices, under this
+        rotation with the other vertices left out, whose outer face is
+        pick_outer(faces), an index into its faces; pick_outer may refuse
+        by raising.
+
+        A face whose vertices all survive is still a face, as the same
+        tuple: each of its darts still leaves toward the same next
+        neighbour, since that neighbour survives.  Only the surviving
+        darts of the other faces are traced again, and the faces come in
+        the order a trace of the whole restriction gives them."""
+        keep = set(vertices)
+        graph = self.graph.subgraph(keep)
+        lost = set()
+        for v in self.graph.vertices:
+            if v not in keep:
+                lost.update(self._vertex_faces[v])
+        new = PlaneEmbedding.__new__(PlaneEmbedding)
+        new.graph = graph
+        new._plane = None
+        rot = {}
+        for v in graph.vertices:
+            order = self.rotation[v]
+            kept = tuple(u for u in order if u in keep)
+            rot[v] = order if len(kept) == len(order) else kept
+        new.rotation = rot
+        faces, starts = [], []
+        for idx, face in enumerate(self.faces):
+            if idx not in lost:
+                faces.append(face)
+            else:
+                starts.extend(d for d in face if d[0] in keep and d[1] in keep)
+        starts.sort()
+        faces.extend(new._trace(starts))
+        faces.sort(key=itemgetter(0))
+        new.faces = tuple(faces)
+        new._index()
+        new.outer_face = pick_outer(new.faces)
+        return new
+
+    def _trace(self, starts):
+        """The face walks through the darts of starts, each begun at its
+        first dart in starts; with starts increasing, each walk begins at
+        its least dart and the walks come ordered by it."""
+        rot = self.rotation
+        used = set()
         faces = []
-        for start in sorted(unused):
-            if start not in unused:
+        for start in starts:
+            if start in used:
                 continue
             walk = []
             cur = start
-            while cur in unused:
-                unused.discard(cur)
+            while cur not in used:
+                used.add(cur)
                 walk.append(cur)
-                cur = succ[cur]
+                # Arriving at v from u, leave toward the next clockwise neighbor.
+                u, v = cur
+                order = rot[v]
+                i = order.index(u) + 1
+                cur = (v, order[i] if i < len(order) else order[0])
             if cur != start:
                 raise EmbeddingError("face walk from %r does not close" % (start,))
             faces.append(tuple(walk))
-        return tuple(faces)
+        return faces
+
+    def _index(self):
+        """The vertex and edge incidences of the faces (see the class
+        docstring).  A face through v leaves v along one of its darts, so
+        the tails of the darts name every vertex of a face."""
+        vertex_faces = {v: [] for v in self.graph.vertices}
+        edge_faces = {}
+        for idx, face in enumerate(self.faces):
+            for d in face:
+                u, v = d
+                fs = vertex_faces[u]
+                if not fs or fs[-1] != idx:
+                    fs.append(idx)
+                if u < v:
+                    edge_faces[d] = idx
+        for idx, face in enumerate(self.faces):
+            for u, v in face:
+                if u > v:
+                    e = (v, u)
+                    other = edge_faces[e]
+                    edge_faces[e] = (other, idx) if other <= idx else (idx, other)
+        self._vertex_faces = {v: tuple(fs) for v, fs in vertex_faces.items()}
+        self._edge_faces = edge_faces
 
     def face_of_directed_edge(self, de):
         u, v = de
@@ -446,7 +517,7 @@ class PlaneEmbedding:
         e = _normalize_edge(u, v)
         if e not in self._edge_faces:
             raise EmbeddingError("edge %r is not embedded" % (e,))
-        return tuple(self._edge_faces[e])
+        return self._edge_faces[e]
 
     def _is_plane(self):
         """Whether the graph is connected with V - E + F = 2, i.e. the
@@ -463,7 +534,7 @@ class PlaneEmbedding:
             es = sum(1 for e in self.graph.edges if e[0] in vs)
             fs = set()
             for v in comp:
-                fs |= self._vertex_faces[v]
+                fs.update(self._vertex_faces[v])
             if len(comp) == 1 and not fs:
                 continue
             if len(vs) - es + len(fs) != 2:
@@ -764,7 +835,8 @@ class DiskRegion:
         boundary = {v for v in self.boundary_cycle if v in embedding.graph}
         vertex_faces = embedding._vertex_faces
         edge_faces = embedding._edge_faces
-        open_v = {v for v in touched_v - boundary if vertex_faces[v] <= interior}
+        open_v = {v for v in touched_v - boundary
+                  if interior.issuperset(vertex_faces[v])}
         open_e = {e for e in touched_e if interior.issuperset(edge_faces[e])}
         self._sets = (frozenset(touched_v | boundary), frozenset(open_v),
                       frozenset(touched_e), frozenset(open_e))

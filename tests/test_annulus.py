@@ -838,9 +838,9 @@ class TestOnePassAnnuli:
         trace = PlaneEmbedding._trace
         of_cycle = DiskRegion.of_cycle.__func__
 
-        def counting_trace(self):
+        def counting_trace(self, starts):
             traces.append(self)
-            return trace(self)
+            return trace(self, starts)
 
         def counting_of_cycle(cls, emb, cyc):
             floods.append(cyc)
@@ -905,6 +905,28 @@ class TestOnePassAnnuli:
         # the host is embedded last, after the template and the subwall
         _same_embedding(built[-1], _two_trace_embedding(g, planar_rotation(g),
                                                         _longest_face))
+
+    @pytest.mark.parametrize("q", range(5, 12))
+    def test_restriction_of_every_window_equals_two_traces(self, q):
+        """Every window lo of the taming-matrix annuli on q rails: faces,
+        outer face, incidences and shared tuples."""
+        rows = [(13, 4 * q + pad, noise) for pad in (0, 6) for noise in (0, 2, 3)]
+        rows += [(11, 4 * q, noise) for noise in (0, 2) if q <= 8]
+        for R, girth, noise in rows:
+            a = synthetic_annulus(R, q, girth=girth, seed=7 * q + noise, noise=noise)
+            for lo in range(1, R - 1):
+                keep = a.cycles.closed_disk(lo)
+                emb = a.embedding.restrict(keep, _ring_face(a.cycles.cycles[lo - 1]))
+                ref = _reference_window_embedding(a, lo)
+                _same_embedding(emb, ref)
+                assert emb._vertex_faces == ref._vertex_faces
+                assert emb._edge_faces == ref._edge_faces
+                assert emb.rotation == ref.rotation
+                kept = {id(f) for f in emb.faces}
+                assert all(id(f) in kept for f in a.embedding.faces
+                           if all(u in keep for u, _ in f))
+                darts = {id(d) for f in emb.faces for d in f}
+                assert all(id(e) in darts for e in emb._edge_faces)
 
     def test_taming_matrix_regions_equal_per_cycle_disks(self):
         for q in range(5, 12):

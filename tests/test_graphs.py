@@ -18,7 +18,6 @@ from tmh.graphs import (
     annulus_region,
     embed_planar,
     is_planar,
-    is_separation,
     parse_graph,
     planar_rotation,
 )
@@ -27,6 +26,19 @@ from tmh.synth import random_planar_graph
 
 def triangle():
     return Graph.from_edges([(0, 1), (1, 2), (0, 2)])
+
+
+def is_separation(g, a, b):
+    """True iff (a, b) covers V(g) and no edge joins a-only to b-only."""
+    a, b = set(a), set(b)
+    if a | b != set(g.vertices):
+        return False
+    a_only = a - b
+    b_only = b - a
+    for u, v in g.edges:
+        if (u in a_only and v in b_only) or (v in a_only and u in b_only):
+            return False
+    return True
 
 
 def concentric_triangles():
@@ -88,6 +100,18 @@ class TestGraphBasics:
     def test_delete_unknown_errors(self):
         with pytest.raises(TmhError):
             triangle().delete_vertices({9})
+
+    def test_derived_graphs_share_edge_tuples(self):
+        g = Graph(range(5), [[1, 0], (1, 2), (3, 2), (3, 4), (0, 4)])
+        assert g.edges == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+        parent = {id(e) for e in g.edges}
+        for h in (g.subgraph({0, 1, 2, 3}), g.delete_vertices({4})):
+            assert all(id(e) in parent for e in h.edges)
+
+    @pytest.mark.parametrize("edge", [(2, 2), [2, 2]])
+    def test_loops_are_refused(self, edge):
+        with pytest.raises(TmhError, match="loop edge 2 forbidden"):
+            Graph(range(3), [(0, 1), edge])
 
     def test_separation_path(self):
         p = parse_graph("3 2\n0 1\n1 2")
@@ -634,3 +658,145 @@ class TestNestedFlood:
 
         with pytest.raises(TmhError, match="no such face"):
             PlaneEmbedding._traced(emb.graph, emb.rotation, refuse)
+
+
+def _hand_restricted(emb, keep, pick):
+    """The embedding of the subgraph induced on keep, built with two traces
+    of emb's rotation restricted by hand."""
+    sub_g = emb.graph.subgraph(keep)
+    rotation = {v: tuple(u for u in emb.rotation[v] if u in keep)
+                for v in sub_g.vertices}
+    return _two_trace_embedding(sub_g, rotation, pick)
+
+
+def _reference_incidences(emb):
+    """The faces through each vertex and the faces on each edge, read off
+    the face walks: every dart names both its ends and its edge once."""
+    vertex_faces = {v: set() for v in emb.graph.vertices}
+    edge_faces = {}
+    for idx, face in enumerate(emb.faces):
+        for u, v in face:
+            vertex_faces[u].add(idx)
+            vertex_faces[v].add(idx)
+            edge_faces.setdefault((min(u, v), max(u, v)), []).append(idx)
+    return vertex_faces, {e: tuple(fs) for e, fs in edge_faces.items()}
+
+
+def _assert_same_restriction(got, ref):
+    assert got.graph == ref.graph
+    assert got.rotation == ref.rotation
+    assert got.faces == ref.faces
+    assert got.outer_face == ref.outer_face
+    vertex_faces, edge_faces = _reference_incidences(ref)
+    for v in ref.graph.vertices:
+        assert got.faces_of_vertex(v) == ref.faces_of_vertex(v) == vertex_faces[v]
+    for u, v in ref.graph.edges:
+        assert got.faces_of_edge(u, v) == ref.faces_of_edge(u, v) == edge_faces[u, v]
+
+
+def _assert_shares_with(got, parent):
+    """Every face of parent whose vertices all survive is a face of got as
+    the same tuple, every rotation that lost no neighbour is the parent's
+    tuple, and every incidence key of got is a dart of its faces."""
+    got_faces = {id(f) for f in got.faces}
+    for face in parent.faces:
+        if all(u in got.graph for u, _ in face):
+            assert id(face) in got_faces
+    for v, order in got.rotation.items():
+        if len(order) == len(parent.rotation[v]):
+            assert order is parent.rotation[v]
+    _assert_keys_are_darts(got)
+
+
+def _assert_keys_are_darts(emb):
+    darts = {id(d) for face in emb.faces for d in face}
+    assert all(id(e) in darts for e in emb._edge_faces)
+    assert len(emb._edge_faces) == emb.graph.m
+
+
+def _longest(faces):
+    return max(range(len(faces)), key=lambda i: len(faces[i]))
+
+
+def chorded_square():
+    """Square 0-1-2-3 around a hub 4, the chord 0-2 drawn outside the
+    square around 1, and a vertex 5 between the chord and 1, joined to 0
+    and 1.  The outer face walks the chord, 2, 3 and 0."""
+    g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4),
+                          (3, 4), (0, 2), (0, 5), (1, 5)])
+    rot = {0: (2, 5, 1, 4, 3), 1: (5, 2, 4, 0), 2: (3, 4, 1, 0), 3: (0, 4, 2),
+           4: (3, 0, 1, 2), 5: (1, 0)}
+    outer = frozenset({0, 2, 3})
+    return PlaneEmbedding._traced(g, rot, lambda faces: next(
+        i for i, f in enumerate(faces) if {u for u, _ in f} == outer))
+
+
+class TestRestrict:
+    """PlaneEmbedding.restrict against two traces of the rotation restricted
+    by hand, and what it shares with the embedding it restricts."""
+
+    @pytest.mark.parametrize("keep,connected", [
+        ({0, 1, 2, 3, 4, 5, 6, 7}, True),
+        # the innermost triangle's face goes as a whole
+        ({0, 1, 2, 3, 4, 5}, True),
+        # so does the outer face
+        ({3, 4, 5, 6, 7, 8}, True),
+        ({0, 1, 2, 6, 7, 8}, False),
+        ({0, 1, 3, 4, 6}, True),
+        ({0, 1, 7, 8}, False),
+    ])
+    def test_concentric_triangles(self, keep, connected):
+        emb = concentric_triangles()
+        got = emb.restrict(keep, _longest)
+        _assert_same_restriction(got, _hand_restricted(emb, keep, _longest))
+        _assert_shares_with(got, emb)
+        assert got.graph.is_connected() == connected
+
+    def test_chord_outside_the_disk_stays(self):
+        emb = chorded_square()
+        assert emb.check_euler() and len(emb.faces) == 7
+        keep = {0, 1, 2, 3, 4}
+        got = emb.restrict(keep, _longest)
+        assert got.graph.has_edge(0, 2)
+        _assert_same_restriction(got, _hand_restricted(emb, keep, _longest))
+        _assert_shares_with(got, emb)
+        # the four triangles around the hub are kept; only the faces that
+        # touched 5 merge into the one face beyond the chord
+        assert len(got.faces) == 6
+        assert got.check_euler()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_planar_hosts_on_random_subsets(self, seed):
+        g = random_planar_graph(seed, 20 + seed)
+        emb = embed_planar(g)
+        _assert_keys_are_darts(emb)
+        rng = random.Random(seed)
+        for share in (0.95, 0.8, 0.6, 0.4):
+            keep = {v for v in g.vertices if rng.random() < share}
+            if g.subgraph(keep).m == 0:
+                continue
+            got = emb.restrict(keep, _longest)
+            _assert_same_restriction(got, _hand_restricted(emb, keep, _longest))
+            _assert_shares_with(got, emb)
+            again = got.restrict(sorted(keep)[::2], lambda faces: 0)
+            if again.faces:
+                _assert_same_restriction(
+                    again, _hand_restricted(got, again.graph.vertices, lambda faces: 0))
+
+    def test_keeping_every_vertex_keeps_every_face(self):
+        emb = _rings(4, 6)[0]
+        got = emb.restrict(emb.graph.vertices, lambda faces: emb.outer_face)
+        assert all(a is b for a, b in zip(got.faces, emb.faces))
+        assert got.faces == emb.faces and got.rotation == emb.rotation
+        assert all(got.rotation[v] is emb.rotation[v] for v in emb.graph.vertices)
+
+    def test_refusals_pass_through(self):
+        emb = concentric_triangles()
+        with pytest.raises(TmhError, match="unknown vertices"):
+            emb.restrict({0, 1, 99}, _longest)
+
+        def refuse(faces):
+            raise TmhError("no such face")
+
+        with pytest.raises(TmhError, match="no such face"):
+            emb.restrict({0, 1, 2}, refuse)

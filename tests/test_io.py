@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tmh.graphs import Graph, ParseError, TmhError, parse_graph
+from tmh.graphs import EmbeddingError, Graph, ParseError, TmhError, parse_graph
 from tmh.annulus import synthetic_annulus, synthetic_disk_host
 from tmh.decomposition import build_elementary_wall
 from tmh.linkage import Linkage, Terrain, TerrainFeature
@@ -13,6 +13,7 @@ from tmh.io import (
     InstanceBundle,
     build_annulus,
     build_disk_host,
+    build_embedding,
     emit_annulus_index,
     emit_embedding,
     emit_graph,
@@ -77,6 +78,24 @@ class TestEmbeddingFormat:
             parse_embedding("rot 0 1\nrot 0 1\nouter 0\n")
         with pytest.raises(ParseError, match="unknown directive"):
             parse_embedding("spin 0 1\n")
+
+    TRIANGLE_ROTATION = "rot 0 1 2\nrot 1 2 0\nrot 2 0 1\n"
+
+    @pytest.mark.parametrize("outer", [0, 1])
+    def test_triangle_takes_either_face_as_outer(self, outer):
+        g = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
+        emb, _ = build_embedding(g, self.TRIANGLE_ROTATION + "outer %d\n" % outer)
+        assert emb.outer_face == outer and len(emb.faces) == 2
+
+    @pytest.mark.parametrize("doc,message", [
+        ("outer -1\n", "^outer face index -1 is not one of the 2 faces$"),
+        ("outer 7\n", "^outer face index 7 is not one of the 2 faces$"),
+        ("rot 9 4\nouter 0\n", "^rotation given for 9, which is not a vertex$"),
+    ])
+    def test_bad_outer_face_or_stray_rotation_is_refused(self, doc, message):
+        g = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(EmbeddingError, match=message):
+            build_embedding(g, self.TRIANGLE_ROTATION + doc)
 
 
 class TestAnnulusIndexFormat:
