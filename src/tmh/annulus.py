@@ -201,14 +201,6 @@ class RailedAnnulus:
 # -- construction from walls -------------------------------------------------
 
 
-def _wall_embedding(w):
-    if w.embedding is not None:
-        return w.embedding
-    from .decomposition import _embed_wall
-    emb, _ = _embed_wall(w.host_subgraph)
-    return emb
-
-
 def wall_height_needed(p):
     """Smallest wall height our construction turns into a (p,p)-railed
     annulus.  Height 2p+1 supplies the p nested layer cycles; rails are
@@ -228,13 +220,13 @@ def annulus_from_wall(w, p):
     path order."""
     if p % 2 == 0 or p < 3:
         raise TmhError("annulus depth must be odd and at least 3, got %d" % p)
-    from .decomposition import wall_layers
+    from .decomposition import _wall_embedding, wall_layers
     layers = wall_layers(w)
     if len(layers) < p:
         raise TmhError(
             "wall of height %d has %d layer cycles; %d cycles need height %d"
             % (w.r, len(layers), p, wall_height_needed(p)))
-    emb = _wall_embedding(w)
+    emb = w.embedding or _wall_embedding(w.host_subgraph, w.coordinates)
     cycs = layers[:p]
     nested = NestedCycles(emb, cycs)
     band_v = nested.annulus(1, p).vertices

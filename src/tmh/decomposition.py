@@ -439,6 +439,16 @@ def grid_bramble(q_graph, cycles, streams, boundary):
 
 
 class Wall:
+    """A wall in its host subgraph: height r, horizontal and vertical
+    paths, perimeter.
+
+    A wall built here (build_elementary_wall, extract_subwall_at) carries
+    coordinates, each vertex's (x, y) in the elementary wall's grid with
+    y growing downward, and the embedding they draw: each vertex lists
+    its neighbours above, right, below and left, and the perimeter is the
+    outer face.  A wall without coordinates, that is a subdivided wall or
+    one built by hand, is embedded by planar_rotation when it is read."""
+
     __slots__ = ("host_subgraph", "r", "horizontal_paths", "vertical_paths",
                  "perimeter", "subdivision_vertices", "coordinates", "embedding")
 
@@ -471,92 +481,107 @@ class WallWithCompass:
             self.wall.r, self.compass_tw_certificate.width)
 
 
-def _wall_vertex(x, y, r):
-    return (y - 1) * 2 * r + (x - 1)
-
-
 def _elementary_wall_edges(r):
-    """Grid on [1..2r] x [1..r], vertical edges only where x+y is even,
-    then the two degree-one corners dropped."""
+    """The positions, row by row, and the edges of the elementary r-wall:
+    the grid on [1..2r] x [1..r] with vertical edges only where x+y is
+    even, and the two degree-one corners dropped."""
     removed = {(2 * r, 1), (1, r)}
-    edges = []
-    for y in range(1, r + 1):
-        for x in range(1, 2 * r):
-            a, b = (x, y), (x + 1, y)
-            if a not in removed and b not in removed:
-                edges.append((a, b))
-    for y in range(1, r):
-        for x in range(1, 2 * r + 1):
-            if (x + y) % 2 == 0:
-                a, b = (x, y), (x, y + 1)
-                if a not in removed and b not in removed:
-                    edges.append((a, b))
-    return edges, removed
+    positions = [(x, y) for y in range(1, r + 1) for x in range(1, 2 * r + 1)
+                 if (x, y) not in removed]
+    kept = set(positions)
+    edges = [((x, y), (x + 1, y)) for x, y in positions if (x + 1, y) in kept]
+    edges += [((x, y), (x, y + 1)) for x, y in positions
+              if (x + y) % 2 == 0 and (x, y + 1) in kept]
+    return positions, edges
 
 
 def build_elementary_wall(r):
     if r % 2 == 0 or r < 3:
         raise TmhError("wall height must be odd and at least 3, got %d" % r)
-    coord_edges, removed = _elementary_wall_edges(r)
-    vid = {}
-    for y in range(1, r + 1):
-        for x in range(1, 2 * r + 1):
-            if (x, y) not in removed:
-                vid[(x, y)] = _wall_vertex(x, y, r)
-    edges = [(vid[a], vid[b]) for a, b in coord_edges]
-    g = Graph(vid.values(), edges)
+    positions, _ = _elementary_wall_edges(r)
+    return _coordinate_wall(r, {(x, y): (y - 1) * 2 * r + x - 1 for x, y in positions})
 
-    horizontals = []
-    horizontals.append([vid[(x, 1)] for x in range(1, 2 * r)])
-    for y in range(2, r):
-        horizontals.append([vid[(x, y)] for x in range(1, 2 * r + 1)])
-    horizontals.append([vid[(x, r)] for x in range(2, 2 * r + 1)])
 
+def _coordinate_wall(r, vid):
+    """The elementary r-wall whose vertex at position (x, y) is vid[(x, y)],
+    with its paths, its coordinates, and the embedding and perimeter that
+    its coordinates draw."""
+    _, coord_edges = _elementary_wall_edges(r)
+    g = Graph(vid.values(), [(vid[a], vid[b]) for a, b in coord_edges])
+    horizontals = [[vid[(x, y)] for x in range(1, 2 * r + 1) if (x, y) in vid]
+                   for y in range(1, r + 1)]
     verticals = [_zigzag_path(vid, j, r) for j in range(1, r + 1)]
-
-    emb, perimeter = _embed_wall(g)
     coords = {v: xy for xy, v in vid.items()}
+    emb, perimeter = _embed_wall(g, _coordinate_rotation(g, coords))
     return Wall(g, r, horizontals, verticals, perimeter,
-                subdivision_vertices=(), coordinates=coords, embedding=emb)
+                coordinates=coords, embedding=emb)
 
 
 def _zigzag_path(vid, j, r):
     """Vertical path j: starts atop the odd column, then alternates the
     odd/even column pair row by row."""
     lo, hi = 2 * j - 1, 2 * j
-    path = []
-    for y in range(1, r + 1):
-        if y == 1:
-            cols = (lo,)
-        elif y % 2 == 0:
-            cols = (lo, hi)
-        else:
-            cols = (hi, lo)
-        for x in cols:
-            if (x, y) in vid:
-                path.append(vid[(x, y)])
-    return path
+    steps = [(lo, 1)] + [(x, y) for y in range(2, r + 1)
+                         for x in ((lo, hi) if y % 2 == 0 else (hi, lo))]
+    return [vid[xy] for xy in steps if xy in vid]
 
 
-def _embed_wall(g):
-    """Embed with the unique longest face outside; walls have hexagonal
-    bricks, so the perimeter is the only long face."""
-    def unique_longest(faces):
-        sizes = sorted(((len(f), i) for i, f in enumerate(faces)), reverse=True)
-        if len(sizes) > 1 and sizes[0][0] == sizes[1][0]:
-            raise TmhError("ambiguous outer face; host is not a wall shape")
-        return sizes[0][1]
+# the unit steps above, right, below and left: clockwise, as y grows downward
+_CLOCKWISE = {(0, -1): 0, (1, 0): 1, (0, 1): 2, (-1, 0): 3}
 
-    emb = PlaneEmbedding._traced(g, planar_rotation(g), unique_longest)
-    walk = [de[0] for de in emb.faces[emb.outer_face]]
+
+def _coordinate_rotation(g, coords):
+    """Each vertex's neighbours in the order above, right, below, left.  A
+    wall drawn at its coordinates is a plane drawing with unit-step edges,
+    so this rotation embeds it (Mohar and Thomassen, Graphs on Surfaces)."""
+    rotation = {}
+    for v in g.vertices:
+        try:
+            x, y = coords[v]
+            rotation[v] = tuple(sorted(g.neighbors(v), key=lambda u: _CLOCKWISE[
+                coords[u][0] - x, coords[u][1] - y]))
+        except KeyError:
+            raise TmhError("wall coordinates do not put the neighbours of %r "
+                           "one unit step away" % (v,)) from None
+    return rotation
+
+
+def _wall_embedding(g, coords):
+    """g embedded as a wall, from its coordinates, or by planar_rotation
+    for a wall built without them (a subdivided wall, or one built by
+    hand)."""
+    rotation = planar_rotation(g) if coords is None else _coordinate_rotation(g, coords)
+    return _embed_wall(g, rotation)[0]
+
+
+def _unique_longest(faces):
+    # walls have hexagonal bricks, so their perimeter is the only long face
+    sizes = sorted(((len(f), i) for i, f in enumerate(faces)), reverse=True)
+    if len(sizes) > 1 and sizes[0][0] == sizes[1][0]:
+        raise TmhError("ambiguous outer face; host is not a wall shape")
+    return sizes[0][1]
+
+
+def _long_face_walk(emb):
+    """The vertices along the outer face, which is the unique longest face;
+    refused if a vertex comes twice."""
+    walk = tuple(d[0] for d in emb.faces[emb.outer_face])
     if len(set(walk)) != len(walk):
         raise TmhError("outer walk revisits a vertex; host is not a wall shape")
-    return emb, tuple(walk)
+    return walk
+
+
+def _embed_wall(g, rotation):
+    """g embedded under rotation with its unique longest face outside, and
+    the perimeter walk read off that face."""
+    emb = PlaneEmbedding._traced(g, rotation, _unique_longest)
+    return emb, _long_face_walk(emb)
 
 
 def validate_wall(w):
     """Check the wall shape: planar, every short face a hexagon, declared
-    paths cover the graph, perimeter is the long face."""
+    paths cover the graph, perimeter is the long face.  The core is
+    embedded by planar_rotation, independently of the wall's coordinates."""
     g = w.host_subgraph
     core = g
     if w.subdivision_vertices:
@@ -568,7 +593,7 @@ def validate_wall(w):
     if core.n != 2 * w.r * w.r - 2:
         raise TmhError("wall has %d core vertices, expected %d"
                        % (core.n, 2 * w.r * w.r - 2))
-    emb, _ = _embed_wall(core)
+    emb, _ = _embed_wall(core, planar_rotation(core))
     lens = sorted(len(f) for f in emb.faces)
     if any(l != 6 for l in lens[:-1]):
         raise TmhError("a finite wall face is not a hexagon")
@@ -580,41 +605,30 @@ def validate_wall(w):
     return True
 
 
-def _peel_layers(g):
-    """Repeatedly read off the long face and remove it, trimming the
-    degree-one debris, until no cycle is left."""
+def _peel_layers(emb):
+    """Layer cycles, outermost first: the outer walk of the wall's
+    embedding; then the wall's embedding restricted to what is left once
+    that walk and the degree-one debris are removed, and its long face;
+    and so on while anything is left.  A wall has minimum degree two, and
+    so does each remnant, so each holds a cycle.  A restriction keeps the
+    faces the peel left whole, so each layer traces only the faces along
+    the one removed."""
+    alive = {v: set(emb.graph.neighbors(v)) for v in emb.graph.vertices}
     layers = []
-    current = g
     while True:
-        comps = current.connected_components()
-        if current.m <= current.n - len(comps):
-            break
-        rotation = planar_rotation(current)
-        probe = PlaneEmbedding(current, rotation, outer_face_index=0)
-        sizes = sorted(((len(f), i) for i, f in enumerate(probe.faces)), reverse=True)
-        outer = probe.faces[sizes[0][1]]
-        walk = [de[0] for de in outer]
-        if len(set(walk)) != len(walk):
-            raise TmhError("peeled layer revisits a vertex; not a wall shape")
-        layers.append(tuple(walk))
-        remaining = current.delete_vertices(walk)
-        doomed = deque(v for v in remaining.vertices if remaining.degree(v) <= 1)
-        alive = dict((v, set(remaining.neighbors(v))) for v in remaining.vertices)
+        walk = _long_face_walk(emb)
+        layers.append(walk)
+        doomed = deque(walk)
         while doomed:
             v = doomed.popleft()
-            if v not in alive:
-                continue
-            for wv in alive.pop(v):
-                alive[wv].discard(v)
-                if len(alive[wv]) <= 1:
-                    doomed.append(wv)
-        edges = set()
-        for v, nb in alive.items():
-            for u in nb:
-                if u < v:
-                    edges.add((u, v))
-        current = Graph(alive.keys(), edges)
-    return layers
+            if v in alive:
+                for u in alive.pop(v):
+                    alive[u].discard(v)
+                    if len(alive[u]) <= 1:
+                        doomed.append(u)
+        if not alive:
+            return layers
+        emb = emb.restrict(alive, _unique_longest)
 
 
 def wall_layers(w):
@@ -622,7 +636,7 @@ def wall_layers(w):
     the wall left after peeling it, and so on."""
     g = w.host_subgraph
     if not w.subdivision_vertices:
-        return _peel_layers(g)
+        return _peel_layers(w.embedding or _wall_embedding(g, w.coordinates))
     branch = set(g.vertices) - w.subdivision_vertices
     pair = TmPair(g, branch)
     arc_list, leftover = arcs(pair)
@@ -635,7 +649,7 @@ def wall_layers(w):
         lift[(u, v)] = interior
         lift[(v, u)] = tuple(reversed(interior))
     lifted = []
-    for cycle in _peel_layers(core):
+    for cycle in _peel_layers(_wall_embedding(core, w.coordinates)):
         out = []
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             out.append(a)
@@ -656,14 +670,14 @@ def _recognize_elementary_wall(g):
         return None
     import networkx as nx
 
-    template = build_elementary_wall(r)
-    ng = nx.Graph(sorted(g.edges))
-    nt = nx.Graph(sorted(template.host_subgraph.edges))
-    matcher = nx.algorithms.isomorphism.GraphMatcher(ng, nt)
+    # the template's nodes come in row-major order, which fixes the
+    # automorphism of the wall that VF2 settles on
+    _, coord_edges = _elementary_wall_edges(r)
+    nt = nx.Graph(sorted(coord_edges, key=lambda e: (e[0][::-1], e[1][::-1])))
+    matcher = nx.algorithms.isomorphism.GraphMatcher(nx.Graph(sorted(g.edges)), nt)
     if not matcher.is_isomorphic():
         return None
-    coords = {v: template.coordinates[matcher.mapping[v]] for v in g.vertices}
-    return r, coords
+    return r, {v: matcher.mapping[v] for v in g.vertices}
 
 
 def extract_subwall_at(g, coords, q, x0=1, y0=1):
@@ -675,31 +689,18 @@ def extract_subwall_at(g, coords, q, x0=1, y0=1):
     if x0 % 2 == 0 or y0 % 2 == 0:
         raise TmhError("subwall offsets must be odd, got (%d, %d)" % (x0, y0))
     inv = {xy: v for v, xy in coords.items()}
-    sub_edges, removed = _elementary_wall_edges(q)
+    positions, sub_edges = _elementary_wall_edges(q)
     vid = {}
-    for y in range(1, q + 1):
-        for x in range(1, 2 * q + 1):
-            if (x, y) in removed:
-                continue
-            host_xy = (x0 + x - 1, y0 + y - 1)
-            if host_xy not in inv:
-                raise TmhError("subwall at (%d, %d) needs missing host "
-                               "position %r" % (x0, y0, host_xy))
-            vid[(x, y)] = inv[host_xy]
-    edges = [(vid[a], vid[b]) for a, b in sub_edges]
-    for u, v in edges:
-        if not g.has_edge(u, v):
-            raise TmhError("host is missing subwall edge %r-%r" % (u, v))
-    sub = Graph(vid.values(), edges)
-    horizontals = [[vid[(x, 1)] for x in range(1, 2 * q)]]
-    for y in range(2, q):
-        horizontals.append([vid[(x, y)] for x in range(1, 2 * q + 1)])
-    horizontals.append([vid[(x, q)] for x in range(2, 2 * q + 1)])
-    verticals = [_zigzag_path(vid, j, q) for j in range(1, q + 1)]
-    emb, perimeter = _embed_wall(sub)
-    coords_sub = {v: xy for xy, v in vid.items()}
-    return Wall(sub, q, horizontals, verticals, perimeter,
-                subdivision_vertices=(), coordinates=coords_sub, embedding=emb)
+    for x, y in positions:
+        host_xy = (x0 + x - 1, y0 + y - 1)
+        if host_xy not in inv:
+            raise TmhError("subwall at (%d, %d) needs missing host "
+                           "position %r" % (x0, y0, host_xy))
+        vid[(x, y)] = inv[host_xy]
+    for a, b in sub_edges:
+        if not g.has_edge(vid[a], vid[b]):
+            raise TmhError("host is missing subwall edge %r-%r" % (vid[a], vid[b]))
+    return _coordinate_wall(q, vid)
 
 
 def find_wall(g, q, c=DEFAULT_WIDTH_FACTOR, tw_cap=DEFAULT_EXACT_TW_CAP):
@@ -709,9 +710,10 @@ def find_wall(g, q, c=DEFAULT_WIDTH_FACTOR, tw_cap=DEFAULT_EXACT_TW_CAP):
     below the bound.
 
     A non-planar graph is refused with EmbeddingError, after the height
-    check.  The host is embedded only on the wall branch, where its
-    rotation is read; the solver's passes, which know their graph is
-    planar, run the same search without the planarity test."""
+    check.  The host is embedded only on the wall branch, from the
+    coordinates its recognition as a wall gives it; the solver's passes,
+    which know their graph is planar, run the same search without the
+    planarity test."""
     if q % 2 == 0 or q < 3:
         raise TmhError("wall height must be odd and at least 3, got %d" % q)
     if not is_planar(g):
@@ -721,14 +723,13 @@ def find_wall(g, q, c=DEFAULT_WIDTH_FACTOR, tw_cap=DEFAULT_EXACT_TW_CAP):
 
 def _find_wall(g, q, c, tw_cap):
     # find_wall on a planar graph with a checked height; the host is
-    # embedded only when it is recognised as a wall
+    # embedded only when it is recognised as a wall, at its coordinates
     bound = c * q
     found = _recognize_elementary_wall(g)
     if found is not None and found[0] >= q:
         _, coords = found
         sub = extract_subwall_at(g, coords, q)
-        emb = PlaneEmbedding._traced(g, planar_rotation(g), lambda faces: max(
-            (len(f), i) for i, f in enumerate(faces))[1])
+        emb = _wall_embedding(g, coords)
         region = DiskRegion.of_cycle(emb, sub.perimeter)
         compass_graph = region.subgraph("closed")
         if compass_graph != sub.host_subgraph:

@@ -137,15 +137,13 @@ class Graph:
         return Graph(vs, edges)
 
     def restrict(self, vertices, edges):
-        """Subgraph with exactly the given vertices and the given edges."""
-        vs = set(vertices)
-        es = []
+        """Subgraph with exactly the given vertices and the given edges; an
+        edge given as a low-to-high tuple is kept as that tuple."""
+        edges = list(edges)
         for u, v in edges:
-            e = _normalize_edge(u, v)
-            if e not in self._edges:
-                raise TmhError("edge %r not present" % (e,))
-            es.append(e)
-        return Graph(vs, es)
+            if not self.has_edge(u, v):
+                raise TmhError("edge %r not present" % (_normalize_edge(u, v),))
+        return Graph(vertices, edges)
 
     def delete_vertices(self, s):
         s = set(s)

@@ -40,7 +40,6 @@ from tmh.graphs import (
     PartiallyDiskEmbedded,
     PlaneEmbedding,
     TmhError,
-    planar_rotation,
 )
 from tmh.linkage import _sub_annulus, ca_cycles
 from tmh.tm import TmPair
@@ -876,17 +875,22 @@ class TestOnePassAnnuli:
 
     @pytest.mark.parametrize("h", [3, 5, 7, 9])
     def test_wall_embedding_equals_two_traces(self, h):
-        g = build_elementary_wall(h).host_subgraph
-        emb, walk = _embed_wall(g)
-        ref = _two_trace_embedding(g, planar_rotation(g), _longest_face)
+        w = build_elementary_wall(h)
+        g, rotation = w.host_subgraph, w.embedding.rotation
+        emb, walk = _embed_wall(g, rotation)
+        ref = _two_trace_embedding(g, rotation, _longest_face)
         _same_embedding(emb, ref)
-        assert walk == tuple(de[0] for de in ref.faces[ref.outer_face])
+        _same_embedding(w.embedding, ref)
+        assert walk == w.perimeter == tuple(de[0] for de in ref.faces[ref.outer_face])
 
     def test_wall_embedding_refuses_a_tie_for_the_outer_face(self):
+        # the cube drawn as a square inside a square: six 4-faces
+        rotation = {0: (1, 4, 3), 1: (2, 5, 0), 2: (3, 6, 1), 3: (0, 7, 2),
+                    4: (0, 5, 7), 5: (1, 6, 4), 6: (2, 7, 5), 7: (3, 4, 6)}
         cube = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6),
                                  (6, 7), (4, 7), (0, 4), (1, 5), (2, 6), (3, 7)])
         with pytest.raises(TmhError, match="^ambiguous outer face; host is not a wall shape$"):
-            _embed_wall(cube)
+            _embed_wall(cube, rotation)
 
     @pytest.mark.parametrize("h,q", [(5, 3), (7, 5), (9, 7)])
     def test_find_wall_embedding_equals_two_traces(self, monkeypatch, h, q):
@@ -902,9 +906,10 @@ class TestOnePassAnnuli:
         monkeypatch.setattr(PlaneEmbedding, "_traced", classmethod(recording))
         find_wall(g, q)
         monkeypatch.undo()
-        # the host is embedded last, after the template and the subwall
-        _same_embedding(built[-1], _two_trace_embedding(g, planar_rotation(g),
-                                                        _longest_face))
+        # the subwall and then the host, each from its own coordinates
+        assert len(built) == 2
+        _same_embedding(built[-1], _two_trace_embedding(
+            g, build_elementary_wall(h).embedding.rotation, _longest_face))
 
     @pytest.mark.parametrize("q", range(5, 12))
     def test_restriction_of_every_window_equals_two_traces(self, q):

@@ -547,6 +547,19 @@ def test_wall_layers_lift_through_subdivisions():
             assert g2.has_edge(x, y)
 
 
+def test_hand_built_walls_are_embedded_when_read():
+    w = build_elementary_wall(7)
+    parts = (w.host_subgraph, 7, w.horizontal_paths, w.vertical_paths, w.perimeter)
+    # from the coordinates when a wall has them, else by planar_rotation
+    assert wall_layers(Wall(*parts, coordinates=w.coordinates)) == wall_layers(w)
+    assert [set(c) for c in wall_layers(Wall(*parts))] == [set(c) for c in wall_layers(w)]
+    skewed = dict(w.coordinates)
+    skewed[0] = (3, 3)
+    with pytest.raises(TmhError, match="^wall coordinates do not put the "
+                                       "neighbours of 0 one unit step away$"):
+        wall_layers(Wall(*parts, coordinates=skewed))
+
+
 # -- the wall-or-width entry point -------------------------------------------
 
 
@@ -619,13 +632,63 @@ def _count_rotations(monkeypatch):
 
 
 def test_find_wall_embeds_the_host_only_on_the_wall_branch(monkeypatch):
-    # a 5x5 grid is no wall, and the planarity test reads no rotation
+    # a 5x5 grid is no wall, and the planarity test reads no rotation; a
+    # recognised wall and its subwall are embedded from their coordinates
     grid = grid_graph(5, 5)
     calls = _count_rotations(monkeypatch)
     assert isinstance(find_wall(grid, 3), TreeDecomposition)
     assert calls == []
     wall = build_elementary_wall(5).host_subgraph
-    calls.clear()
     assert isinstance(find_wall(wall, 3), WallWithCompass)
-    # the template and the subwall, then the rotation the wall branch reads
-    assert calls[0] == wall and calls[-1] == wall and len(calls) == 3
+    assert calls == []
+
+
+def _cyclic_shifts(order):
+    return {order[i:] + order[:i] for i in range(len(order))}
+
+
+def _reference_peel(g):
+    """The layer peel that embeds every layer afresh with networkx: the
+    longest face (the later one on a tie), then the rest with its
+    degree-one debris trimmed."""
+    layers = []
+    current = g
+    while current.m > current.n - len(current.connected_components()):
+        probe = graphs.PlaneEmbedding(current, graphs.planar_rotation(current),
+                                      outer_face_index=0)
+        _, i = max((len(f), i) for i, f in enumerate(probe.faces))
+        walk = tuple(d[0] for d in probe.faces[i])
+        layers.append(walk)
+        current = current.delete_vertices(walk)
+        while True:
+            low = [v for v in current.vertices if current.degree(v) <= 1]
+            if not low:
+                break
+            current = current.delete_vertices(low)
+    return layers
+
+
+class TestCoordinateWalls:
+    """A wall is embedded from its coordinates and peeled by restricting
+    that embedding; networkx, embedding the wall and each layer afresh,
+    is the reference."""
+
+    @pytest.mark.parametrize("h", range(3, 50, 2))
+    def test_coordinate_rotation_is_networkx_rotation(self, h):
+        w = build_elementary_wall(h)
+        g = w.host_subgraph
+        ours = w.embedding.rotation
+        theirs = graphs.planar_rotation(g)
+        same = all(ours[v] in _cyclic_shifts(theirs[v]) for v in g.vertices)
+        mirror = all(ours[v][::-1] in _cyclic_shifts(theirs[v]) for v in g.vertices)
+        assert same or mirror
+        assert len(wall_layers(w)) == (h - 1) // 2
+
+    @pytest.mark.parametrize("h", range(3, 18, 2))
+    def test_layers_match_the_networkx_peel(self, h):
+        w = build_elementary_wall(h)
+        got = wall_layers(w)
+        ref = _reference_peel(w.host_subgraph)
+        assert [set(c) for c in got] == [set(c) for c in ref]
+        assert [c[0] for c in got] == [c[0] for c in ref]
+        assert got[0] == w.perimeter

@@ -105,8 +105,18 @@ class TestGraphBasics:
         g = Graph(range(5), [[1, 0], (1, 2), (3, 2), (3, 4), (0, 4)])
         assert g.edges == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
         parent = {id(e) for e in g.edges}
-        for h in (g.subgraph({0, 1, 2, 3}), g.delete_vertices({4})):
+        restricted = g.restrict({0, 1, 2, 3}, [e for e in g.edges if 4 not in e])
+        for h in (g.subgraph({0, 1, 2, 3}), g.delete_vertices({4}), restricted):
             assert all(id(e) in parent for e in h.edges)
+        # a disk's subgraph keeps the edge tuples the disk hands over, and an
+        # open edge is its interior face's own low-to-high dart
+        emb = concentric_triangles()
+        darts = {id(d) for face in emb.faces for d in face}
+        for cyc in ([0, 1, 2], [3, 4, 5], [6, 7, 8]):
+            region = DiskRegion.of_cycle(emb, cyc)
+            handed = {id(e) for e in region.edges("closed")}
+            assert {id(e) for e in region.subgraph("closed").edges} == handed
+            assert {id(e) for e in region.edges("open")} <= darts
 
     @pytest.mark.parametrize("edge", [(2, 2), [2, 2]])
     def test_loops_are_refused(self, edge):

@@ -666,8 +666,9 @@ def test_outcome_repr_is_compact():
     assert "answer=True" in repr(out)
 
 
-# networkx is loaded only where a rotation or an isomorphism is read; each
-# program runs in a fresh interpreter and must leave it unimported
+# networkx is loaded only where a rotation or an isomorphism is read, and a
+# wall reads its rotation off its coordinates; each program runs in a fresh
+# interpreter and must leave it unimported
 NO_NETWORKX_RUNS = {
     "cli_import": "import tmh.cli",
     "safe_solve": """
@@ -693,6 +694,18 @@ out = solve_tm_deletion(gr.graph, PatternFamily([Graph(range(2), [(0, 1)])]),
                         0, budget=zero, mode="safe", force=True,
                         annuli=(gr, fam), params=derive_params(0, 2, zero))
 assert [s.kind for s in out.trace.steps][-1] == "wall"
+""",
+    "walls": """
+from tmh.annulus import annulus_from_wall, find_collection_of_annuli
+from tmh.decomposition import build_elementary_wall, extract_subwall_at, wall_layers
+from tmh.graphs import PartiallyDiskEmbedded
+w = build_elementary_wall(15)
+assert len(wall_layers(w)) == 7
+sub = extract_subwall_at(w.host_subgraph, w.coordinates, 7, 3, 3)
+assert len(wall_layers(sub)) == 3
+assert annulus_from_wall(sub, 3).r == 3
+g = PartiallyDiskEmbedded(w.host_subgraph, w.embedding, w.perimeter)
+assert len(find_collection_of_annuli(3, 3, 1, g, w)) == 2
 """,
 }
 
