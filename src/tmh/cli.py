@@ -18,7 +18,13 @@ from .graphs import ParseError, TmhError
 from .tm import find_tm_model, pF_oracle
 from .linkage import TamingBudget, tame_linkage
 from .annulus import synthetic_annulus, synthetic_disk_host
-from .decomposition import TreeDecomposition, find_wall, DEFAULT_WIDTH_FACTOR
+from .decomposition import (
+    DEFAULT_EXACT_TW_CAP,
+    DEFAULT_WIDTH_FACTOR,
+    TreeDecomposition,
+    exact_treewidth,
+    find_wall,
+)
 from .solver import derive_params, reduce_solution_space, solve_tm_deletion
 from .synth import random_planar_graph
 from .io import (
@@ -106,6 +112,12 @@ def _solve_header(bundle, args):
             "force": args.force, "seed": args.seed}
 
 
+# how the solver's decomposition widths are built, named in the trace
+# header; a trace without the field comes from the exact rule (see
+# _legacy_widths)
+TRACE_WIDTHS = "min-fill"
+
+
 def cmd_solve(args):
     bundle = InstanceBundle(graph_path=args.graph, pattern_spec=args.patterns,
                             seed=args.seed)
@@ -117,8 +129,9 @@ def cmd_solve(args):
                             force=args.force)
     elapsed = time.perf_counter() - t0
     if args.trace:
-        _write(args.trace, trace_records(_solve_header(bundle, args),
-                                         out.trace.as_records()))
+        _write(args.trace, trace_records(
+            {**_solve_header(bundle, args), "widths": TRACE_WIDTHS},
+            out.trace.as_records()))
     report = make_report(
         "solve",
         {"bundle": bundle.bundle_hash(), **_solve_header(bundle, args)},
@@ -271,8 +284,30 @@ def cmd_reduce(args):
     return report, EXIT_YES
 
 
+def _legacy_widths(g, records):
+    """Replayed records as a solver recorded them before traces named
+    their widths: a decomposition exit on a working graph of at most
+    DEFAULT_EXACT_TW_CAP vertices recorded the exact treewidth.  The
+    working graph is the input less the vertices deleted so far."""
+    out = []
+    deleted = []
+    for rec in records:
+        if rec["kind"] == "delete_vertex":
+            deleted.append(rec["payload"]["vertex"])
+        elif (rec["kind"] == "wall"
+              and rec["payload"]["branch"] == "decomposition"
+              and g.n - len(deleted) <= DEFAULT_EXACT_TW_CAP):
+            width, _ = exact_treewidth(g.delete_vertices(deleted))
+            rec = {**rec, "payload": {**rec["payload"], "width": width}}
+        out.append(rec)
+    return out
+
+
 def cmd_verify(args):
     header, steps = parse_trace(_read(args.trace))
+    widths = header.get("widths")
+    if widths not in (None, TRACE_WIDTHS):
+        raise ParseError("trace header names unknown widths %r" % (widths,))
     bundle = InstanceBundle(graph_path=args.graph,
                             pattern_spec=header["patterns"],
                             seed=header.get("seed"))
@@ -288,6 +323,8 @@ def cmd_verify(args):
                             force=bool(header.get("force")))
     elapsed = time.perf_counter() - t0
     replayed = out.trace.as_records()
+    if widths is None:
+        replayed = _legacy_widths(g, replayed)
     matches = replayed == steps
     all_verified = bool(steps) and all(s["status"] == "verified"
                                        for s in steps)

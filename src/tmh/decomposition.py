@@ -2,9 +2,13 @@
 their layers, and the wall-or-width entry point.
 
 Treewidth is represented by tree decompositions throughout (every consumer
-here wants bags, not k-trees).  Exact widths come from a dynamic program
-over elimination prefixes and are capped by instance size; beyond the cap a
-min-fill greedy order supplies certified upper bounds.
+here wants bags, not k-trees).  A min-fill elimination order gives the
+certified upper bound that the solver uses wherever it decomposes: its
+decomposition only ranks the endgame's branching candidates and names the
+width it records, and neither needs an optimal one.  Exact widths come
+from a dynamic program over elimination prefixes, capped by instance
+size; find_wall's compass certificate, its own decomposition branch and
+the folio width check use them below the cap.
 
 Brambles certify lower bounds.  Besides direct validation and exact order
 computation, the module can search for a maximum-order bramble through the
@@ -106,28 +110,64 @@ def validate_decomposition(g, td):
     return width
 
 
+def _bitmask_adjacency(g):
+    """One neighbour bitmask per vertex, bit i standing for g.vertices[i]."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[index[u]] |= 1 << index[v]
+        adj[index[v]] |= 1 << index[u]
+    return adj
+
+
+def _bits(mask):
+    out = []
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out.append(b.bit_length() - 1)
+    return out
+
+
+def _eliminate(adj, i):
+    # turn the neighbours of i into a clique and take i out of it
+    nb = adj[i]
+    for j in _bits(nb):
+        adj[j] = (adj[j] | nb) & ~(1 << j) & ~(1 << i)
+
+
 def _decomposition_from_order(g, order):
     """Standard fill-in construction: bag of v = v plus its not-yet
     eliminated neighborhood at elimination time."""
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    position = {v: i for i, v in enumerate(order)}
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adj = _bitmask_adjacency(g)
+    picks = [index[v] for v in order]
+    later = []
+    for i in picks:
+        later.append(adj[i])
+        _eliminate(adj, i)
+    return _fill_in_decomposition(g, picks, later)
+
+
+def _fill_in_decomposition(g, picks, later):
+    """The decomposition of an elimination order, given as vertex indices
+    with the bitmask of the neighbours each had when it went: that bag
+    hangs below the bag of the first of those neighbours to go, or below
+    the next bag if it had none."""
+    vs = g.vertices
+    step = [0] * len(vs)
+    for s, i in enumerate(picks):
+        step[i] = s
     bags = {}
-    for v in order:
-        later = {w for w in adj[v] if position[w] > position[v]}
-        bags[position[v]] = frozenset({v} | later)
-        for a, b in itertools.combinations(sorted(later), 2):
-            adj[a].add(b)
-            adj[b].add(a)
     edges = []
-    n = len(order)
-    for i in range(n):
-        later = sorted(bags[i] - {order[i]}, key=lambda w: position[w])
-        if later:
-            edges.append((i, position[later[0]]))
-        elif i + 1 < n:
-            edges.append((i, i + 1))
-    tree = Graph(range(n), edges)
-    return TreeDecomposition(tree, bags)
+    for s, i in enumerate(picks):
+        nbrs = _bits(later[s])
+        bags[s] = frozenset([vs[i]] + [vs[j] for j in nbrs])
+        if nbrs:
+            edges.append((s, min([step[j] for j in nbrs])))
+        elif s + 1 < len(picks):
+            edges.append((s, s + 1))
+    return TreeDecomposition(Graph(range(len(picks)), edges), bags)
 
 
 def exact_treewidth(g, cap=DEFAULT_EXACT_TW_CAP):
@@ -154,12 +194,8 @@ def exact_treewidth(g, cap=DEFAULT_EXACT_TW_CAP):
     if n == 0:
         return -1, TreeDecomposition(Graph(), {})
     ub = greedy_treewidth(g).width
-    vs = list(g.vertices)
-    pos = {v: i for i, v in enumerate(vs)}
-    adjm = [0] * n
-    for u, v in g.edges:
-        adjm[pos[u]] |= 1 << pos[v]
-        adjm[pos[v]] |= 1 << pos[u]
+    vs = g.vertices
+    adjm = _bitmask_adjacency(g)
 
     full = (1 << n) - 1
     layer = {0: 0}
@@ -215,26 +251,38 @@ def exact_treewidth(g, cap=DEFAULT_EXACT_TW_CAP):
 
 
 def greedy_treewidth(g):
-    """Min-fill elimination; certified upper bound via the decomposition."""
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    order = []
-    while adj:
-        pick = None
-        pick_fill = None
-        for v in sorted(adj):
-            nbrs = sorted(adj[v])
-            fill = sum(1 for a, b in itertools.combinations(nbrs, 2)
-                       if b not in adj[a])
+    """Min-fill elimination (Bodlaender and Koster, Treewidth computations
+    I. Upper bounds, 2010); certified upper bound via the decomposition.
+
+    A vertex of degree d whose neighbours span e edges has fill
+    C(d, 2) - e, and 2e is the sum over its neighbours u of
+    |N(u) & N(v)|, read off the bitmask adjacency.  Each step eliminates
+    the least vertex of least fill, so the scan stops at the first
+    vertex of fill 0."""
+    adj = _bitmask_adjacency(g)
+    alive = list(range(g.n))
+    picks = []
+    later = []
+    while alive:
+        pick = pick_fill = None
+        for i in alive:
+            nb = adj[i]
+            d = nb.bit_count()
+            fill = d * (d - 1)  # twice the fill, as is every term below
+            m = nb
+            while m:
+                b = m & -m
+                m ^= b
+                fill -= (adj[b.bit_length() - 1] & nb).bit_count()
             if pick_fill is None or fill < pick_fill:
-                pick, pick_fill = v, fill
-        order.append(pick)
-        nbrs = sorted(adj.pop(pick))
-        for a, b in itertools.combinations(nbrs, 2):
-            adj[a].add(b)
-            adj[b].add(a)
-        for w in nbrs:
-            adj[w].discard(pick)
-    return _decomposition_from_order(g, order)
+                pick, pick_fill = i, fill
+                if not fill:
+                    break
+        picks.append(pick)
+        later.append(adj[pick])
+        alive.remove(pick)
+        _eliminate(adj, pick)
+    return _fill_in_decomposition(g, picks, later)
 
 
 def boundaried_treewidth(g, boundary, cap=DEFAULT_EXACT_TW_CAP):
@@ -707,22 +755,30 @@ def find_wall(g, q, c=DEFAULT_WIDTH_FACTOR, tw_cap=DEFAULT_EXACT_TW_CAP):
     """Either a q-wall with a width-certified compass, or a tree
     decomposition of width at most c*q.  Wall recognition runs first so a
     host that is itself a wall gets the wall branch even when its width is
-    below the bound.
+    below the bound.  The decomposition and the compass certificate are
+    optimal on at most tw_cap vertices and min-fill above that.
 
     A non-planar graph is refused with EmbeddingError, after the height
     check.  The host is embedded only on the wall branch, from the
     coordinates its recognition as a wall gives it; the solver's passes,
     which know their graph is planar, run the same search without the
-    planarity test."""
+    planarity test, and take the min-fill decomposition whatever the
+    size, since theirs only ranks the endgame's candidates."""
     if q % 2 == 0 or q < 3:
         raise TmhError("wall height must be odd and at least 3, got %d" % q)
     if not is_planar(g):
         raise EmbeddingError("graph is not planar")
-    return _find_wall(g, q, c, tw_cap)
+    return _find_wall(g, q, c, tw_cap, lambda h: _small_exact(h, tw_cap))
 
 
-def _find_wall(g, q, c, tw_cap):
-    # find_wall on a planar graph with a checked height; the host is
+def _small_exact(g, cap):
+    # an optimal decomposition on at most cap vertices, else a min-fill one
+    return exact_treewidth(g, cap=cap)[1] if g.n <= cap else greedy_treewidth(g)
+
+
+def _find_wall(g, q, c, tw_cap, decompose):
+    # find_wall on a planar graph with a checked height, taking the
+    # decomposition branch's decomposition from decompose(g); the host is
     # embedded only when it is recognised as a wall, at its coordinates
     bound = c * q
     found = _recognize_elementary_wall(g)
@@ -735,21 +791,14 @@ def _find_wall(g, q, c, tw_cap):
         if compass_graph != sub.host_subgraph:
             raise TmhError("disk of the subwall holds more than the subwall")
         compass = PartiallyDiskEmbedded(g, sub.embedding, sub.perimeter)
-        if compass_graph.n <= tw_cap:
-            _, cert = exact_treewidth(compass_graph, cap=tw_cap)
-        else:
-            cert = greedy_treewidth(compass_graph)
+        cert = _small_exact(compass_graph, tw_cap)
         if cert.width > bound:
             raise TmhError("compass certificate width %d exceeds %d" % (cert.width, bound))
         return WallWithCompass(sub, compass, cert)
 
-    if g.n <= tw_cap:
-        k, td = exact_treewidth(g, cap=tw_cap)
-    else:
-        td = greedy_treewidth(g)
-        k = td.width
-    if k <= bound:
+    td = decompose(g)
+    if td.width <= bound:
         return td
     raise TmhError(
         "width %d exceeds %d and the host is not a recognizable wall; "
-        "no conclusion at desk scale" % (k, bound))
+        "no conclusion at desk scale" % (td.width, bound))

@@ -871,7 +871,14 @@ class DiskRegion:
         return v in self.vertices(mode)
 
     def subgraph(self, mode="closed"):
-        return self.embedding.graph.restrict(self.vertices(mode), self.edges(mode))
+        """The graph on the vertices of the given mode.  An open edge may
+        end on the boundary cycle, which is not open, so the open subgraph
+        keeps only the open edges whose ends are both open."""
+        vs = self.vertices(mode)
+        es = self.edges(mode)
+        if mode == "open":
+            es = [e for e in es if e[0] in vs and e[1] in vs]
+        return self.embedding.graph.restrict(vs, es)
 
 
 def _cycle_edges(embedding, cyc):

@@ -38,7 +38,6 @@ from .decomposition import (
     DEFAULT_WIDTH_FACTOR,
     TreeDecomposition,
     _find_wall,
-    exact_treewidth,
     greedy_treewidth,
     validate_decomposition,
 )
@@ -489,12 +488,10 @@ def _validated(g, td, message):
     return td
 
 
-def _decomposition_exit(g, cap=DEFAULT_EXACT_TW_CAP):
-    if g.n <= cap:
-        _, td = exact_treewidth(g, cap=cap)
-    else:
-        td = greedy_treewidth(g)
-    return _validated(g, td, "decomposition exit failed validation")
+def _decomposition_exit(g):
+    # min-fill: the endgame needs a valid decomposition, not an optimal one
+    return _validated(g, greedy_treewidth(g),
+                      "decomposition exit failed validation")
 
 
 def _fall_back(g, trace, reason):
@@ -563,7 +560,8 @@ def _irrelevant_vertex_pass(k, h, g, params, force, annuli, b, family, mode,
         # odd, and at least 5 by annuli_capacity: a height find_wall accepts
         wq_geom = _odd_up(wq)
         try:
-            found = _find_wall(g, wq_geom, params.c_tw, DEFAULT_EXACT_TW_CAP)
+            found = _find_wall(g, wq_geom, params.c_tw, DEFAULT_EXACT_TW_CAP,
+                               greedy_treewidth)
         except BudgetExceeded:
             raise
         except TmhError as err:
@@ -697,9 +695,12 @@ def bounded_tw_solve(g, f, k, td, trace=None, budget=None):
     that rids the graph of the family must hit a minimal one, or the
     set's induced subgraph would survive with its pattern, so branching
     on deleting each of its vertices is exhaustive; candidate order
-    follows the first bag holding the vertex.  Every search charges the
-    one shared budget, whose exhaustion raises BudgetExceeded rather
-    than answering no.  The witness, when the answer is yes, is
+    follows the first bag holding the vertex.  The decomposition only
+    orders the candidates, so any valid one gives the exact answer: the
+    solve loop hands over its pass's min-fill decomposition, whose width
+    is an upper bound and not always the treewidth.  Every search
+    charges the one shared budget, whose exhaustion raises BudgetExceeded
+    rather than answering no.  The witness, when the answer is yes, is
     re-verified before returning."""
     _validated(g, td, "tree decomposition fails validation")
     return _bounded_tw_solve(g, f, k, td, trace=trace, budget=budget)

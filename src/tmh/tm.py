@@ -350,10 +350,11 @@ def _has_cycle(g):
 
 
 def _block_vertex_sets(g):
-    """Vertex sets of the biconnected components, by iterative DFS."""
+    """Vertex sets of the biconnected components, by iterative DFS, each
+    yielded as soon as the search closes it, so a caller looking for one
+    block can stop there."""
     index = {}
     low = {}
-    blocks = []
     edge_stack = []
     counter = itertools.count()
     for root in g.vertices:
@@ -390,8 +391,7 @@ def _block_vertex_sets(g):
                         block.add(b)
                         if (a, b) == (u, v):
                             break
-                    blocks.append(block)
-    return blocks
+                    yield block
 
 
 def _peel_leaves(g):
@@ -690,15 +690,24 @@ def enumerate_boundaried_graphs(t, h, max_enumeration=2_000_000):
 
 
 _CENSUS = {}
+_CENSUS_REFUSED = {}
 
 
 def _census(t, h):
     """enumerate_boundaried_graphs(t, h), built once per (t, h): members
     are never mutated and carry their canonical forms, so every folio and
     census count can share them.  The memo is never cleared, so it keeps
-    the members of every census asked for alive for the whole process."""
+    the members of every census asked for alive for the whole process.
+    A refusal is remembered too, by its message, and raised again without
+    pricing the sweep a second time."""
+    if (t, h) in _CENSUS_REFUSED:
+        raise TmhError(_CENSUS_REFUSED[(t, h)])
     if (t, h) not in _CENSUS:
-        _CENSUS[(t, h)] = tuple(enumerate_boundaried_graphs(t, h))
+        try:
+            _CENSUS[(t, h)] = tuple(enumerate_boundaried_graphs(t, h))
+        except TmhError as err:
+            _CENSUS_REFUSED[(t, h)] = str(err)
+            raise
     return _CENSUS[(t, h)]
 
 

@@ -6,11 +6,12 @@ import json
 import pytest
 
 from tmh import tm
-from tmh.cli import main
+from tmh.cli import _legacy_widths, main
 from tmh.graphs import Graph, parse_graph
 from tmh.annulus import synthetic_annulus
 from tmh.linkage import Linkage, _sub_annulus
 from tmh.tm import BUILTIN_PATTERNS
+from tmh.synth import random_planar_graph
 from tmh.io import (
     build_annulus,
     build_disk_host,
@@ -18,9 +19,12 @@ from tmh.io import (
     emit_embedding,
     emit_graph,
     emit_linkage,
+    file_digest,
     normalize_graph,
     parse_linkage,
+    parse_trace,
     report_core,
+    trace_records,
 )
 
 
@@ -158,6 +162,86 @@ class TestTraceAndVerify:
                            "--graph", files["p5"])
         assert code == 2
         assert "does not match" in err
+
+
+class TestTraceWidths:
+    """Traces name how the solver built its decomposition widths.  On this
+    series-parallel host min-fill finds width 3, above the treewidth 2
+    that the exact rule of traces without the header field recorded."""
+
+    REASON = ("boundaried-graph census for t=9 h=12 exceeds 2000000 "
+              "graphs; parameters infeasible at desk scale")
+
+    @pytest.fixture
+    def host(self, tmp_path):
+        path = tmp_path / "sp.txt"
+        path.write_text(emit_graph(random_planar_graph(182, 10, tries=10)))
+        return str(path)
+
+    def _legacy_trace(self, host, path, width):
+        header = {"graph": file_digest(host), "patterns": "K3", "k": 2,
+                  "mode": "safe", "budget_f1": "default", "force": False,
+                  "seed": None}
+        step = {"kind": "wall", "status": "verified",
+                "payload": {"branch": "decomposition", "width": width,
+                            "reason": self.REASON}}
+        path.write_text(trace_records(header, [step]))
+        return str(path)
+
+    def test_legacy_trace_replays_under_the_exact_rule(self, host, capsys,
+                                                       tmp_path):
+        trace = self._legacy_trace(host, tmp_path / "old.json", 2)
+        code, rep, _ = run(capsys, "verify", "--trace", trace, "--graph", host)
+        assert code == 0
+        assert rep["verification"]["replay"] == "identical"
+
+    def test_legacy_trace_with_the_min_fill_width_diverges(self, host, capsys,
+                                                           tmp_path):
+        trace = self._legacy_trace(host, tmp_path / "old.json", 3)
+        code, rep, _ = run(capsys, "verify", "--trace", trace, "--graph", host)
+        assert code == 2
+        assert rep["verification"]["replay"] == "diverged"
+
+    def test_fresh_trace_records_min_fill_and_verifies(self, host, capsys,
+                                                       tmp_path):
+        trace = tmp_path / "new.json"
+        code, _, _ = run(capsys, "solve", "--graph", host, "--patterns", "K3",
+                         "--k", "2", "--trace", str(trace))
+        assert code == 0
+        header, steps = parse_trace(trace.read_text())
+        assert header["widths"] == "min-fill"
+        assert [s["payload"] for s in steps] == [
+            {"branch": "decomposition", "width": 3, "reason": self.REASON}]
+        code, rep, _ = run(capsys, "verify", "--trace", str(trace),
+                           "--graph", host)
+        assert code == 0
+        assert rep["verification"]["replay"] == "identical"
+
+    def test_exact_rule_counts_the_deleted_vertices(self):
+        # 16 vertices: a pendant path on the host above; the first exit
+        # is past the cap and keeps its width, the one after a deletion
+        # is on 15 vertices and gets the exact width
+        sp = random_planar_graph(182, 10, tries=10)
+        g = Graph(range(16), sorted(sp.edges) + [(0, 10)]
+                  + [(v, v + 1) for v in range(10, 15)])
+        exit_step = {"kind": "wall", "status": "verified",
+                     "payload": {"branch": "decomposition", "width": 3,
+                                 "reason": self.REASON}}
+        deletion = {"kind": "delete_vertex", "status": "verified",
+                    "payload": {"vertex": 15, "remaining": 15}}
+        got = _legacy_widths(g, [exit_step, deletion, exit_step])
+        assert [r["payload"].get("width") for r in got] == [3, None, 2]
+        assert exit_step["payload"]["width"] == 3
+
+    def test_unknown_widths_are_a_parse_error(self, host, capsys, tmp_path):
+        trace = tmp_path / "new.json"
+        run(capsys, "solve", "--graph", host, "--patterns", "K3", "--k", "2",
+            "--trace", str(trace))
+        trace.write_text(trace.read_text().replace('"min-fill"', '"exact"', 1))
+        code, rep, err = run(capsys, "verify", "--trace", str(trace),
+                             "--graph", host)
+        assert code == 65 and rep is None
+        assert "unknown widths 'exact'" in err
 
 
 class TestGenAnnulus:

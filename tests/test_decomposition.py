@@ -34,7 +34,7 @@ from tmh.decomposition import (
     validate_wall,
     wall_layers,
 )
-from tmh.synth import stream_cycle_fabric
+from tmh.synth import random_planar_graph, stream_cycle_fabric
 from tmh.tm import SearchBudget
 
 
@@ -243,6 +243,73 @@ def test_greedy_is_certified_upper_bound():
         assert td.width >= k
 
 
+def _reference_decomposition_from_order(g, order):
+    """_decomposition_from_order as it was with neighbour sets."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    position = {v: i for i, v in enumerate(order)}
+    bags = {}
+    for v in order:
+        later = {w for w in adj[v] if position[w] > position[v]}
+        bags[position[v]] = frozenset({v} | later)
+        for a, b in itertools.combinations(sorted(later), 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    edges = []
+    n = len(order)
+    for i in range(n):
+        later = sorted(bags[i] - {order[i]}, key=lambda w: position[w])
+        if later:
+            edges.append((i, position[later[0]]))
+        elif i + 1 < n:
+            edges.append((i, i + 1))
+    return TreeDecomposition(Graph(range(n), edges), bags)
+
+
+def _reference_greedy_treewidth(g):
+    """greedy_treewidth as it was with neighbour sets: each vertex's fill
+    counted pair by pair, the least vertex of least fill eliminated, and
+    the decomposition rebuilt from the order."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    order = []
+    while adj:
+        pick = None
+        pick_fill = None
+        for v in sorted(adj):
+            nbrs = sorted(adj[v])
+            fill = sum(1 for a, b in itertools.combinations(nbrs, 2)
+                       if b not in adj[a])
+            if pick_fill is None or fill < pick_fill:
+                pick, pick_fill = v, fill
+        order.append(pick)
+        nbrs = sorted(adj.pop(pick))
+        for a, b in itertools.combinations(nbrs, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+        for w in nbrs:
+            adj[w].discard(pick)
+    return _reference_decomposition_from_order(g, order)
+
+
+def test_bitset_fill_in_matches_the_set_version():
+    rnd = random.Random(0)
+    for ng in graph_atlas_g():
+        g = Graph(ng.nodes(), ng.edges())
+        order = list(g.vertices)
+        rnd.shuffle(order)
+        td = _decomposition_from_order(g, order)
+        want = _reference_decomposition_from_order(g, order)
+        assert (td.width, td.bags, td.tree) == (want.width, want.bags, want.tree)
+
+
+def test_bitset_min_fill_matches_the_set_version():
+    hosts = [random_planar_graph(seed, n)
+             for n in (8, 12, 16, 24, 40) for seed in range(300)]
+    hosts += [Graph(ng.nodes(), ng.edges()) for ng in graph_atlas_g()]
+    for g in hosts:
+        td, want = greedy_treewidth(g), _reference_greedy_treewidth(g)
+        assert (td.width, td.bags, td.tree) == (want.width, want.bags, want.tree)
+
+
 def _reference_exact_treewidth(g):
     """The unpruned subset DP: every mask in size order, one BFS per
     (prefix, vertex) pair, ties going to the lowest vertex index."""
@@ -282,7 +349,7 @@ def _reference_exact_treewidth(g):
         order.append(vs[choice[mask]])
         mask ^= 1 << choice[mask]
     order.reverse()
-    return best[full], _decomposition_from_order(g, order)
+    return best[full], _reference_decomposition_from_order(g, order)
 
 
 def _assert_matches_reference(g):
@@ -602,6 +669,15 @@ def test_find_wall_small_wall_falls_back_to_width():
     assert isinstance(out, TreeDecomposition)
     assert validate_decomposition(g, out) == out.width
     assert out.width <= 124 * 7
+
+
+def test_find_wall_is_exact_below_the_cap_and_the_solver_is_not():
+    # min-fill overshoots on this series-parallel host; the public entry
+    # point reports the treewidth, the solver's search the min-fill width
+    g = random_planar_graph(182, 10, tries=10)
+    assert find_wall(g, 3).width == exact_treewidth(g)[0] == 2
+    td = decomposition._find_wall(g, 3, 124, 15, greedy_treewidth)
+    assert td.width == greedy_treewidth(g).width == 3
 
 
 def test_find_wall_rejects_bad_input():

@@ -405,6 +405,19 @@ class TestRegions:
         assert not region.contains_vertex(3, "open")
         assert not region.contains_vertex(0, "closed")
 
+    def test_open_subgraph_keeps_edges_between_open_vertices(self):
+        # the spoke (0, 3) lies inside the outer triangle's disk, but its
+        # end 0 is on the boundary cycle and so not open
+        emb = concentric_triangles()
+        region = DiskRegion.of_cycle(emb, [0, 1, 2])
+        assert (0, 3) in region.edges("open")
+        sub = region.subgraph("open")
+        assert sub.vertices == (3, 4, 5, 6, 7, 8)
+        assert sub.edges == {(3, 4), (4, 5), (3, 5), (6, 7), (7, 8), (6, 8),
+                             (3, 6), (4, 7), (5, 8)}
+        handed = {id(e) for e in region.edges("open")}
+        assert {id(e) for e in sub.edges} <= handed
+
     def test_membership_outside_compass_errors(self):
         emb = concentric_triangles()
         region = DiskRegion.of_cycle(emb, [3, 4, 5])

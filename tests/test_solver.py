@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx import graph_atlas_g
 
-from tmh import solver
+from tmh import decomposition, solver
 from tmh.graphs import EmbeddingError, Graph, TmhError
 from tmh.linkage import TamingBudget
 from tmh.tm import (
@@ -546,17 +546,48 @@ class TestSolve:
     @pytest.mark.parametrize("k", [0, 1])
     def test_decomposition_exit_trace_is_stable(self, seed, n, fam, t, h, k):
         # tmh verify replays stored traces, so the fallback's recorded
-        # width (the exact DP's) and the records around it must not move
+        # width (the min-fill one) and the records around it must not move
         g = random_planar_graph(seed, n)
         out = solve_tm_deletion(g, fam, k)
         assert (out.answer, out.witness) == (False, None)
-        assert out.trace.steps[0].payload["width"] == exact_treewidth(g)[0]
+        assert out.trace.steps[0].payload["width"] == greedy_treewidth(g).width
         reason = ("boundaried-graph census for t=%d h=%d exceeds 2000000 "
                   "graphs; parameters infeasible at desk scale" % (t, h))
         assert out.trace.as_records() == [
             {"kind": "wall", "status": "verified",
              "payload": {"branch": "decomposition", "width": 4,
                          "reason": reason}}]
+
+    def test_no_exact_treewidth_on_the_solve_path(self, monkeypatch):
+        # check 1's 204 instances; the exits on at most 15 vertices are
+        # the ones that ran the exact DP before
+        exact_calls = []
+        exits = []
+
+        def counting_exact(g, cap=15):
+            exact_calls.append(g.n)
+            return exact_treewidth(g, cap)
+
+        def counting_greedy(g):
+            exits.append(g.n)
+            return greedy_treewidth(g)
+
+        monkeypatch.setattr(decomposition, "exact_treewidth", counting_exact)
+        monkeypatch.setattr(solver, "exact_treewidth", counting_exact,
+                            raising=False)
+        monkeypatch.setattr(solver, "greedy_treewidth", counting_greedy)
+        families = [PatternFamily(f) for f in (
+            [K3], [K4], [K23], [C4], [K3, K4], [K23, C4], [K3, K4, K23, C4])]
+        large = [PatternFamily(f) for f in ([K3], [K3, K4, K23, C4], [K3, K4])]
+        instances = [(random_planar_graph(s, 12 + s % 7), families[s % 7])
+                     for s in range(56)]
+        instances += [(random_planar_graph(s, 19 + s % 4), large[i % 3])
+                      for i, s in enumerate(range(100, 112))]
+        for g, fam in instances:
+            for k in (0, 1, 2):
+                solve_tm_deletion(g, fam, k)
+        assert exact_calls == []
+        assert sum(n <= 15 for n in exits) > 0
 
     @pytest.mark.parametrize("patterns", [[K5], [K3]], ids=["K5", "K3"])
     def test_non_planar_input_is_refused_at_entry(self, patterns):

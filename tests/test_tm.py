@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx import graph_atlas_g
 
-from tmh import synth
+from tmh import synth, tm
 from tmh.annulus import boundaried_at_cycle, sub_annulus, synthetic_disk_host
 from tmh.graphs import Graph, TmhError
 from tmh.tm import (
@@ -250,6 +250,60 @@ def test_fast_paths_agree_with_generic_search(tag, pattern):
             sorted(g.edges), tag)
 
 
+def _reference_block_vertex_sets(g):
+    """_block_vertex_sets as it was: the list of every block's vertex set,
+    built before any is looked at."""
+    index = {}
+    low = {}
+    blocks = []
+    edge_stack = []
+    counter = itertools.count()
+    for root in g.vertices:
+        if root in index:
+            continue
+        stack = [(root, None, iter(g.neighbors(root)))]
+        index[root] = low[root] = next(counter)
+        while stack:
+            v, parent, it = stack[-1]
+            advanced = False
+            for w in it:
+                if w == parent:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = next(counter)
+                    edge_stack.append((v, w))
+                    stack.append((w, v, iter(g.neighbors(w))))
+                    advanced = True
+                    break
+                if index[w] < index[v]:
+                    edge_stack.append((v, w))
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= index[u]:
+                    block = set()
+                    while edge_stack:
+                        a, b = edge_stack.pop()
+                        block.add(a)
+                        block.add(b)
+                        if (a, b) == (u, v):
+                            break
+                    blocks.append(block)
+    return blocks
+
+
+def test_block_generator_matches_the_list_version_on_the_atlas():
+    for ng in graph_atlas_g():
+        g = Graph(ng.nodes(), ng.edges())
+        want = _reference_block_vertex_sets(g)
+        assert list(tm._block_vertex_sets(g)) == want
+        assert tm._contains_fast(g, "c4") == any(len(b) >= 4 for b in want)
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_containment_survives_host_subdivision(seed):
@@ -299,6 +353,26 @@ def test_census_members_pairwise_distinct():
 def test_census_guard_trips_on_big_parameters():
     with pytest.raises(TmhError, match="infeasible"):
         enumerate_boundaried_graphs(3, 9, max_enumeration=10_000)
+
+
+def test_census_refusal_is_remembered(monkeypatch):
+    sweeps = []
+
+    def counting(t, h):
+        sweeps.append((t, h))
+        return enumerate_boundaried_graphs(t, h)
+
+    monkeypatch.setattr(tm, "enumerate_boundaried_graphs", counting)
+    monkeypatch.setattr(tm, "_CENSUS_REFUSED", {})
+    messages = []
+    for _ in range(2):
+        with pytest.raises(TmhError, match="infeasible") as caught:
+            f3(9, 12)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1] == (
+        "boundaried-graph census for t=9 h=12 exceeds 2000000 graphs; "
+        "parameters infeasible at desk scale")
+    assert sweeps == [(9, 12)]
 
 
 def test_boundaried_graph_label_iso():
