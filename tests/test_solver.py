@@ -11,7 +11,7 @@ import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from networkx import graph_atlas_g
+from networkx import check_planarity, graph_atlas_g
 
 from tmh import decomposition, solver
 from tmh.graphs import EmbeddingError, Graph, TmhError
@@ -510,6 +510,34 @@ class TestMinimalObstruction:
             want = _reference_minimal_obstruction(g, fam, SearchBudget(10 ** 6))
             assert got == want, "atlas graph %r" % (sorted(g.edges),)
         assert hits > 0
+
+
+PLANAR_ATLAS = [ng for ng in graph_atlas_g() if check_planarity(ng)[0]]
+
+
+@pytest.mark.parametrize("patterns", [[K3], [C4], [K4], [K23],
+                                      [K3, K4, K23, C4]],
+                         ids=["K3", "C4", "K4", "K23", "all4"])
+def test_safe_solve_matches_the_generic_oracle_on_the_atlas(patterns):
+    # the oracle and the witness check search every pattern with
+    # find_tm_model, so they share none of the fast containment tests the
+    # solver runs; pF_oracle(g, fam, 2) returns the least deletion count,
+    # which settles k = 0, 1 and 2 at once
+    fam = PatternFamily(patterns)
+    solved = 0
+    for ng in PLANAR_ATLAS:
+        g = Graph(ng.nodes(), ng.edges())
+        best = pF_oracle(g, fam, 2, use_fast_paths=False)
+        for k in (0, 1, 2):
+            out = solve_tm_deletion(g, fam, k, mode="safe")
+            solved += 1
+            assert out.answer == (best is not None and best[0] <= k), \
+                "atlas graph %r, k=%d" % (sorted(g.edges), k)
+            if out.answer:
+                assert len(out.witness) <= k
+                assert is_F_free(g.delete_vertices(out.witness), fam,
+                                 use_fast_paths=False)
+    assert solved == 3 * len(PLANAR_ATLAS)
 
 
 class TestSolve:
