@@ -6,7 +6,9 @@ three substrates defined here:
 
   * Graph: an immutable simple graph over integer vertex ids.  Ids are stable
     across subgraph operations, so a vertex found in a reduced graph names the
-    same vertex of the original instance.
+    same vertex of the original instance.  A search that deletes and
+    restores vertices runs on a MutableAdjacency instead of a Graph per
+    deletion.
 
   * PlaneEmbedding: a clockwise rotation system plus the face structure it
     induces.  Faces are traced combinatorially; no coordinates are kept.
@@ -269,6 +271,83 @@ class Graph:
     def cycle_vertices_in_order(self):
         """The vertices of this graph in cycle order, or None (see _cycle_order)."""
         return _cycle_order(self._adj)
+
+
+class MutableAdjacency:
+    """A graph's adjacency under vertex deletions undone in reverse order.
+
+    delete(v) takes v and its edges out; restore() puts back the latest
+    deletion still standing, so every restore returns the neighbour sets
+    of the state before that deletion exactly.  Readers see the interface
+    the containment tests read on a Graph: vertices (in no set order),
+    neighbors (live sets, stale after the next deletion), degree, n and m.
+    graph() is the Graph of the current state, the one delete_vertices
+    gives for the deleted vertices.
+    """
+
+    __slots__ = ("_adj", "_m", "_undo")
+
+    def __init__(self, g):
+        self._adj = {v: set(g.neighbors(v)) for v in g.vertices}
+        self._m = g.m
+        self._undo = []
+
+    @property
+    def vertices(self):
+        return self._adj.keys()
+
+    @property
+    def n(self):
+        return len(self._adj)
+
+    @property
+    def m(self):
+        return self._m
+
+    @property
+    def depth(self):
+        """Deletions standing; restore_to(depth) undoes every later one."""
+        return len(self._undo)
+
+    def neighbors(self, v):
+        return self._adj[v]
+
+    def degree(self, v):
+        return len(self._adj[v])
+
+    def delete(self, v):
+        ns = self._adj.pop(v)
+        for w in ns:
+            self._adj[w].discard(v)
+        self._m -= len(ns)
+        self._undo.append((v, ns))
+
+    def restore(self):
+        v, ns = self._undo.pop()
+        for w in ns:
+            self._adj[w].add(v)
+        self._adj[v] = ns
+        self._m += len(ns)
+
+    def restore_to(self, depth):
+        while len(self._undo) > depth:
+            self.restore()
+
+    def delete_leaves(self):
+        """Delete vertices of degree at most one until none is left."""
+        adj = self._adj
+        doomed = [v for v, ns in adj.items() if len(ns) <= 1]
+        while doomed:
+            v = doomed.pop()
+            if v not in adj:
+                continue
+            ns = adj[v]
+            self.delete(v)
+            doomed.extend(w for w in ns if len(adj[w]) <= 1)
+
+    def graph(self):
+        return Graph(self._adj, [(v, w) for v, ns in self._adj.items()
+                                 for w in ns if v < w])
 
 
 def _cycle_order(adj):

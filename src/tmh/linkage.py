@@ -1,12 +1,12 @@
 """Linkages and their rerouting machinery over railed annuli.
 
 A linkage is a set of vertex-disjoint paths; its pattern is the set of
-endpoint pairs.  The module provides exhaustive rerouting searches (vital
-linkages, cost improvement against a degree-two base, minimal linkages
-relative to a cycle family and a forbidden region), classification of how
-a linkage interacts with nested cycles (streams, rivers, mountains,
-valleys, their heights and pockets), the rotational ordering of disjoint
-streams around a region, disjoint path routing through grids, confined
+endpoint pairs.  The module provides exhaustive rerouting searches (cost
+improvement against a degree-two base, minimal linkages relative to a
+cycle family and a forbidden region), classification of how a linkage
+interacts with nested cycles (streams, rivers, mountains, valleys, their
+heights and pockets), the rotational ordering of disjoint streams around
+a region, disjoint path routing through grids, confined
 crossing families along annulus rails, and the two confinement entry
 points: tame_linkage reroutes a linkage so that inside the middle band of
 an annulus it runs only along chosen rails, and tame_tm_model does the
@@ -246,23 +246,6 @@ def _search_linkages(host, pairs, node_budget, better_than=None, base_edges=None
     if best[0] is None:
         return None
     return (best[0][0], best[0][2])
-
-
-def is_vital(g, l, node_budget=None):
-    """Whether l spans g and is the unique linkage of g with its pattern.
-
-    Exhaustive over all equivalent linkages of g, so only suitable for
-    small hosts; a search budget overrun propagates as an outcome distinct
-    from a certified answer.
-    """
-    _require_in_graph(g, l)
-    node_budget = node_budget if node_budget is not None else default_budget()
-    if l.vertices != frozenset(g.vertices):
-        return False
-    pairs = [tuple(p) for p in (sorted(pair) for pair in l.pattern)]
-    found = _search_linkages(g, pairs, node_budget,
-                             exclude_key=l.canonical_key(), stop_on_first=True)
-    return found is None
 
 
 def improve_linkage(lb, budget=None, node_budget=None):

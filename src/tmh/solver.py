@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import EmbeddingError, Graph, TmhError, is_planar
+from .graphs import EmbeddingError, Graph, MutableAdjacency, TmhError, is_planar
 from .tm import (
     BoundariedGraph,
     BudgetExceeded,
-    _peel_leaves,
+    _is_free,
     compute_folio,
     default_budget,
     f3,
@@ -457,30 +457,6 @@ def find_irrelevant_area(h, g, b, gr, w, a, budget=None, force=False):
     return region
 
 
-def verify_area_safety(gr, region, family, k, budget=None):
-    """Brute-force check of the carving contract behind the disk: for
-    every deletion set of size at most k that stays outside the embedded
-    disk, any pattern surviving the deletion also survives it in the
-    graph with the framed disk's vertices removed.  Raises on violation,
-    returns None when safe."""
-    outside = sorted(set(gr.graph.vertices) - set(gr.compass.vertices))
-    carved = gr.graph.delete_vertices(region.vertices("closed"))
-    for size in range(min(k, len(outside)) + 1):
-        for s in itertools.combinations(outside, size):
-            left = gr.graph.delete_vertices(s)
-            carved_left = carved.delete_vertices(s)
-            for pattern in family.patterns:
-                if find_tm_model(left, pattern,
-                                 budget=budget or default_budget()) is None:
-                    continue
-                if find_tm_model(carved_left, pattern,
-                                 budget=budget or default_budget()) is None:
-                    raise TmhError(
-                        "carving the disk loses a pattern that deletion "
-                        "set %r kept" % (sorted(s),))
-    return None
-
-
 def _validated(g, td, message):
     check = validate_decomposition(g, td)
     if not isinstance(check, int):
@@ -662,8 +638,10 @@ def _min_degree_two(f):
 
 
 def _minimal_obstruction(cur, f, budget):
-    """An inclusion-minimal vertex set of cur whose induced subgraph still
-    holds a model of some pattern of f; cur must hold one.
+    """An inclusion-minimal vertex set of cur, as a sorted tuple, whose
+    induced subgraph still holds a model of some pattern of f; cur must
+    hold one.  cur is a MutableAdjacency, which the scan deletes from in
+    place and leaves as it found it, or a Graph.
 
     The vertices are scanned in sorted order and each is dropped when its
     removal keeps a pattern.  Containment is monotone under vertex
@@ -672,14 +650,23 @@ def _minimal_obstruction(cur, f, budget):
     degree at least two, every model lies in the 2-core, so a full scan
     drops each vertex outside the 2-core of cur at its turn, and the
     2-core of what is left does not depend on those vertices; the scan
-    then starts from the 2-core and returns the same set.
+    then starts from the 2-core and returns the same set.  For the same
+    reason a vertex that earlier drops left with degree at most one is
+    dropped at its turn without a test.
     """
-    core = _peel_leaves(cur) if _min_degree_two(f) else cur
-    for v in core.vertices:
-        smaller = core.delete_vertices([v])
-        if not is_F_free(smaller, f, budget=budget):
-            core = smaller
-    return core.vertices
+    adj = MutableAdjacency(cur) if isinstance(cur, Graph) else cur
+    depth = adj.depth
+    peel = _min_degree_two(f)
+    if peel:
+        adj.delete_leaves()
+    for v in sorted(adj.vertices):
+        leaf = peel and adj.degree(v) <= 1
+        adj.delete(v)
+        if not leaf and _is_free(adj, f, budget):
+            adj.restore()
+    kept = tuple(sorted(adj.vertices))
+    adj.restore_to(depth)
+    return kept
 
 
 def bounded_tw_solve(g, f, k, td, trace=None, budget=None):
@@ -698,10 +685,17 @@ def bounded_tw_solve(g, f, k, td, trace=None, budget=None):
     follows the first bag holding the vertex.  The decomposition only
     orders the candidates, so any valid one gives the exact answer: the
     solve loop hands over its pass's min-fill decomposition, whose width
-    is an upper bound and not always the treewidth.  Every search
-    charges the one shared budget, whose exhaustion raises BudgetExceeded
-    rather than answering no.  The witness, when the answer is yes, is
-    re-verified before returning."""
+    is an upper bound and not always the treewidth.
+
+    The search builds no graph per deletion: it runs on one
+    MutableAdjacency of g, deleting a vertex before its branch and
+    restoring it after, and the obstruction scan deletes and restores on
+    the same adjacency.  The fast containment tests read it directly;
+    a pattern without one is searched on the Graph of the current state.
+    Every search charges the one shared budget, whose exhaustion raises
+    BudgetExceeded rather than answering no.  The witness, when the
+    answer is yes, is re-verified on g.delete_vertices before
+    returning."""
     _validated(g, td, "tree decomposition fails validation")
     return _bounded_tw_solve(g, f, k, td, trace=trace, budget=budget)
 
@@ -713,21 +707,24 @@ def _bounded_tw_solve(g, f, k, td, trace=None, budget=None):
     for node in sorted(td.bags):
         for v in sorted(td.bags[node]):
             rank.setdefault(v, node)
+    adj = MutableAdjacency(g)
 
-    def search(cur, used, left):
-        if is_F_free(cur, f, budget=budget):
+    def search(used, left):
+        if _is_free(adj, f, budget):
             return tuple(used)
         if left == 0:
             return None
-        order = sorted(_minimal_obstruction(cur, f, budget),
+        order = sorted(_minimal_obstruction(adj, f, budget),
                        key=lambda v: (rank.get(v, -1), v))
         for v in order:
-            hit = search(cur.delete_vertices([v]), used + [v], left - 1)
+            adj.delete(v)
+            hit = search(used + [v], left - 1)
+            adj.restore()
             if hit is not None:
                 return hit
         return None
 
-    s = search(g, [], k)
+    s = search([], k)
     trace = trace if trace is not None else ReductionTrace()
     if s is None:
         return SolveOutcome(False, None, trace)

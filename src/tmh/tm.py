@@ -20,7 +20,8 @@ import math
 import os
 from collections import deque
 
-from .graphs import Graph, TmhError, _normalize_edge, _series_parallel_core
+from .graphs import (Graph, MutableAdjacency, TmhError, _normalize_edge,
+                     _series_parallel_core)
 
 
 class BudgetExceeded(TmhError):
@@ -344,9 +345,24 @@ def _k33_graph():
 
 
 def _has_cycle(g):
-    # m > n - c forces a cycle; equality means forest.
-    comps = g.connected_components()
-    return g.m > g.n - len(comps)
+    # m > n - c forces a cycle, equality means forest; with m >= n the
+    # count is not needed, as any vertex makes c >= 1
+    if g.m >= g.n:
+        return g.m > 0
+    seen = set()
+    comps = 0
+    for root in g.vertices:
+        if root in seen:
+            continue
+        comps += 1
+        seen.add(root)
+        stack = [root]
+        while stack:
+            for w in g.neighbors(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return g.m > g.n - comps
 
 
 def _block_vertex_sets(g):
@@ -394,32 +410,6 @@ def _block_vertex_sets(g):
                     yield block
 
 
-def _peel_leaves(g):
-    """Iteratively delete vertices of degree at most one.  Safe for any
-    pattern with minimum degree two: a degree-one host vertex can never be
-    needed by a model of such a pattern."""
-    doomed = deque(v for v in g.vertices if g.degree(v) <= 1)
-    alive = set(g.vertices)
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    gone = set()
-    while doomed:
-        v = doomed.popleft()
-        if v in gone:
-            continue
-        gone.add(v)
-        alive.discard(v)
-        for w in adj[v]:
-            adj[w].discard(v)
-            if w not in gone and len(adj[w]) <= 1:
-                doomed.append(w)
-    edges = set()
-    for v in alive:
-        for w in adj[v]:
-            if v < w:
-                edges.add((v, w))
-    return Graph(alive, edges)
-
-
 def _count_internally_disjoint_long_paths(g, s, t, need):
     """Vertex-disjoint s-t paths of length at least two, by unit-capacity
     augmentation on the split digraph with the direct s-t edge removed."""
@@ -439,11 +429,10 @@ def _count_internally_disjoint_long_paths(g, s, t, need):
     for v in g.vertices:
         c = need if v in (s, t) else 1
         add(nodes[(v, 0)], nodes[(v, 1)], c)
-    for u, v in g.edges:
-        if {u, v} == {s, t}:
-            continue
-        add(nodes[(u, 1)], nodes[(v, 0)], 1)
-        add(nodes[(v, 1)], nodes[(u, 0)], 1)
+    for u in g.vertices:
+        for v in g.neighbors(u):
+            if {u, v} != {s, t}:
+                add(nodes[(u, 1)], nodes[(v, 0)], 1)
     source, sink = nodes[(s, 1)], nodes[(t, 0)]
     flow = 0
     while flow < need:
@@ -477,7 +466,10 @@ def _contains_fast(g, tag):
     if tag == "k4":
         return bool(_series_parallel_core(g))
     if tag == "k23":
-        core = _peel_leaves(g)
+        # a vertex of degree at most one lies in no model of a pattern of
+        # minimum degree two, so the test runs on the 2-core
+        core = MutableAdjacency(g)
+        core.delete_leaves()
         if core.m < 6:
             return False
         cands = sorted(v for v in core.vertices if core.degree(v) >= 3)
@@ -495,6 +487,12 @@ _FAST_TAGS = (
     ("k23", _k23_graph),
 )
 
+# the tags each tagged pattern holds as a topological minor: a 4-cycle
+# subdivides the triangle, and K4 and K2,3 each hold a 4-cycle, so a host
+# free of any of them is free of the pattern
+_TAGS_BELOW = {"triangle": (), "c4": ("triangle",),
+               "k4": ("triangle", "c4"), "k23": ("triangle", "c4")}
+
 
 def classify_pattern(h):
     """Tag patterns that have a direct structural containment test."""
@@ -506,9 +504,15 @@ def classify_pattern(h):
 
 
 class PatternFamily:
-    """A finite set of pattern graphs with cached search metadata."""
+    """A finite set of pattern graphs with cached search metadata.
 
-    __slots__ = ("patterns", "tags", "h", "g")
+    implied holds the tags whose fast test a family of tagged patterns
+    skips: a host free of a tag below them is free of them too, so the
+    family's answer stands without their tests.  A family with a pattern
+    for the generic search skips none, so that search runs exactly when
+    it did before."""
+
+    __slots__ = ("patterns", "tags", "implied", "h", "g")
 
     def __init__(self, patterns):
         patterns = tuple(patterns)
@@ -519,6 +523,8 @@ class PatternFamily:
                 raise TmhError("the empty pattern would make every host a hit")
         self.patterns = patterns
         self.tags = tuple(classify_pattern(p) for p in patterns)
+        self.implied = frozenset() if None in self.tags else frozenset(
+            t for t in self.tags if set(_TAGS_BELOW[t]) & set(self.tags))
         self.h = max(p.n for p in patterns)
         self.g = max(p.m for p in patterns)
 
@@ -538,13 +544,22 @@ BUILTIN_PATTERNS = {
 
 def is_F_free(g, family, budget=None, use_fast_paths=True):
     """True when no pattern of the family has a topological-minor model in g."""
-    budget = budget or default_budget()
+    return _is_free(g, family, budget or default_budget(), use_fast_paths)
+
+
+def _is_free(g, family, budget, use_fast_paths=True):
+    # is_F_free on a Graph or a graphs.MutableAdjacency: the fast tests
+    # read either one, and the generic search gets the Graph it stands for
+    host = g if isinstance(g, Graph) else None
     for pattern, tag in zip(family.patterns, family.tags):
         if use_fast_paths and tag is not None:
-            if _contains_fast(g, tag):
+            if tag not in family.implied and _contains_fast(g, tag):
                 return False
-        elif find_tm_model(g, pattern, budget=budget) is not None:
-            return False
+        else:
+            if host is None:
+                host = g.graph()
+            if find_tm_model(host, pattern, budget=budget) is not None:
+                return False
     return True
 
 
@@ -657,18 +672,18 @@ def enumerate_boundaried_graphs(t, h, max_enumeration=2_000_000):
     """
     if t < 0 or h < 0:
         raise TmhError("t and h must be non-negative")
-    # price the raw sweep up front so oversized parameters fail fast
-    # instead of after minutes of canonicalization
+    # price the sweep up front, each raw graph together with the orderings
+    # of its inner vertices that canonical_form tries, so oversized
+    # parameters fail fast instead of after minutes of canonicalization
     total = sum(
-        sum(math.comb(t, nb) for nb in range(min(t, n) + 1))
-        * (1 << math.comb(n, 2))
-        for n in range(h + 1))
+        math.comb(t, nb) * (1 << math.comb(n, 2))
+        * (1 + math.factorial(n - nb))
+        for n in range(h + 1) for nb in range(min(t, n) + 1))
     if total > max_enumeration:
         raise TmhError(
             "boundaried-graph census for t=%d h=%d exceeds %d graphs; "
             "parameters infeasible at desk scale" % (t, h, max_enumeration))
     seen = {}
-    work = 0
     for n in range(h + 1):
         slots = list(itertools.combinations(range(n), 2))
         for nb in range(0, min(t, n) + 1):
@@ -676,11 +691,6 @@ def enumerate_boundaried_graphs(t, h, max_enumeration=2_000_000):
                 # labeled vertices are 0..nb-1 bearing label_choice in order
                 labels = {i: lab for i, lab in enumerate(label_choice)}
                 for edge_bits in range(1 << len(slots)):
-                    work += 1
-                    if work > max_enumeration:
-                        raise TmhError(
-                            "boundaried-graph census for t=%d h=%d exceeds %d graphs; "
-                            "parameters infeasible at desk scale" % (t, h, max_enumeration))
                     edges = [slots[i] for i in range(len(slots)) if edge_bits >> i & 1]
                     bg = BoundariedGraph(Graph(range(n), edges), labels)
                     key = bg.canonical_form()

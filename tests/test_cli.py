@@ -2,6 +2,7 @@
 report stability, trace replay, and the environment budget cap."""
 
 import json
+import time
 
 import pytest
 
@@ -102,6 +103,25 @@ class TestSolve:
         assert code == 1
         assert rep["outcome"]["answer"] == "no"
         assert rep["outcome"]["witness"] is None
+
+    def test_census_guard_prices_canonicalisation(self, capsys, tmp_path):
+        # under --budget-f1 0 the {K2,3, C4} folios want the t=1, h=6
+        # census: 67,735 raw graphs, but up to 720 orderings of inner
+        # vertices for each to canonicalise, so the guard refuses it and
+        # the solve exits through the decomposition within seconds
+        host = tmp_path / "host.txt"
+        host.write_text(emit_graph(random_planar_graph(5, 17)))
+        trace = tmp_path / "run.json"
+        t0 = time.perf_counter()
+        code, rep, _ = run(capsys, "solve", "--graph", str(host),
+                           "--patterns", "K23,C4", "--k", "1",
+                           "--budget-f1", "0", "--trace", str(trace))
+        assert time.perf_counter() - t0 < 60
+        assert code == 1 and rep["outcome"]["answer"] == "no"
+        _, steps = parse_trace(trace.read_text())
+        assert [s["payload"]["reason"] for s in steps] == [
+            "boundaried-graph census for t=1 h=6 exceeds 2000000 graphs; "
+            "parameters infeasible at desk scale"]
 
     def test_report_stable_modulo_timings(self, files, capsys):
         argv = ("solve", "--graph", files["k4"], "--patterns", "K3,K4",

@@ -10,6 +10,7 @@ from tmh.graphs import (
     DiskRegion,
     EmbeddingError,
     Graph,
+    MutableAdjacency,
     NestedCycles,
     ParseError,
     PartiallyDiskEmbedded,
@@ -151,6 +152,56 @@ class TestGraphBasics:
         once = g.delete_vertices(s1 | s2)
         twice = g.delete_vertices(s1).delete_vertices(s2 - s1)
         assert once == twice
+
+
+def _adjacency_state(adj):
+    return ({v: set(adj.neighbors(v)) for v in adj.vertices}, adj.m, adj.depth)
+
+
+class TestMutableAdjacency:
+    """Deletions in place, undone in reverse order: every state a run of
+    deletions and restores reaches is the graph delete_vertices gives."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_deletions_and_restores_track_delete_vertices(self, seed):
+        rng = random.Random(seed)
+        g = random_planar_graph(seed, 14)
+        adj = MutableAdjacency(g)
+        deleted = []
+        states = [_adjacency_state(adj)]
+        for _ in range(60):
+            if deleted and (rng.random() < 0.4 or adj.n == 0):
+                adj.restore()
+                deleted.pop()
+                states.pop()
+                assert _adjacency_state(adj) == states[-1]
+            else:
+                v = rng.choice(sorted(adj.vertices))
+                adj.delete(v)
+                deleted.append(v)
+                states.append(_adjacency_state(adj))
+            want = g.delete_vertices(deleted)
+            assert adj.graph() == want
+            assert (adj.n, adj.m, adj.depth) == (want.n, want.m, len(deleted))
+            assert all(adj.degree(v) == want.degree(v) for v in want.vertices)
+        adj.restore_to(0)
+        assert _adjacency_state(adj) == states[0]
+        assert adj.graph() == g
+
+    def test_delete_leaves_leaves_the_2_core(self):
+        # a triangle with a pendant path 2-3-4 and an isolated vertex 5
+        g = Graph(range(6), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+        adj = MutableAdjacency(g)
+        adj.delete(0)
+        adj.delete_leaves()
+        assert adj.n == 0 and adj.m == 0
+        adj.restore_to(1)
+        assert adj.graph() == g.delete_vertices([0])
+        adj.restore()
+        adj.delete_leaves()
+        assert adj.graph() == g.subgraph({0, 1, 2})
+        adj.restore_to(0)
+        assert adj.graph() == g
 
 
 class TestFaces:

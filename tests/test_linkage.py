@@ -29,13 +29,12 @@ from tmh.linkage import (
     equivalent,
     grid_reroute,
     improve_linkage,
-    is_vital,
     minimal_linkage,
     rail_linkage,
     tame_linkage,
     tame_tm_model,
 )
-from tmh.tm import DEFAULT_BUDGET_NODES, SearchBudget, TmPair, dissolve
+from tmh.tm import DEFAULT_BUDGET_NODES, SearchBudget, TmPair, default_budget, dissolve
 
 
 def ring_graph(vertices):
@@ -334,6 +333,22 @@ class TestBudget:
         assert b.f1(2) == 0
         with pytest.raises(TmhError):
             b.f1(3)
+
+
+def is_vital(g, l, node_budget=None):
+    """Cross-check: whether l spans g and is the unique linkage of g with
+    its pattern, by an exhaustive search over the equivalent linkages of g,
+    so only for small hosts.  The search runs through the module
+    attribute, so a recorded search sees it."""
+    _require_in_graph(g, l)
+    node_budget = node_budget if node_budget is not None else default_budget()
+    if l.vertices != frozenset(g.vertices):
+        return False
+    pairs = [tuple(sorted(pair)) for pair in l.pattern]
+    found = tmh.linkage._search_linkages(
+        g, pairs, node_budget, exclude_key=l.canonical_key(),
+        stop_on_first=True)
+    return found is None
 
 
 class TestVitality:

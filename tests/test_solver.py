@@ -4,17 +4,20 @@ per-vertex outer loop in both modes, the bounded-width endgame, and the full
 solver checked against the brute-force deletion oracle."""
 
 import hashlib
+import itertools
+import json
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from networkx import check_planarity, graph_atlas_g
 
 from tmh import decomposition, solver
-from tmh.graphs import EmbeddingError, Graph, TmhError
+from tmh.graphs import EmbeddingError, Graph, MutableAdjacency, TmhError
 from tmh.linkage import TamingBudget
 from tmh.tm import (
     BUILTIN_PATTERNS,
@@ -22,6 +25,7 @@ from tmh.tm import (
     PatternFamily,
     SearchBudget,
     f3,
+    find_tm_model,
     is_F_free,
     pF_oracle,
 )
@@ -44,7 +48,6 @@ from tmh.solver import (
     grid_minor_certificate,
     reduce_solution_space,
     solve_tm_deletion,
-    verify_area_safety,
     verify_minor_model,
     verify_reduction_safety,
 )
@@ -276,6 +279,27 @@ class TestGridCertificates:
             grid_minor_certificate(a, 5, 6, 3, 4)
 
 
+def verify_area_safety(gr, region, family, k):
+    """Cross-check of the carving contract behind the disk, by brute force:
+    for every deletion set of size at most k that stays outside the
+    embedded disk, any pattern surviving the deletion also survives it in
+    the graph with the framed disk's vertices removed.  Raises on
+    violation."""
+    outside = sorted(set(gr.graph.vertices) - set(gr.compass.vertices))
+    carved = gr.graph.delete_vertices(region.vertices("closed"))
+    for size in range(min(k, len(outside)) + 1):
+        for s in itertools.combinations(outside, size):
+            left = gr.graph.delete_vertices(s)
+            carved_left = carved.delete_vertices(s)
+            for pattern in family.patterns:
+                if find_tm_model(left, pattern) is None:
+                    continue
+                if find_tm_model(carved_left, pattern) is None:
+                    raise TmhError(
+                        "carving the disk loses a pattern that deletion "
+                        "set %r kept" % (sorted(s),))
+
+
 class TestIrrelevantArea:
     def test_unforced_discovery_at_full_depth(self, host91):
         gr, a = host91
@@ -487,16 +511,24 @@ def _reference_minimal_obstruction(cur, f, budget):
     return core.vertices
 
 
-class TestMinimalObstruction:
-    """The scan from the 2-core returns what the full scan returns."""
+OBSTRUCTION_CASES = pytest.mark.parametrize("patterns,from_core", [
+    ([K3], True), ([C4], True), ([K4], True), ([K23], True),
+    ([K3, K4, K23, C4], True), ([K5], True),
+    # a pendant pattern vertex: these families keep the full scan
+    ([Graph(range(2), [(0, 1)])], False),
+    ([K3, Graph(range(3), [(0, 1), (1, 2)])], False),
+], ids=["K3", "C4", "K4", "K23", "all4", "K5", "edge", "K3+P3"])
 
-    @pytest.mark.parametrize("patterns,from_core", [
-        ([K3], True), ([C4], True), ([K4], True), ([K23], True),
-        ([K3, K4, K23, C4], True), ([K5], True),
-        # a pendant pattern vertex: these families keep the full scan
-        ([Graph(range(2), [(0, 1)])], False),
-        ([K3, Graph(range(3), [(0, 1), (1, 2)])], False),
-    ], ids=["K3", "C4", "K4", "K23", "all4", "K5", "edge", "K3+P3"])
+
+def _adjacency_state(adj):
+    return ({v: set(adj.neighbors(v)) for v in adj.vertices}, adj.m, adj.depth)
+
+
+class TestMinimalObstruction:
+    """The scan from the 2-core returns what the full scan returns, and the
+    in-place scan and search leave their adjacency as they found it."""
+
+    @OBSTRUCTION_CASES
     def test_matches_the_full_scan_on_the_atlas(self, patterns, from_core):
         fam = PatternFamily(patterns)
         assert solver._min_degree_two(fam) is from_core
@@ -510,6 +542,68 @@ class TestMinimalObstruction:
             want = _reference_minimal_obstruction(g, fam, SearchBudget(10 ** 6))
             assert got == want, "atlas graph %r" % (sorted(g.edges),)
         assert hits > 0
+
+    @OBSTRUCTION_CASES
+    def test_in_place_scan_restores_its_adjacency(self, patterns, from_core):
+        # the scan runs below a deletion already standing, as it does
+        # inside the search, and must undo exactly its own deletions
+        fam = PatternFamily(patterns)
+        hits = 0
+        for ng in graph_atlas_g():
+            g = Graph(ng.nodes(), ng.edges())
+            if g.n == 0:
+                continue
+            smaller = g.delete_vertices([g.vertices[-1]])
+            if is_F_free(smaller, fam):
+                continue
+            hits += 1
+            adj = MutableAdjacency(g)
+            adj.delete(g.vertices[-1])
+            before = _adjacency_state(adj)
+            got = solver._minimal_obstruction(adj, fam, SearchBudget(10 ** 6))
+            assert _adjacency_state(adj) == before
+            assert adj.graph() == smaller
+            want = _reference_minimal_obstruction(smaller, fam,
+                                                  SearchBudget(10 ** 6))
+            assert got == want, "atlas graph %r" % (sorted(g.edges),)
+        assert hits > 0
+
+    @OBSTRUCTION_CASES
+    def test_search_restores_its_adjacency(self, patterns, from_core,
+                                           monkeypatch):
+        built = []
+
+        class Recording(MutableAdjacency):
+            def __init__(self, g):
+                super().__init__(g)
+                built.append((self, _adjacency_state(self)))
+
+        monkeypatch.setattr(solver, "MutableAdjacency", Recording)
+        fam = PatternFamily(patterns)
+        # every fifth atlas graph, so the generic K5 search stays short
+        for ng in graph_atlas_g()[::5]:
+            g = Graph(ng.nodes(), ng.edges())
+            for k in (0, 1, 2):
+                bounded_tw_solve(g, fam, k, greedy_treewidth(g))
+        assert built
+        for adj, state in built:
+            assert _adjacency_state(adj) == state
+
+
+def test_larger_hosts_are_frozen():
+    # random_planar_graph(s, n, tries=n // 6) for s = 0..3, n in {48, 64, 96}
+    # and the families {K3}, {C4}, {K2,3}: fast mode finds the frozen
+    # witness at kmin and answers no at kmin - 1
+    frozen = json.loads(
+        Path(__file__).with_name("larger_hosts.json").read_text())
+    assert len(frozen) == 36
+    for row in frozen:
+        g = random_planar_graph(row["seed"], row["n"], tries=row["n"] // 6)
+        fam = PatternFamily([BUILTIN_PATTERNS[row["family"]]()])
+        yes = solve_tm_deletion(g, fam, row["kmin"], mode="fast")
+        assert (yes.answer, list(yes.witness)) == (True, row["witness"]), row
+        no = solve_tm_deletion(g, fam, row["kmin"] - 1, mode="fast")
+        assert (no.answer, no.witness) == (False, None), row
 
 
 PLANAR_ATLAS = [ng for ng in graph_atlas_g() if check_planarity(ng)[0]]

@@ -10,7 +10,7 @@ from networkx import graph_atlas_g
 
 from tmh import synth, tm
 from tmh.annulus import boundaried_at_cycle, sub_annulus, synthetic_disk_host
-from tmh.graphs import Graph, TmhError
+from tmh.graphs import Graph, MutableAdjacency, TmhError
 from tmh.tm import (
     BUILTIN_PATTERNS,
     BoundariedGraph,
@@ -250,6 +250,37 @@ def test_fast_paths_agree_with_generic_search(tag, pattern):
             sorted(g.edges), tag)
 
 
+@pytest.mark.parametrize("patterns,implied", [
+    ([K3, K4, K23, C4], {"c4", "k4", "k23"}), ([K23, C4], {"k23"}),
+    ([K3, K4], {"k4"}), ([K4, K23], set())],
+    ids=["all4", "K23+C4", "K3+K4", "K4+K23"])
+def test_families_skip_implied_fast_tests(patterns, implied):
+    # a family answers as its patterns do one by one, whichever fast
+    # tests it skips
+    fam = PatternFamily(patterns)
+    assert fam.implied == implied
+    singles = [PatternFamily([p]) for p in patterns]
+    for ng in graph_atlas_g():
+        g = Graph(ng.nodes(), ng.edges())
+        assert is_F_free(g, fam) == all(is_F_free(g, one) for one in singles)
+    # with a pattern for the generic search, every fast test runs
+    assert PatternFamily([C4, K4, K5]).implied == frozenset()
+
+
+@pytest.mark.parametrize("tag", ["triangle", "c4", "k4", "k23"])
+def test_fast_paths_read_an_adjacency_as_its_graph(tag):
+    # the endgame runs the fast tests on a MutableAdjacency, with and
+    # without a deletion standing
+    for ng in graph_atlas_g():
+        g = Graph(ng.nodes(), ng.edges())
+        adj = MutableAdjacency(g)
+        assert tm._contains_fast(adj, tag) == tm._contains_fast(g, tag)
+        if g.n:
+            adj.delete(g.vertices[0])
+            assert tm._contains_fast(adj, tag) == tm._contains_fast(
+                g.delete_vertices([g.vertices[0]]), tag)
+
+
 def _reference_block_vertex_sets(g):
     """_block_vertex_sets as it was: the list of every block's vertex set,
     built before any is looked at."""
@@ -353,6 +384,16 @@ def test_census_members_pairwise_distinct():
 def test_census_guard_trips_on_big_parameters():
     with pytest.raises(TmhError, match="infeasible"):
         enumerate_boundaried_graphs(3, 9, max_enumeration=10_000)
+
+
+def test_census_guard_prices_each_ordering_canonical_form_tries():
+    # t=2, h=3: 44 raw graphs, and 102 orderings of their inner vertices
+    assert len(enumerate_boundaried_graphs(2, 3, max_enumeration=146)) == 36
+    with pytest.raises(TmhError, match="t=2 h=3 exceeds 145 graphs"):
+        enumerate_boundaried_graphs(2, 3, max_enumeration=145)
+    # 67,735 raw graphs pass a 2,000,000 cap, their orderings do not
+    with pytest.raises(TmhError, match="t=1 h=6 exceeds 2000000 graphs"):
+        enumerate_boundaried_graphs(1, 6)
 
 
 def test_census_refusal_is_remembered(monkeypatch):
