@@ -622,16 +622,22 @@ def sub_annulus(a, lo, hi):
     if not (1 <= lo < hi <= a.r):
         raise TmhError("cycle window must satisfy 1 <= lo < hi <= r")
     cycles = [list(c) for c in a.cycles.cycles[lo - 1:hi]]
-    rails = []
-    for j in range(1, a.q + 1):
-        rail = a.rails[j - 1]
-        pos = {v: k for k, v in enumerate(rail)}
-        start = min(pos[v] for v in a.crossings[(lo, j)])
-        end = max(pos[v] for v in a.crossings[(hi, j)])
-        rails.append(list(rail[start:end + 1]))
     emb = a.embedding.restrict(a.cycles.closed_disk(lo), lambda faces: _cycle_face(
         faces, cycles[0], "restricted embedding lost the boundary face"))
-    return RailedAnnulus(emb, cycles, rails)
+    return RailedAnnulus(emb, cycles, _clipped_rails(a, lo, hi))
+
+
+def _clipped_rails(a, lo, hi):
+    """Every rail of a cut to cycle levels lo..hi: from its first vertex on
+    cycle lo to its last on cycle hi.  A crossing lists its vertices in
+    rail order, so these are its least and greatest rail positions."""
+    rails = []
+    for j, rail in enumerate(a.rails, 1):
+        pos = {v: k for k, v in enumerate(rail)}
+        start = pos[a.crossings[(lo, j)][0]]
+        end = pos[a.crossings[(hi, j)][-1]]
+        rails.append(list(rail[start:end + 1]))
+    return rails
 
 
 def _cycle_face(faces, cycle, missing):
@@ -768,10 +774,10 @@ def synthetic_annulus(r, q, girth=None, seed=0, span=1, noise=0, core=False):
     return RailedAnnulus(emb, cycles, rails)
 
 
-def synthetic_disk_host(r, q, girth=None, seed=0, span=1, noise=0, core=False):
+def synthetic_disk_host(r, q, girth=None, seed=0, noise=0):
     """The synthetic annulus packaged as a graph embedded in a disk whose
     boundary is the outermost ring."""
     emb, cycles, rails = synthetic_annulus_parts(
-        r, q, girth=girth, seed=seed, span=span, noise=noise, core=core)
+        r, q, girth=girth, seed=seed, noise=noise)
     host = PartiallyDiskEmbedded(emb.graph, emb, cycles[0])
     return host, RailedAnnulus(emb, cycles, rails)

@@ -4,7 +4,7 @@ reduce, verify, and bench subcommands over the plain-text formats.
 Every run prints one JSON report to stdout (timings quarantined in their
 own section); artifacts go to files named by flags.  Exit codes: 0 for a
 positive outcome, 1 for a negative one, 2 for a stage failure, 64 for
-usage errors, 65 for unparseable input.  The environment variable
+usage errors, 65 for unparseable, missing or unreadable input.  The environment variable
 TMH_BUDGET_NODES caps search nodes globally.
 """
 
@@ -39,6 +39,7 @@ from .io import (
     make_report,
     parse_linkage,
     parse_trace,
+    read_text,
     trace_records,
 )
 
@@ -84,14 +85,6 @@ def _taming_from(spec):
         return TamingBudget(f1=lambda k, a=slope, b=shift: a * k + b)
     raise ParseError("cannot read budget spec %r: want default, an even "
                      "constant, a comma table, or <m>k+<c>" % (spec,))
-
-
-def _read(path):
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as err:
-        raise ParseError("cannot read %s: %s" % (path, err))
 
 
 def _write(path, text):
@@ -241,7 +234,7 @@ def _load_annulus_bundle(args, need_disk):
 
 def cmd_tame(args):
     bundle, g, _, a = _load_annulus_bundle(args, need_disk=False)
-    l = parse_linkage(_read(args.linkage))
+    l = parse_linkage(read_text(args.linkage))
     budget = _taming_from(args.budget_f1)
     rails = tuple(int(t) for t in args.rails.split(","))
     t0 = time.perf_counter()
@@ -271,7 +264,7 @@ def cmd_reduce(args):
     budget = _taming_from(args.budget_f1)
     params = derive_params(args.k, args.h, budget)
     t0 = time.perf_counter()
-    r_set = reduce_solution_space(params, host, None, a, force=args.force)
+    r_set = reduce_solution_space(params, host, a, force=args.force)
     elapsed = time.perf_counter() - t0
     report = make_report(
         "reduce",
@@ -304,7 +297,7 @@ def _legacy_widths(g, records):
 
 
 def cmd_verify(args):
-    header, steps = parse_trace(_read(args.trace))
+    header, steps = parse_trace(read_text(args.trace))
     widths = header.get("widths")
     if widths not in (None, TRACE_WIDTHS):
         raise ParseError("trace header names unknown widths %r" % (widths,))

@@ -7,8 +7,8 @@ certified upper bound that the solver uses wherever it decomposes: its
 decomposition only ranks the endgame's branching candidates and names the
 width it records, and neither needs an optimal one.  Exact widths come
 from a dynamic program over elimination prefixes, capped by instance
-size; find_wall's compass certificate, its own decomposition branch and
-the folio width check use them below the cap.
+size; it serves find_wall's own decomposition branch below the cap, the
+legacy-width replay of `tmh verify` (cli._legacy_widths) and the tests.
 
 Brambles certify lower bounds.  Besides direct validation and exact order
 computation, the module can search for a maximum-order bramble through the
@@ -283,15 +283,6 @@ def greedy_treewidth(g):
         alive.remove(pick)
         _eliminate(adj, pick)
     return _fill_in_decomposition(g, picks, later)
-
-
-def boundaried_treewidth(g, boundary, cap=DEFAULT_EXACT_TW_CAP):
-    """Width when the boundary must share a bag: add a clique on it."""
-    boundary = sorted(boundary)
-    extra = [(a, b) for a, b in itertools.combinations(boundary, 2)
-             if not g.has_edge(a, b)]
-    k, td = exact_treewidth(g.add_edges(extra), cap=cap)
-    return k, td
 
 
 # -- brambles ----------------------------------------------------------------
@@ -751,12 +742,15 @@ def extract_subwall_at(g, coords, q, x0=1, y0=1):
     return _coordinate_wall(q, vid)
 
 
-def find_wall(g, q, c=DEFAULT_WIDTH_FACTOR, tw_cap=DEFAULT_EXACT_TW_CAP):
+def find_wall(g, q, c=DEFAULT_WIDTH_FACTOR):
     """Either a q-wall with a width-certified compass, or a tree
     decomposition of width at most c*q.  Wall recognition runs first so a
     host that is itself a wall gets the wall branch even when its width is
-    below the bound.  The decomposition and the compass certificate are
-    optimal on at most tw_cap vertices and min-fill above that.
+    below the bound.  The decomposition comes from the exact treewidth DP
+    on at most DEFAULT_EXACT_TW_CAP vertices and from min-fill above that;
+    the exact DP's other users are the legacy-width replay of `tmh verify`
+    and the tests.  The compass certificate is min-fill: the compass is a
+    q-subwall, whose 2q^2 - 2 >= 16 vertices are above the cap anyway.
 
     A non-planar graph is refused with EmbeddingError, after the height
     check.  The host is embedded only on the wall branch, from the
@@ -768,15 +762,11 @@ def find_wall(g, q, c=DEFAULT_WIDTH_FACTOR, tw_cap=DEFAULT_EXACT_TW_CAP):
         raise TmhError("wall height must be odd and at least 3, got %d" % q)
     if not is_planar(g):
         raise EmbeddingError("graph is not planar")
-    return _find_wall(g, q, c, tw_cap, lambda h: _small_exact(h, tw_cap))
+    return _find_wall(g, q, c, lambda h: exact_treewidth(h)[1]
+                      if h.n <= DEFAULT_EXACT_TW_CAP else greedy_treewidth(h))
 
 
-def _small_exact(g, cap):
-    # an optimal decomposition on at most cap vertices, else a min-fill one
-    return exact_treewidth(g, cap=cap)[1] if g.n <= cap else greedy_treewidth(g)
-
-
-def _find_wall(g, q, c, tw_cap, decompose):
+def _find_wall(g, q, c, decompose):
     # find_wall on a planar graph with a checked height, taking the
     # decomposition branch's decomposition from decompose(g); the host is
     # embedded only when it is recognised as a wall, at its coordinates
@@ -791,7 +781,7 @@ def _find_wall(g, q, c, tw_cap, decompose):
         if compass_graph != sub.host_subgraph:
             raise TmhError("disk of the subwall holds more than the subwall")
         compass = PartiallyDiskEmbedded(g, sub.embedding, sub.perimeter)
-        cert = _small_exact(compass_graph, tw_cap)
+        cert = greedy_treewidth(compass_graph)
         if cert.width > bound:
             raise TmhError("compass certificate width %d exceeds %d" % (cert.width, bound))
         return WallWithCompass(sub, compass, cert)

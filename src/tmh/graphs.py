@@ -158,14 +158,6 @@ class Graph:
         vs = set(self._vertices) | set(other._vertices)
         return Graph(vs, set(self._edges) | set(other._edges))
 
-    def intersection(self, other):
-        vs = set(self._vertices) & set(other._vertices)
-        return Graph(vs, self._edges & other._edges)
-
-    def difference_edges(self, other):
-        """This graph minus the other's edges; vertex set unchanged."""
-        return Graph(self._vertices, self._edges - other._edges)
-
     def add_edges(self, edges):
         new = set(self._edges)
         vs = set(self._vertices)
@@ -581,9 +573,6 @@ class PlaneEmbedding:
             if (u, v) in face:
                 return idx
         raise EmbeddingError("directed edge %r not on any face" % (de,))
-
-    def face_vertex_set(self, idx):
-        return frozenset(u for (u, _) in self.faces[idx])
 
     def faces_of_vertex(self, v):
         if v not in self._vertex_faces:

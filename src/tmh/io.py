@@ -26,6 +26,21 @@ from .linkage import Linkage, Terrain
 from .tm import BUILTIN_PATTERNS, PatternFamily
 
 
+# -- reading input files ----------------------------------------------------
+
+
+def read_text(path):
+    """The text of an input file, decoded as UTF-8 with its line endings
+    as written, so encoding it again gives the file's bytes.  A file that
+    is missing, is a directory, cannot be opened or is not UTF-8 is a
+    ParseError that names the path."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ParseError("cannot read %s: %s" % (path, err))
+
+
 # -- graph files -------------------------------------------------------------
 
 
@@ -192,7 +207,7 @@ def parse_linkage(text):
 # -- pattern specs -----------------------------------------------------------
 
 
-def load_patterns(spec, base=None):
+def load_patterns(spec):
     """A pattern family from a comma-separated spec: builtin names (K3,
     C4, K4, K23, K5, K33) or paths to graph files."""
     patterns = []
@@ -202,12 +217,10 @@ def load_patterns(spec, base=None):
         if token in BUILTIN_PATTERNS:
             patterns.append(BUILTIN_PATTERNS[token]())
         else:
-            path = token if base is None else os.path.join(base, token)
-            if not os.path.exists(path):
+            if not os.path.exists(token):
                 raise ParseError("pattern %r is neither builtin (%s) nor a file"
                                  % (token, ", ".join(sorted(BUILTIN_PATTERNS))))
-            with open(path) as fh:
-                patterns.append(parse_graph(fh.read()))
+            patterns.append(parse_graph(read_text(token)))
     if not patterns:
         raise ParseError("empty pattern spec %r" % (spec,))
     return PatternFamily(patterns)
@@ -217,10 +230,7 @@ def load_patterns(spec, base=None):
 
 
 def file_digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+    return hashlib.sha256(read_text(path).encode("utf-8")).hexdigest()
 
 
 class InstanceBundle:
@@ -256,21 +266,17 @@ class InstanceBundle:
         h.update(("seed=%r" % (self.seed,)).encode())
         return h.hexdigest()
 
-    def _read(self, path):
-        with open(path) as fh:
-            return fh.read()
-
     def load_graph(self):
-        return parse_graph(self._read(self.graph_path))
+        return parse_graph(read_text(self.graph_path))
 
     def load_embedding(self, g):
-        return build_embedding(g, self._read(self.embedding_path))
+        return build_embedding(g, read_text(self.embedding_path))
 
     def load_disk_host(self, g):
-        return build_disk_host(g, self._read(self.embedding_path))
+        return build_disk_host(g, read_text(self.embedding_path))
 
     def load_annulus(self, emb):
-        return build_annulus(emb, self._read(self.annulus_path))
+        return build_annulus(emb, read_text(self.annulus_path))
 
     def load_patterns(self):
         return load_patterns(self.pattern_spec)
@@ -348,14 +354,10 @@ def parse_trace(text):
 # -- DOT export --------------------------------------------------------------
 
 
-def _dot_document(vertices, plain_edges, classed_edges, classed_vertices=()):
+def _dot_document(vertices, plain_edges, classed_edges):
     lines = ["graph G {"]
-    classed_v = dict(classed_vertices)
     for v in sorted(vertices):
-        if v in classed_v:
-            lines.append('  "%s" [class="%s"];' % (v, classed_v[v]))
-        else:
-            lines.append('  "%s";' % (v,))
+        lines.append('  "%s";' % (v,))
     rows = [(u, v, None) for u, v in sorted(plain_edges)]
     rows.extend((u, v, cls) for (u, v), cls in sorted(classed_edges.items()))
     for u, v, cls in sorted(rows, key=lambda r: (r[0], r[1], r[2] or "")):

@@ -23,7 +23,7 @@ from collections import deque
 
 from .graphs import (DiskRegion, Graph, NestedCycles, TmhError, _nested_disks,
                      _normalize_edge)
-from .annulus import RailedAnnulus, _path_edges, rail_geometry
+from .annulus import RailedAnnulus, _clipped_rails, _path_edges, rail_geometry
 from .tm import TmPair, arcs, default_budget, dissolve
 
 
@@ -248,21 +248,19 @@ def _search_linkages(host, pairs, node_budget, better_than=None, base_edges=None
     return (best[0][0], best[0][2])
 
 
-def improve_linkage(lb, budget=None, node_budget=None):
+def improve_linkage(lb):
     """Search the union of the linkage and its base for an equivalent
     linkage of strictly smaller cae.
 
     Returns the cheapest such rerouting (lexicographically least among
     ties) or None when no equivalent linkage inside the union beats the
-    current cost.  The configured budget's treewidth trigger is not
-    consulted: the search runs unconditionally, which is what makes the
-    guarantee checkable on finite instances.
+    current cost.  The search runs unconditionally, with no treewidth
+    trigger, which is what makes the guarantee checkable on finite
+    instances.
     """
-    del budget
-    node_budget = node_budget if node_budget is not None else default_budget()
     host = lb.linkage.union_graph().union(lb.base)
     pairs = [tuple(sorted(pair)) for pair in lb.linkage.pattern]
-    found = _search_linkages(host, pairs, node_budget,
+    found = _search_linkages(host, pairs, default_budget(),
                              better_than=lb.cae, base_edges=lb.base.edges)
     if found is None:
         return None
@@ -328,13 +326,13 @@ class TerrainFeature:
 
     __slots__ = ("kind", "path", "base", "dehe", "disk", "tight")
 
-    def __init__(self, kind, path, base, dehe, disk, tight=None):
+    def __init__(self, kind, path, base, dehe, disk):
         self.kind = kind
         self.path = tuple(path)
         self.base = base
         self.dehe = dehe
         self.disk = disk
-        self.tight = tight
+        self.tight = None
 
     def __repr__(self):
         return "TerrainFeature(%s, base=%d, dehe=%d, tight=%r)" % (
@@ -746,14 +744,7 @@ def ca_cycles(a, geo=None):
 def _sub_annulus(a, lo, hi):
     """The railed annulus on cycles lo..hi with every rail clipped to that
     band, in a's embedding and on a's disks of those cycles."""
-    rails = []
-    for j in range(1, a.q + 1):
-        rail = list(a.rails[j - 1])
-        pos = {v: t for t, v in enumerate(rail)}
-        start = pos[a.crossings[(lo, j)][0]]
-        end = pos[a.crossings[(hi, j)][-1]]
-        rails.append(rail[start:end + 1])
-    return RailedAnnulus._window(a, lo, hi, rails)
+    return RailedAnnulus._window(a, lo, hi, _clipped_rails(a, lo, hi))
 
 
 # -- confined crossing families along rails ----------------------------------
@@ -852,7 +843,7 @@ def _expand_grid_path(geo, gpath, row_to_cycle, enter_vertex=None, cover_last=Tr
     return walk
 
 
-def rail_linkage(a, s, b, d, i_set, geo=None):
+def rail_linkage(a, s, b, d, i_set):
     """d disjoint crossing paths of the annulus, each entering on rail b+h,
     transferring to the h-th chosen rail inside the first b cycle levels,
     running that rail through the middle, and transferring back in the
@@ -883,8 +874,7 @@ def rail_linkage(a, s, b, d, i_set, geo=None):
                        % (d, b))
     if d == 0:
         return Linkage([])
-    if geo is None:
-        geo = rail_geometry(a)
+    geo = rail_geometry(a)
     chosen = rails[:d]
     grid = grid_reroute((a.q, b), [b + h for h in range(1, d + 1)], chosen)
 
@@ -1127,7 +1117,7 @@ def tame_linkage(g, a, l, s, i_set, budget=None, force=False, node_budget=None):
     return ltilde
 
 
-def tame_tm_model(g, a, m, s, i_set, budget=None, force=False, node_budget=None):
+def tame_tm_model(g, a, m, s, i_set, budget=None):
     """Reroute a subdivision model so it crosses the middle s-band of the
     annulus only along the chosen rails, keeping its branch vertices, its
     dissolved shape, and everything outside the annulus.
@@ -1157,13 +1147,12 @@ def tame_tm_model(g, a, m, s, i_set, budget=None, force=False, node_budget=None)
          "r=%d < f2(%d)+2+s=%d" % (a.r, ge, budget.f2(ge) + 2 + s)),
         (2 * a.q >= 5 * mm, "q=%d < 5*f1(%d)/2=%.1f" % (a.q, ge, 5 * mm / 2)),
         (len(set(i_set)) > mm, "|I|=%d <= f1(%d)=%d" % (len(set(i_set)), ge, mm)),
-    ], force)
+    ], force=False)
 
     shrunk = _sub_annulus(a, 2, a.r - 1)
     link_paths = [interior for _, _, interior in arc_list if len(interior) >= 2]
     link = Linkage(link_paths)
-    tamed = tame_linkage(g, shrunk, link, s, i_set, budget=budget, force=True,
-                         node_budget=node_budget)
+    tamed = tame_linkage(g, shrunk, link, s, i_set, budget=budget, force=True)
 
     new_edges = (m.model.edges - link.edges) | tamed.edges
     new_verts = set(m.branches)

@@ -34,7 +34,6 @@ from .annulus import (
     rail_geometry,
 )
 from .decomposition import (
-    DEFAULT_EXACT_TW_CAP,
     DEFAULT_WIDTH_FACTOR,
     TreeDecomposition,
     _find_wall,
@@ -72,11 +71,11 @@ class SolverParams:
     them infeasible at desk scale the lookup raises instead of lying.
     """
 
-    __slots__ = ("k", "h", "g", "budget", "c_tw", "f3", "x",
+    __slots__ = ("k", "h", "g", "budget", "x",
                  "boundary_size", "folio_detail", "block_width",
                  "_y", "_z", "_wall_q")
 
-    def __init__(self, k, h, budget=None, c_tw=DEFAULT_WIDTH_FACTOR):
+    def __init__(self, k, h, budget=None):
         if k < 0:
             raise TmhError("deletion budget must be non-negative, got %r" % (k,))
         if h < 1:
@@ -85,8 +84,6 @@ class SolverParams:
         self.h = h
         self.g = h * (h - 1) // 2
         self.budget = budget if budget is not None else TamingBudget()
-        self.c_tw = c_tw
-        self.f3 = f3
         base = self.budget.f1(self.g)
         self.boundary_size = base + 1
         self.folio_detail = h + base + 1
@@ -121,10 +118,10 @@ class SolverParams:
         return "SolverParams(k=%d, h=%d, x=%d)" % (self.k, self.h, self.x)
 
 
-def derive_params(k, h, budget=None, c_tw=DEFAULT_WIDTH_FACTOR):
+def derive_params(k, h, budget=None):
     """Search sizes for deleting up to k vertices against patterns with at
     most h vertices each, under the given threshold budget."""
-    return SolverParams(k, h, budget=budget, c_tw=c_tw)
+    return SolverParams(k, h, budget=budget)
 
 
 _TRACE_KINDS = ("wall", "annuli", "reduce_space", "irrelevant_area",
@@ -212,7 +209,7 @@ def _bg_without(bg, removed):
     return BoundariedGraph(bg.graph.delete_vertices(removed), labels)
 
 
-def reduce_solution_space(params, g, w, a, force=False,
+def reduce_solution_space(params, g, a, force=False,
                           sweep_cap=DEFAULT_REDUCTION_SWEEP_CAP):
     """A small vertex set R deep inside the annulus such that deletion
     sets never need to enter the annulus heart except through R.
@@ -222,8 +219,7 @@ def reduce_solution_space(params, g, w, a, force=False,
     the tuple of folios left at the sub-block middle cycles, and one
     least representative per realized profile survives.  R is the union
     of the representatives, clipped to the open disk of the innermost
-    cycle.  w is the advisory width bound of the host and is only
-    recorded.  force accepts an annulus thinner than the partition wants
+    cycle.  force accepts an annulus thinner than the partition wants
     by shrinking the sub-blocks; the thresholds are then no longer
     honored and the caller owns verification.
     """
@@ -294,7 +290,7 @@ def reduce_solution_space(params, g, w, a, force=False,
     return frozenset(r_set)
 
 
-def verify_reduction_safety(g, a, r_set, family, k, budget=None):
+def verify_reduction_safety(g, a, r_set, family, k):
     """Brute-force check of the retargeting contract behind R: whenever
     some deletion set of size at most k rids the graph of a pattern, a
     set that avoids the annulus heart except through R does too.
@@ -311,7 +307,7 @@ def verify_reduction_safety(g, a, r_set, family, k, budget=None):
         for size in range(min(k, len(allowed)) + 1):
             for s in itertools.combinations(allowed, size):
                 if find_tm_model(g.delete_vertices(s), pattern,
-                                 budget=budget or default_budget()) is None:
+                                 budget=default_budget()) is None:
                     found_allowed = True
                     break
             if found_allowed:
@@ -321,7 +317,7 @@ def verify_reduction_safety(g, a, r_set, family, k, budget=None):
         for size in range(min(k, len(everything)) + 1):
             for s in itertools.combinations(everything, size):
                 if find_tm_model(g.delete_vertices(s), pattern,
-                                 budget=budget or default_budget()) is None:
+                                 budget=default_budget()) is None:
                     raise TmhError(
                         "deletion set %r rids the graph of a pattern but no "
                         "set avoiding the annulus heart does" % (sorted(s),))
@@ -397,14 +393,14 @@ def grid_minor_certificate(a, i, ip, j, jp, geo=None):
     return sets
 
 
-def find_irrelevant_area(h, g, b, gr, w, a, budget=None, force=False):
+def find_irrelevant_area(h, g, b, gr, a, budget=None, force=False):
     """A closed disk inside the annulus whose interior the instance can
     afford to lose, framed wide enough to certify a b-by-b grid minor.
 
     Folios at successive cycles are scanned for a long constant run; the
     disk sits deep inside the first such run, framed by two cycles and b
     adjacent rails past the folio boundary, and never touches the run's
-    last cycle.  w is advisory.  force drops the depth threshold that the
+    last cycle.  force drops the depth threshold that the
     stabilization argument wants (the run scan itself still decides) and
     the rail-count advisory; the frame and certificate stay mandatory.
     """
@@ -536,7 +532,7 @@ def _irrelevant_vertex_pass(k, h, g, params, force, annuli, b, family, mode,
         # odd, and at least 5 by annuli_capacity: a height find_wall accepts
         wq_geom = _odd_up(wq)
         try:
-            found = _find_wall(g, wq_geom, params.c_tw, DEFAULT_EXACT_TW_CAP,
+            found = _find_wall(g, wq_geom, DEFAULT_WIDTH_FACTOR,
                                greedy_treewidth)
         except BudgetExceeded:
             raise
@@ -546,7 +542,7 @@ def _irrelevant_vertex_pass(k, h, g, params, force, annuli, b, family, mode,
             _validated(g, found, "tree decomposition fails validation")
             trace.add("wall", {"branch": "decomposition",
                                "width": found.width,
-                               "width_bound": params.c_tw * wq_geom},
+                               "width_bound": DEFAULT_WIDTH_FACTOR * wq_geom},
                       "verified")
             return found
         gr = found.compass
@@ -561,7 +557,6 @@ def _irrelevant_vertex_pass(k, h, g, params, force, annuli, b, family, mode,
             raise
         except TmhError as err:
             return _fall_back(g, trace, str(err))
-        w = found.compass_tw_certificate.width
         trace.add("annuli", {"outer": [fam.outer.r, fam.outer.q],
                              "inner": len(fam.inner)}, "verified")
     else:
@@ -569,7 +564,6 @@ def _irrelevant_vertex_pass(k, h, g, params, force, annuli, b, family, mode,
             raise TmhError("an injected annulus family bypasses the "
                            "derivation and needs force")
         gr, fam = annuli
-        w = None
         trace.add("annuli", {"outer": [fam.outer.r, fam.outer.q],
                              "inner": len(fam.inner), "injected": True},
                   "unverified")
@@ -585,7 +579,7 @@ def _irrelevant_vertex_pass(k, h, g, params, force, annuli, b, family, mode,
                            "with up to %d deletions exceeds the cap %d"
                            % (g.n, k, oracle_cap))
 
-    r_set = reduce_solution_space(params, gr, w, fam.outer, force=force)
+    r_set = reduce_solution_space(params, gr, fam.outer, force=force)
     reduce_status = "unverified"
     if mode == "safe":
         if _oracle_feasible(gr.graph.n, k, oracle_cap):
@@ -608,7 +602,7 @@ def _irrelevant_vertex_pass(k, h, g, params, force, annuli, b, family, mode,
         raise TmhError("every inner annulus meets the reduced set; the "
                        "forced geometry provides too few annuli")
 
-    region = find_irrelevant_area(h, params.g, b, gr, w, pick,
+    region = find_irrelevant_area(h, params.g, b, gr, pick,
                                   budget=params.budget, force=force)
     closed = sorted(set(region.vertices("closed")) & set(g.vertices))
     if not closed:
@@ -669,7 +663,7 @@ def _minimal_obstruction(cur, f, budget):
     return kept
 
 
-def bounded_tw_solve(g, f, k, td, trace=None, budget=None):
+def bounded_tw_solve(g, f, k, td, budget=None):
     """Exact decision on a graph with a tree decomposition, by a bounded
     search tree over minimal obstructions.
 
@@ -697,7 +691,7 @@ def bounded_tw_solve(g, f, k, td, trace=None, budget=None):
     answer is yes, is re-verified on g.delete_vertices before
     returning."""
     _validated(g, td, "tree decomposition fails validation")
-    return _bounded_tw_solve(g, f, k, td, trace=trace, budget=budget)
+    return _bounded_tw_solve(g, f, k, td, budget=budget)
 
 
 def _bounded_tw_solve(g, f, k, td, trace=None, budget=None):
@@ -736,8 +730,7 @@ def _bounded_tw_solve(g, f, k, td, trace=None, budget=None):
 
 
 def solve_tm_deletion(g, f, k, budget=None, mode="safe", force=False,
-                      params=None, annuli=None,
-                      oracle_cap=DEFAULT_ORACLE_SWEEP_CAP):
+                      params=None, annuli=None):
     """Decide whether deleting at most k vertices rids the planar graph
     of every pattern in the family.
 
@@ -765,7 +758,7 @@ def solve_tm_deletion(g, f, k, budget=None, mode="safe", force=False,
         out = _irrelevant_vertex_pass(
             k, f.h, cur, _pass_params(k, f.h, budget, force, params, mode),
             force=force, annuli=inject, b=2, family=f, mode=mode, trace=trace,
-            oracle_cap=oracle_cap)
+            oracle_cap=DEFAULT_ORACLE_SWEEP_CAP)
         inject = None
         if isinstance(out, TreeDecomposition):
             tail = _bounded_tw_solve(cur, f, k, out, trace=trace)
@@ -783,7 +776,7 @@ def solve_tm_deletion(g, f, k, budget=None, mode="safe", force=False,
         return SolveOutcome(True, tuple(sorted(witness)), trace)
     # the reduced-graph witness does not transfer: recover one on the
     # original graph when the sweep is feasible, else return answer only
-    if _oracle_feasible(g.n, k, oracle_cap):
+    if _oracle_feasible(g.n, k, DEFAULT_ORACLE_SWEEP_CAP):
         got = pF_oracle(g, f, k, budget=default_budget())
         if got is None:
             raise TmhError("reduced instance answered yes but the oracle "

@@ -51,8 +51,8 @@ class SearchBudget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, amount=1):
-        self.used += amount
+    def spend(self):
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceeded("search budget of %d nodes exhausted" % self.limit)
 
@@ -761,22 +761,11 @@ class Folio:
         return "Folio(t=%d, h=%d, %d members)" % (self.t, self.h, len(self.members))
 
 
-def compute_folio(bg, t, h, w=None, check_width=False, budget=None):
+def compute_folio(bg, t, h, budget=None):
     """Folio of a boundaried graph by filtering the census through the
-    containment search.
-
-    The width bound w is advisory: the exhaustive route works regardless,
-    but callers carrying a decomposition can ask for the precondition to be
-    verified (check_width) instead of trusted."""
+    containment search; the exhaustive route needs no width bound."""
     if h < 0:
         raise TmhError("folio detail bound must be non-negative")
-    if check_width:
-        if w is None:
-            raise TmhError("check_width requires an explicit width bound")
-        from .decomposition import exact_treewidth
-        tw, _ = exact_treewidth(bg.graph)
-        if tw > w:
-            raise TmhError("boundaried graph has treewidth %d > bound %d" % (tw, w))
     budget = budget or default_budget()
     members = []
     for cand in _census(t, h):

@@ -556,7 +556,7 @@ def test_09_carved_disks_contain_their_grid_minors():
     rows = [(91, 3, 2, False), (99, 5, 3, False), (13, 3, 2, True), (15, 4, 3, True)]
     for R, q, b, force in rows:
         gr, a = synthetic_disk_host(R, q)
-        region = find_irrelevant_area(1, 0, b, gr, None, a, budget=ZERO, force=force)
+        region = find_irrelevant_area(1, 0, b, gr, a, budget=ZERO, force=force)
         closed = region.vertices("closed")
         sub = region.subgraph("closed")
         # the width claim, recomputed exactly on the returned disk alone

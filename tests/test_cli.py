@@ -377,6 +377,29 @@ class TestExitCodes:
         assert code == 65 and rep is None
         assert "parse error" in err
 
+    @pytest.mark.parametrize("flag, form", [
+        ("--graph", "missing"), ("--graph", "directory"),
+        ("--graph", "not-utf8"), ("--patterns", "directory"),
+        ("--patterns", "not-utf8"), ("--trace", "not-utf8")])
+    def test_unreadable_input_is_65(self, files, capsys, tmp_path, flag,
+                                    form):
+        # an input that cannot be read is a parse error, never the
+        # negative outcome's exit 1
+        path = tmp_path / "input.txt"
+        if form == "directory":
+            path.mkdir()
+        elif form == "not-utf8":
+            path.write_bytes(b"3 2\n0 1\n1 2\n# \xff\xfe\n")
+        argv = {"--graph": ("solve", "--graph", str(path), "--patterns",
+                            "K3", "--k", "0"),
+                "--patterns": ("solve", "--graph", files["k4"],
+                               "--patterns", str(path), "--k", "0"),
+                "--trace": ("verify", "--trace", str(path), "--graph",
+                            files["k4"])}[flag]
+        code, rep, err = run(capsys, *argv)
+        assert code == 65 and rep is None
+        assert "parse error: cannot read %s" % path in err
+
     def test_bad_budget_spec_is_65(self, files, capsys):
         code, _, err = run(capsys, "solve", "--graph", files["k4"],
                            "--patterns", "K4", "--k", "1",

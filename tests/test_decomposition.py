@@ -13,6 +13,7 @@ import tmh.decomposition as decomposition
 import tmh.graphs as graphs
 from tmh.graphs import DiskRegion, EmbeddingError, Graph, TmhError
 from tmh.decomposition import (
+    DEFAULT_EXACT_TW_CAP,
     Bramble,
     DecompositionViolation,
     InstanceTooLarge,
@@ -20,7 +21,6 @@ from tmh.decomposition import (
     Wall,
     WallWithCompass,
     _decomposition_from_order,
-    boundaried_treewidth,
     bramble_order,
     build_elementary_wall,
     exact_treewidth,
@@ -386,13 +386,6 @@ def test_pruned_dp_matches_the_unpruned_one_on_random_graphs(density):
             _assert_matches_reference(Graph(labels, edges))
 
 
-def test_boundaried_treewidth_forces_shared_bag():
-    g = path_graph(3)
-    k, td = boundaried_treewidth(g, {0, 2})
-    assert k == 2
-    assert validate_decomposition(g.add_edges([(0, 2)]), td) == 2
-
-
 # -- brambles ----------------------------------------------------------------
 
 
@@ -655,6 +648,17 @@ def test_find_wall_extracts_subwall():
     assert validate_decomposition(sub, cert) == cert.width
 
 
+@pytest.mark.parametrize("r, q", [(r, q) for r in (3, 5, 7, 9)
+                                  for q in range(3, r + 1, 2)])
+def test_compass_certificate_is_the_min_fill_decomposition(r, q):
+    # a compass is a q-subwall, above the exact DP's cap for every q >= 3
+    out = find_wall(build_elementary_wall(r).host_subgraph, q)
+    compass = out.compass.compass
+    assert compass.n > DEFAULT_EXACT_TW_CAP
+    cert, want = out.compass_tw_certificate, greedy_treewidth(compass)
+    assert (cert.width, cert.bags, cert.tree) == (want.width, want.bags, want.tree)
+
+
 def test_find_wall_low_width_host():
     g = star_tree(10)
     out = find_wall(g, 3)
@@ -676,7 +680,7 @@ def test_find_wall_is_exact_below_the_cap_and_the_solver_is_not():
     # point reports the treewidth, the solver's search the min-fill width
     g = random_planar_graph(182, 10, tries=10)
     assert find_wall(g, 3).width == exact_treewidth(g)[0] == 2
-    td = decomposition._find_wall(g, 3, 124, 15, greedy_treewidth)
+    td = decomposition._find_wall(g, 3, 124, greedy_treewidth)
     assert td.width == greedy_treewidth(g).width == 3
 
 

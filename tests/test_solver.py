@@ -31,6 +31,7 @@ from tmh.tm import (
 )
 from tmh.annulus import AnnulusFamily, sub_annulus, synthetic_disk_host
 from tmh.decomposition import (
+    DEFAULT_WIDTH_FACTOR,
     TreeDecomposition,
     build_elementary_wall,
     exact_treewidth,
@@ -192,7 +193,7 @@ class TestTrace:
 class TestReduceSolutionSpace:
     def test_no_deletions_leave_an_empty_set(self, host13):
         gr, a = host13
-        r = reduce_solution_space(derive_params(0, 1, ZERO), gr, None, a)
+        r = reduce_solution_space(derive_params(0, 1, ZERO), gr, a)
         assert r == frozenset()
 
     def test_single_deletion_on_homogeneous_rings(self, host21):
@@ -201,38 +202,38 @@ class TestReduceSolutionSpace:
         # nothing survives the clip to the annulus heart
         gr, a = host21
         p = derive_params(1, 1, ZERO)
-        r = reduce_solution_space(p, gr, None, a)
+        r = reduce_solution_space(p, gr, a)
         assert r == frozenset()
         verify_reduction_safety(gr.graph, a, r, PatternFamily([K3]), 1)
 
     def test_refuses_shallow_annulus(self, host13):
         gr, a = host13
         with pytest.raises(TmhError, match="block partition needs"):
-            reduce_solution_space(derive_params(1, 1, ZERO), gr, None, a)
+            reduce_solution_space(derive_params(1, 1, ZERO), gr, a)
 
     def test_refuses_when_rails_cannot_carry_boundaries(self, host13):
         gr, a = host13
         with pytest.raises(TmhError, match="folio boundaries use 5"):
-            reduce_solution_space(derive_params(1, 2), gr, None, a)
+            reduce_solution_space(derive_params(1, 2), gr, a)
 
     def test_advisory_rail_count_and_its_override(self, host13q5):
         gr, a = host13q5
         p = derive_params(0, 2)
         with pytest.raises(TmhError, match="below the advisory 10"):
-            reduce_solution_space(p, gr, None, a)
-        assert reduce_solution_space(p, gr, None, a, force=True) == frozenset()
+            reduce_solution_space(p, gr, a)
+        assert reduce_solution_space(p, gr, a, force=True) == frozenset()
 
     def test_force_cannot_conjure_blocks_from_nothing(self, injected):
         gr, fam = injected
         p = derive_params(1, 2, ZERO)
         with pytest.raises(TmhError, match="even when forced"):
-            reduce_solution_space(p, gr, None, fam.outer, force=True)
+            reduce_solution_space(p, gr, fam.outer, force=True)
 
     def test_sweep_cap_refusal(self, host21):
         gr, a = host21
         p = derive_params(1, 1, ZERO)
         with pytest.raises(TmhError, match="infeasible at desk scale"):
-            reduce_solution_space(p, gr, None, a, sweep_cap=5)
+            reduce_solution_space(p, gr, a, sweep_cap=5)
 
 
 class TestMinorVerification:
@@ -303,7 +304,7 @@ def verify_area_safety(gr, region, family, k):
 class TestIrrelevantArea:
     def test_unforced_discovery_at_full_depth(self, host91):
         gr, a = host91
-        region = find_irrelevant_area(1, 0, 2, gr, None, a, budget=ZERO)
+        region = find_irrelevant_area(1, 0, 2, gr, a, budget=ZERO)
         closed = region.vertices("closed")
         assert closed
         # the run starts at the boundary, so the frame sits at cycles
@@ -314,22 +315,22 @@ class TestIrrelevantArea:
     def test_refuses_below_stabilization_depth(self, host13):
         gr, a = host13
         with pytest.raises(TmhError, match="stabilization argument wants"):
-            find_irrelevant_area(1, 0, 2, gr, None, a, budget=ZERO)
+            find_irrelevant_area(1, 0, 2, gr, a, budget=ZERO)
 
     def test_force_still_needs_one_full_run(self):
         gr, a = synthetic_disk_host(11, 3)
         with pytest.raises(TmhError, match="cannot hold one stabilized run"):
-            find_irrelevant_area(2, 0, 2, gr, None, a, budget=ZERO, force=True)
+            find_irrelevant_area(2, 0, 2, gr, a, budget=ZERO, force=True)
 
     def test_frame_must_fit_between_rails(self, host13):
         gr, a = host13
         with pytest.raises(TmhError, match="disk frame wants rails"):
-            find_irrelevant_area(1, 0, 3, gr, None, a, budget=ZERO, force=True)
+            find_irrelevant_area(1, 0, 3, gr, a, budget=ZERO, force=True)
 
     def test_frame_width_validation(self, host13):
         gr, a = host13
         with pytest.raises(TmhError, match="b >= 2"):
-            find_irrelevant_area(1, 0, 1, gr, None, a, budget=ZERO)
+            find_irrelevant_area(1, 0, 1, gr, a, budget=ZERO)
 
 
 class TestFindIrrelevantVertex:
@@ -373,7 +374,7 @@ class TestFindIrrelevantVertex:
         assert isinstance(out, TreeDecomposition)
         payload = tr.steps[0].payload
         assert payload["branch"] == "decomposition"
-        assert payload["width_bound"] == p.c_tw * _odd(p.wall_q)
+        assert payload["width_bound"] == DEFAULT_WIDTH_FACTOR * _odd(p.wall_q)
 
     def test_safe_mode_refuses_infeasible_oracle(self, injected):
         gr, fam = injected
