@@ -29,12 +29,9 @@ from .graphs import (
     TmhError,
     _cycle_order,
     _normalize_edge,
+    _path_edges,
 )
 from .tm import BoundariedGraph
-
-
-def _path_edges(seq):
-    return [_normalize_edge(a, b) for a, b in zip(seq, seq[1:])]
 
 
 def _check_simple_path(g, seq, name):
@@ -113,7 +110,7 @@ class RailedAnnulus:
                                % (a + 1, b + 1, sorted(hit)[0]))
 
         cyc_v = [frozenset(c) for c in self.cycles.cycles]
-        cyc_e = [frozenset(_path_edges(list(c) + [c[0]]))
+        cyc_e = [frozenset(_path_edges(c, closed=True))
                  for c in self.cycles.cycles]
         rails = []
         crossings = {}
@@ -231,7 +228,7 @@ def annulus_from_wall(w, p):
     nested = NestedCycles(emb, cycs)
     band_v = nested.annulus(1, p).vertices
     cyc_v = [frozenset(c) for c in cycs]
-    cyc_e = [frozenset(_path_edges(list(c) + [c[0]])) for c in cycs]
+    cyc_e = [frozenset(_path_edges(c, closed=True)) for c in cycs]
 
     picked = []
     used = set()
@@ -763,7 +760,7 @@ def synthetic_annulus_parts(r, q, girth=None, seed=0, span=1, noise=0,
 
     rotation = {v: clockwise(v) for v in g.vertices}
     cycle_lists = [[vid(i, k) for k in range(m)] for i in range(r)]
-    emb = PlaneEmbedding._traced(g, rotation, lambda faces: _cycle_face(
+    emb = PlaneEmbedding(g, rotation, lambda faces: _cycle_face(
         faces, cycle_lists[0], "generator lost the outer ring face"))
     return emb, cycle_lists, rails
 

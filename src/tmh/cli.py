@@ -88,8 +88,13 @@ def _taming_from(spec):
 
 
 def _write(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
+    """Write an output file; a path that cannot be written is a stage
+    failure that names it, never the negative outcome's exit 1."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise TmhError("cannot write %s: %s" % (path, err))
 
 
 def _status_tally(trace):

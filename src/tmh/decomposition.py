@@ -613,7 +613,7 @@ def _long_face_walk(emb):
 def _embed_wall(g, rotation):
     """g embedded under rotation with its unique longest face outside, and
     the perimeter walk read off that face."""
-    emb = PlaneEmbedding._traced(g, rotation, _unique_longest)
+    emb = PlaneEmbedding(g, rotation, _unique_longest)
     return emb, _long_face_walk(emb)
 
 

@@ -45,6 +45,15 @@ def _normalize_edge(u, v):
     return (u, v) if u < v else (v, u)
 
 
+def _path_edges(seq, closed=False):
+    """The edges of the walk seq, each low to high, in walk order; closed
+    adds the step from the last vertex back to the first."""
+    edges = [_normalize_edge(a, b) for a, b in zip(seq, seq[1:])]
+    if closed:
+        edges.append(_normalize_edge(seq[-1], seq[0]))
+    return edges
+
+
 class Graph:
     """Immutable simple undirected graph with integer-comparable vertex ids."""
 
@@ -158,16 +167,6 @@ class Graph:
         vs = set(self._vertices) | set(other._vertices)
         return Graph(vs, set(self._edges) | set(other._edges))
 
-    def add_edges(self, edges):
-        new = set(self._edges)
-        vs = set(self._vertices)
-        for u, v in edges:
-            e = _normalize_edge(u, v)
-            vs.add(e[0])
-            vs.add(e[1])
-            new.add(e)
-        return Graph(vs, new)
-
     def relabel(self, mapping):
         """New graph with vertex v renamed mapping[v]; mapping must be injective."""
         if len(set(mapping.values())) != len(mapping):
@@ -233,37 +232,6 @@ class Graph:
                 queue.append(w)
         return None
 
-    def path_vertices_in_order(self):
-        """If this graph is a single simple path, its vertices end to end.
-
-        Returns None when the graph is not a path.  A single vertex counts as
-        a (trivial) path.  Of the two traversal directions the one starting
-        at the smaller endpoint is returned.
-        """
-        if self.n == 0:
-            return None
-        if self.n == 1:
-            return [self._vertices[0]]
-        degs = [self.degree(v) for v in self._vertices]
-        ends = [v for v in self._vertices if self.degree(v) == 1]
-        if len(ends) != 2 or any(d > 2 for d in degs) or self.m != self.n - 1:
-            return None
-        start = min(ends)
-        order = [start]
-        prev = None
-        cur = start
-        while len(order) < self.n:
-            nxt = [w for w in self._adj[cur] if w != prev]
-            if len(nxt) != 1:
-                return None
-            prev, cur = cur, nxt[0]
-            order.append(cur)
-        return order
-
-    def cycle_vertices_in_order(self):
-        """The vertices of this graph in cycle order, or None (see _cycle_order)."""
-        return _cycle_order(self._adj)
-
 
 class MutableAdjacency:
     """A graph's adjacency under vertex deletions undone in reverse order.
@@ -272,9 +240,9 @@ class MutableAdjacency:
     deletion still standing, so every restore returns the neighbour sets
     of the state before that deletion exactly.  Readers see the interface
     the containment tests read on a Graph: vertices (in no set order),
-    neighbors (live sets, stale after the next deletion), degree, n and m.
-    graph() is the Graph of the current state, the one delete_vertices
-    gives for the deleted vertices.
+    membership, has_edge, neighbors (live sets, stale after the next
+    deletion), degree, n and m.  graph() is the Graph of the current
+    state, the one delete_vertices gives for the deleted vertices.
     """
 
     __slots__ = ("_adj", "_m", "_undo")
@@ -300,6 +268,12 @@ class MutableAdjacency:
     def depth(self):
         """Deletions standing; restore_to(depth) undoes every later one."""
         return len(self._undo)
+
+    def __contains__(self, v):
+        return v in self._adj
+
+    def has_edge(self, u, v):
+        return u in self._adj and v in self._adj[u]
 
     def neighbors(self, v):
         return self._adj[v]
@@ -356,6 +330,39 @@ def _cycle_order(adj):
         a, b = adj[cur]
         prev, cur = cur, (a if a != prev else b)
     return order if len(order) == len(adj) else None
+
+
+def _augment(residual, source, sink, limit):
+    """Push up to limit units from source to sink through the residual
+    map residual, arc (a, b) -> spare capacity, in which the reverse of
+    every arc is present; returns the units pushed and updates residual
+    in place.  Each unit follows the augmenting path of a BFS that scans
+    the heads of each node in sorted order."""
+    heads = {}
+    for a, b in residual:
+        heads.setdefault(a, []).append(b)
+    for bs in heads.values():
+        bs.sort()
+    pushed = 0
+    while pushed < limit:
+        prev = {source: None}
+        queue = deque([source])
+        while queue and sink not in prev:
+            a = queue.popleft()
+            for b in heads.get(a, ()):
+                if b not in prev and residual[(a, b)] > 0:
+                    prev[b] = a
+                    queue.append(b)
+        if sink not in prev:
+            break
+        b = sink
+        while b != source:
+            a = prev[b]
+            residual[(a, b)] -= 1
+            residual[(b, a)] += 1
+            b = a
+        pushed += 1
+    return pushed
 
 
 def parse_graph(text):
@@ -429,39 +436,12 @@ class PlaneEmbedding:
     __slots__ = ("graph", "rotation", "faces", "outer_face", "_vertex_faces", "_edge_faces",
                  "_plane")
 
-    def __init__(self, graph, rotation, outer_edge=None, outer_face_index=None):
+    def __init__(self, graph, rotation, pick_outer):
         """rotation: dict v -> sequence of neighbors in clockwise order.
 
-        The outer face is named either by outer_edge, a directed edge (u, v)
-        whose face walk bounds the unbounded region, or directly by index
-        into the traced face list.  One of the two must be given, except for
-        edgeless graphs where the single implicit face is the outer one.
-        """
-        self._embed(graph, rotation)
-        if outer_face_index is not None:
-            if not 0 <= outer_face_index < len(self.faces):
-                raise EmbeddingError("outer face index %r is not one of the %d faces"
-                                     % (outer_face_index, len(self.faces)))
-            self.outer_face = outer_face_index
-        elif outer_edge is not None:
-            self.outer_face = self.face_of_directed_edge(outer_edge)
-        elif not self.faces:
-            self.outer_face = None
-        else:
-            raise EmbeddingError("outer face must be designated")
-
-    @classmethod
-    def _traced(cls, graph, rotation, pick_outer):
-        """The embedding whose outer face is pick_outer(faces), an index
-        into the faces traced here: one trace serves both the choice of
-        the outer face and the embedding.  pick_outer may refuse by
-        raising."""
-        self = cls.__new__(cls)
-        self._embed(graph, rotation)
-        self.outer_face = pick_outer(self.faces)
-        return self
-
-    def _embed(self, graph, rotation):
+        The outer face is pick_outer(faces), an index into the faces
+        traced here, so one trace serves both the choice of the outer face
+        and the embedding; pick_outer may refuse by raising."""
         self.graph = graph
         self._plane = None
         for v in rotation:
@@ -478,6 +458,7 @@ class PlaneEmbedding:
         self.faces = tuple(self._trace(
             (u, v) for u in graph.vertices for v in graph.neighbors(u)))
         self._index()
+        self.outer_face = pick_outer(self.faces)
 
     def restrict(self, vertices, pick_outer):
         """The embedding of the subgraph induced on vertices, under this
@@ -566,13 +547,6 @@ class PlaneEmbedding:
                     edge_faces[e] = (other, idx) if other <= idx else (idx, other)
         self._vertex_faces = {v: tuple(fs) for v, fs in vertex_faces.items()}
         self._edge_faces = edge_faces
-
-    def face_of_directed_edge(self, de):
-        u, v = de
-        for idx, face in enumerate(self.faces):
-            if (u, v) in face:
-                return idx
-        raise EmbeddingError("directed edge %r not on any face" % (de,))
 
     def faces_of_vertex(self, v):
         if v not in self._vertex_faces:
@@ -848,17 +822,6 @@ def _lr_planar(adj):
     return True
 
 
-def embed_planar(g, rotation=None):
-    """Embed a planar graph; the outer face is the walk through the smallest
-    directed edge, which makes the choice deterministic."""
-    rot = rotation if rotation is not None else planar_rotation(g)
-    if g.m == 0:
-        return PlaneEmbedding(g, rot)
-    first = min((u, v) for u, v in
-                ((a, b) for e in g.edges for a, b in (e, (e[1], e[0]))))
-    return PlaneEmbedding(g, rot, outer_edge=first)
-
-
 class DiskRegion:
     """A closed disk of an embedding: a set of interior faces plus the cycle
     bounding them.  Membership is face arithmetic and nothing else.
@@ -951,8 +914,7 @@ class DiskRegion:
 
 def _cycle_edges(embedding, cyc):
     """The edge set of a bounding cycle, refused unless the cycle has at
-    least 3 vertices, every step is an edge, and the embedding has an
-    outer face to flood from."""
+    least 3 vertices and every step is an edge."""
     k = len(cyc)
     if k < 3:
         raise EmbeddingError("a bounding cycle needs at least 3 vertices")
@@ -962,8 +924,6 @@ def _cycle_edges(embedding, cyc):
         if not embedding.graph.has_edge(u, v):
             raise EmbeddingError("cycle step %r-%r is not an edge" % (u, v))
         cycle_edges.add(_normalize_edge(u, v))
-    if embedding.outer_face is None:
-        raise EmbeddingError("embedding has no outer face")
     return cycle_edges
 
 

@@ -13,11 +13,13 @@ import json
 import os
 
 from .graphs import (
+    EmbeddingError,
     Graph,
     ParseError,
     PartiallyDiskEmbedded,
     PlaneEmbedding,
     TmhError,
+    _path_edges,
     parse_graph,
 )
 from .annulus import RailedAnnulus
@@ -128,8 +130,14 @@ def build_embedding(g, text):
     missing = sorted(set(g.vertices) - set(rotation))
     if missing:
         raise ParseError("embedding lacks a rotation for vertex %d" % missing[0])
-    emb = PlaneEmbedding(g, rotation, outer_face_index=outer)
-    return emb, disk
+
+    def pick_outer(faces):
+        if not 0 <= outer < len(faces):
+            raise EmbeddingError("outer face index %r is not one of the %d faces"
+                                 % (outer, len(faces)))
+        return outer
+
+    return PlaneEmbedding(g, rotation, pick_outer), disk
 
 
 def build_disk_host(g, text):
@@ -369,17 +377,6 @@ def _dot_document(vertices, plain_edges, classed_edges):
     return "\n".join(lines) + "\n"
 
 
-def _edge(u, v):
-    return (u, v) if u <= v else (v, u)
-
-
-def _walk_edges(walk, closed=False):
-    pairs = list(zip(walk, walk[1:]))
-    if closed and len(walk) > 1:
-        pairs.append((walk[-1], walk[0]))
-    return [_edge(u, v) for u, v in pairs]
-
-
 def export_dot(obj):
     """DOT document with stable ordering; edges carry class attributes
     naming the structure they belong to (cycles, rails, perimeter,
@@ -388,23 +385,23 @@ def export_dot(obj):
         return _dot_document(obj.vertices, obj.sorted_edges(), {})
     if isinstance(obj, Wall):
         g = obj.host_subgraph
-        classed = {e: "perimeter" for e in _walk_edges(obj.perimeter, closed=True)}
+        classed = {e: "perimeter" for e in _path_edges(obj.perimeter, closed=True)}
         plain = [e for e in g.sorted_edges() if e not in classed]
         return _dot_document(g.vertices, plain, classed)
     if isinstance(obj, RailedAnnulus):
         classed = {}
         for i, c in enumerate(obj.cycles.cycles, 1):
-            for e in _walk_edges(list(c), closed=True):
+            for e in _path_edges(c, closed=True):
                 classed[e] = "cycle%d" % i
         for j, rail in enumerate(obj.rails, 1):
-            for e in _walk_edges(list(rail)):
+            for e in _path_edges(rail):
                 classed[e] = "rail%d" % j
         vertices = sorted({v for e in classed for v in e})
         return _dot_document(vertices, [], classed)
     if isinstance(obj, Linkage):
         classed = {}
         for i, path in enumerate(obj.paths, 1):
-            for e in _walk_edges(list(path)):
+            for e in _path_edges(path):
                 classed[e] = "path%d" % i
         return _dot_document(obj.vertices, [], classed)
     if isinstance(obj, Terrain):
@@ -414,7 +411,7 @@ def export_dot(obj):
                                ("valley", obj.valleys)):
             for f in features:
                 walk = f.path if hasattr(f, "path") else f
-                for e in _walk_edges(list(walk)):
+                for e in _path_edges(walk):
                     classed[e] = name
         vertices = sorted({v for e in classed for v in e})
         return _dot_document(vertices, [], classed)

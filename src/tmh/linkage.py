@@ -19,11 +19,9 @@ construction cannot be completed the entry points raise TameFailed instead
 of returning an unverified object.
 """
 
-from collections import deque
-
-from .graphs import (DiskRegion, Graph, NestedCycles, TmhError, _nested_disks,
-                     _normalize_edge)
-from .annulus import RailedAnnulus, _clipped_rails, _path_edges, rail_geometry
+from .graphs import (DiskRegion, Graph, NestedCycles, TmhError, _augment, _flood,
+                     _nested_disks, _normalize_edge, _path_edges)
+from .annulus import RailedAnnulus, _check_simple_path, _clipped_rails, rail_geometry
 from .tm import TmPair, arcs, default_budget, dissolve
 
 
@@ -278,7 +276,7 @@ def _cycles_base(cycles, d):
     edges = set()
     for c in cycles.cycles:
         verts.update(c)
-        edges.update(_path_edges(list(c) + [c[0]]))
+        edges.update(_path_edges(c, closed=True))
     if d is not None:
         banned = d.vertices("closed")
         verts -= banned
@@ -359,23 +357,6 @@ class Terrain:
             len(self.valleys))
 
 
-def _flood_faces(emb, allowed, blocked_edges, seeds):
-    """Faces of `allowed` reachable from `seeds` in the dual graph without
-    crossing a blocked edge."""
-    reach = {f for f in seeds if f in allowed}
-    queue = deque(reach)
-    while queue:
-        f = queue.popleft()
-        for (u, v) in emb.faces[f]:
-            if _normalize_edge(u, v) in blocked_edges:
-                continue
-            for f2 in emb.faces_of_edge(u, v):
-                if f2 in allowed and f2 not in reach:
-                    reach.add(f2)
-                    queue.append(f2)
-    return reach
-
-
 def classify_terrain(g, cycles, d, l):
     """Enumerate every stream, river, mountain, and valley of l against the
     nested cycle family, with heights, pocket disks, and tightness flags.
@@ -393,7 +374,7 @@ def classify_terrain(g, cycles, d, l):
     band = cycles.annulus(1, r)
     cyc_sets = [set(c) for c in cycles.cycles]
     cyc_of = {v: i for i, c in enumerate(cycles.cycles, start=1) for v in c}
-    cyc_edge_sets = [set(_path_edges(list(c) + [c[0]])) for c in cycles.cycles]
+    cyc_edge_sets = [set(_path_edges(c, closed=True)) for c in cycles.cycles]
     all_faces = set(range(len(emb.faces)))
     inner_seed = regions[r - 1].interior_faces
     outer_seed = all_faces - regions[0].interior_faces
@@ -466,14 +447,16 @@ def classify_terrain(g, cycles, d, l):
                         if not (pv <= regions[0].vertices("closed")
                                 and pe <= regions[0].edges("closed")):
                             continue
+                    # the pocket is what a flood from the far side of
+                    # the base cycle leaves unreached
                     if kind == "mountain":
-                        allowed = reg.interior_faces
+                        walled = all_faces - reg.interior_faces
                         seeds = inner_seed
                     else:
-                        allowed = all_faces - reg.interior_faces
+                        walled = set(reg.interior_faces)
                         seeds = outer_seed
-                    reach = _flood_faces(emb, allowed, pe, seeds)
-                    pocket_faces = allowed - reach
+                    _flood(emb, walled, seeds, pe)
+                    pocket_faces = all_faces - walled
                     if not pocket_faces:
                         continue
                     pocket = DiskRegion(emb, pocket_faces, ())
@@ -636,23 +619,20 @@ def grid_reroute(dims, top, bottom):
         raise TmhError("%d paths cannot cross %d rows disjointly" % (rho, kp))
 
     # unit-capacity flow with split vertices; all nodes encoded as ints
-    def node(row, col):
-        return (row - 1) * k + (col - 1)
-
     def n_in(row, col):
-        return 2 * node(row, col)
+        return 2 * ((row - 1) * k + (col - 1))
 
     def n_out(row, col):
-        return 2 * node(row, col) + 1
+        return n_in(row, col) + 1
 
     source, sink = -1, -2
-    cap = {}
-    adj = {}
+    residual = {}
+    heads = {}
 
     def arc(a, b):
-        cap[(a, b)] = 1
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
+        residual[(a, b)] = 1
+        residual[(b, a)] = 0
+        heads.setdefault(a, []).append(b)
 
     for row in range(1, kp + 1):
         for col in range(1, k + 1):
@@ -667,47 +647,19 @@ def grid_reroute(dims, top, bottom):
         arc(source, n_in(1, c))
     for c in bottom:
         arc(n_out(kp, c), sink)
+    if _augment(residual, source, sink, rho) < rho:
+        raise TmhError("grid routing infeasible for %r -> %r" % (top, bottom))
 
-    flow = {}
-    for _ in range(rho):
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            a = queue.popleft()
-            for b in sorted(adj.get(a, ())):
-                if b in parent:
-                    continue
-                residual = cap.get((a, b), 0) - flow.get((a, b), 0) + flow.get((b, a), 0)
-                if residual <= 0:
-                    continue
-                parent[b] = a
-                if b == sink:
-                    break
-                queue.append(b)
-        if sink not in parent:
-            raise TmhError("grid routing infeasible for %r -> %r" % (top, bottom))
-        b = sink
-        while parent[b] is not None:
-            a = parent[b]
-            if flow.get((b, a), 0) > 0:
-                flow[(b, a)] -= 1
-            else:
-                flow[(a, b)] = flow.get((a, b), 0) + 1
-            b = a
-
+    # an arc carries a unit exactly when its residual is spent; one unit
+    # enters each cell a path uses, so one arc of flow leaves it
     paths = []
     for h, c in enumerate(top):
         cells = [(1, c)]
         cur = n_out(1, c)
         while True:
-            nxt = None
-            for b in sorted(adj.get(cur, ())):
-                if flow.get((cur, b), 0) > 0:
-                    nxt = b
-                    break
+            nxt = next((b for b in heads[cur] if residual[(cur, b)] == 0), None)
             if nxt is None or nxt == sink:
                 break
-            flow[(cur, nxt)] -= 1
             row, col = divmod(nxt // 2, k)
             cells.append((row + 1, col + 1))
             cur = nxt + 1
@@ -780,11 +732,7 @@ def _stitch(walk, piece):
 def _check_walk(g, walk, name):
     if len(walk) < 2:
         raise TmhError("%s degenerated to a single vertex" % name)
-    if len(set(walk)) != len(walk):
-        raise TmhError("%s revisits a vertex" % name)
-    for u, v in zip(walk, walk[1:]):
-        if not g.has_edge(u, v):
-            raise TmhError("%s step %r-%r is not an edge" % (name, u, v))
+    _check_simple_path(g, walk, name)
 
 
 def _expand_grid_path(geo, gpath, row_to_cycle, enter_vertex=None, cover_last=True):
@@ -1016,8 +964,8 @@ def tame_linkage(g, a, l, s, i_set, budget=None, force=False, node_budget=None):
 
         def cycle_graph(i):
             if i not in cyc_graphs:
-                c = list(a.cycles.cycles[i - 1])
-                cyc_graphs[i] = Graph(c, _path_edges(c + [c[0]]))
+                c = a.cycles.cycles[i - 1]
+                cyc_graphs[i] = Graph(c, _path_edges(c, closed=True))
             return cyc_graphs[i]
 
         def half_walk(river, idx, depth, window_cycle):

@@ -631,24 +631,23 @@ def _min_degree_two(f):
     return all(p.degree(v) >= 2 for p in f.patterns for v in p.vertices)
 
 
-def _minimal_obstruction(cur, f, budget):
-    """An inclusion-minimal vertex set of cur, as a sorted tuple, whose
-    induced subgraph still holds a model of some pattern of f; cur must
-    hold one.  cur is a MutableAdjacency, which the scan deletes from in
-    place and leaves as it found it, or a Graph.
+def _minimal_obstruction(adj, f, budget):
+    """An inclusion-minimal vertex set of the MutableAdjacency adj, as a
+    sorted tuple, whose induced subgraph still holds a model of some
+    pattern of f; adj must hold one.  The scan deletes from adj in place
+    and leaves it as it found it.
 
     The vertices are scanned in sorted order and each is dropped when its
     removal keeps a pattern.  Containment is monotone under vertex
     deletion, so a vertex the scan keeps stays needed as later vertices
     leave, and the result is minimal.  When every pattern has minimum
     degree at least two, every model lies in the 2-core, so a full scan
-    drops each vertex outside the 2-core of cur at its turn, and the
+    drops each vertex outside the 2-core of adj at its turn, and the
     2-core of what is left does not depend on those vertices; the scan
     then starts from the 2-core and returns the same set.  For the same
     reason a vertex that earlier drops left with degree at most one is
     dropped at its turn without a test.
     """
-    adj = MutableAdjacency(cur) if isinstance(cur, Graph) else cur
     depth = adj.depth
     peel = _min_degree_two(f)
     if peel:
@@ -684,8 +683,7 @@ def bounded_tw_solve(g, f, k, td, budget=None):
     The search builds no graph per deletion: it runs on one
     MutableAdjacency of g, deleting a vertex before its branch and
     restoring it after, and the obstruction scan deletes and restores on
-    the same adjacency.  The fast containment tests read it directly;
-    a pattern without one is searched on the Graph of the current state.
+    the same adjacency, which the containment tests read directly.
     Every search charges the one shared budget, whose exhaustion raises
     BudgetExceeded rather than answering no.  The witness, when the
     answer is yes, is re-verified on g.delete_vertices before

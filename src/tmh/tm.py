@@ -18,10 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import deque
 
-from .graphs import (Graph, MutableAdjacency, TmhError, _normalize_edge,
-                     _series_parallel_core)
+from .graphs import Graph, MutableAdjacency, TmhError, _augment, _series_parallel_core
 
 
 class BudgetExceeded(TmhError):
@@ -178,7 +176,9 @@ def _isomorphic_small(g, h):
 
 
 def find_tm_model(g, h, budget=None, candidates=None, forbidden_interior=()):
-    """Search for a topological-minor model of h inside g.
+    """Search for a topological-minor model of h inside g, a Graph or a
+    graphs.MutableAdjacency: the search orders every candidate list
+    itself, so both give the same model for the same nodes.
 
     Returns a TmPair with dissolve(pair) isomorphic to h, or None when the
     exhaustive search certifies absence.  Raises BudgetExceeded when the
@@ -411,51 +411,18 @@ def _block_vertex_sets(g):
 
 
 def _count_internally_disjoint_long_paths(g, s, t, need):
-    """Vertex-disjoint s-t paths of length at least two, by unit-capacity
-    augmentation on the split digraph with the direct s-t edge removed."""
-    nodes = {}
+    """Vertex-disjoint s-t paths of length at least two, up to need, by
+    unit-capacity augmentation on the split digraph with the direct s-t
+    edge removed: vertex v enters at (v, 0) and leaves at (v, 1)."""
+    residual = {}
     for v in g.vertices:
-        nodes[(v, 0)] = len(nodes)
-        nodes[(v, 1)] = len(nodes)
-    succ = {i: [] for i in nodes.values()}
-    cap = {}
-
-    def add(a, b, c):
-        succ[a].append(b)
-        succ[b].append(a)
-        cap[(a, b)] = c
-        cap.setdefault((b, a), 0)
-
-    for v in g.vertices:
-        c = need if v in (s, t) else 1
-        add(nodes[(v, 0)], nodes[(v, 1)], c)
-    for u in g.vertices:
-        for v in g.neighbors(u):
-            if {u, v} != {s, t}:
-                add(nodes[(u, 1)], nodes[(v, 0)], 1)
-    source, sink = nodes[(s, 1)], nodes[(t, 0)]
-    flow = 0
-    while flow < need:
-        prev = {source: None}
-        q = deque([source])
-        while q:
-            x = q.popleft()
-            if x == sink:
-                break
-            for y in succ[x]:
-                if y not in prev and cap.get((x, y), 0) > 0:
-                    prev[y] = x
-                    q.append(y)
-        if sink not in prev:
-            break
-        y = sink
-        while prev[y] is not None:
-            x = prev[y]
-            cap[(x, y)] -= 1
-            cap[(y, x)] += 1
-            y = x
-        flow += 1
-    return flow
+        residual[(v, 0), (v, 1)] = need if v in (s, t) else 1
+        residual[(v, 1), (v, 0)] = 0
+        for w in g.neighbors(v):
+            if {v, w} != {s, t}:
+                residual[(v, 1), (w, 0)] = 1
+                residual[(w, 0), (v, 1)] = 0
+    return _augment(residual, (s, 1), (t, 0), need)
 
 
 def _contains_fast(g, tag):
@@ -548,18 +515,14 @@ def is_F_free(g, family, budget=None, use_fast_paths=True):
 
 
 def _is_free(g, family, budget, use_fast_paths=True):
-    # is_F_free on a Graph or a graphs.MutableAdjacency: the fast tests
-    # read either one, and the generic search gets the Graph it stands for
-    host = g if isinstance(g, Graph) else None
+    # is_F_free on a Graph or a graphs.MutableAdjacency, which the fast
+    # tests and the generic search read alike
     for pattern, tag in zip(family.patterns, family.tags):
         if use_fast_paths and tag is not None:
             if tag not in family.implied and _contains_fast(g, tag):
                 return False
-        else:
-            if host is None:
-                host = g.graph()
-            if find_tm_model(host, pattern, budget=budget) is not None:
-                return False
+        elif find_tm_model(g, pattern, budget=budget) is not None:
+            return False
     return True
 
 

@@ -418,11 +418,9 @@ class TestConfinement:
                                            coords[u][0] - coords[v][0])))
             for v in g.vertices
         }
-        probe = PlaneEmbedding(g, rotation, outer_face_index=0)
         ring0 = frozenset(range(6))
-        outer = next(i for i, f in enumerate(probe.faces)
-                     if {u for u, _ in f} == ring0)
-        emb = PlaneEmbedding(g, rotation, outer_face_index=outer)
+        emb = PlaneEmbedding(g, rotation, lambda faces: next(
+            i for i, f in enumerate(faces) if {u for u, _ in f} == ring0))
         a = RailedAnnulus(emb, cycles, rails)
         pair = TmPair(Graph([6, 8], [chord]), [6, 8])
         assert a.confines(Graph([6], []), 1, [1]) is True
@@ -770,8 +768,8 @@ def _two_trace_embedding(graph, rotation, pick):
     """An embedding built the way the annulus and wall code built them
     before one trace sufficed: a probe embedding to read the faces from,
     then a second one with the chosen outer face."""
-    probe = PlaneEmbedding(graph, rotation, outer_face_index=0)
-    return PlaneEmbedding(graph, rotation, outer_face_index=pick(probe.faces))
+    probe = PlaneEmbedding(graph, rotation, lambda faces: 0)
+    return PlaneEmbedding(graph, rotation, lambda faces: pick(probe.faces))
 
 
 def _ring_face(cycle):
@@ -896,14 +894,13 @@ class TestOnePassAnnuli:
     def test_find_wall_embedding_equals_two_traces(self, monkeypatch, h, q):
         g = build_elementary_wall(h).host_subgraph
         built = []
-        traced = PlaneEmbedding._traced.__func__
+        init = PlaneEmbedding.__init__
 
-        def recording(cls, graph, rotation, pick):
-            emb = traced(cls, graph, rotation, pick)
-            built.append(emb)
-            return emb
+        def recording(self, graph, rotation, pick):
+            init(self, graph, rotation, pick)
+            built.append(self)
 
-        monkeypatch.setattr(PlaneEmbedding, "_traced", classmethod(recording))
+        monkeypatch.setattr(PlaneEmbedding, "__init__", recording)
         find_wall(g, q)
         monkeypatch.undo()
         # the subwall and then the host, each from its own coordinates
@@ -1008,7 +1005,7 @@ def _reference_crossing_path(cycle_v, cycle_e, rail):
 
 
 def _reference_cycle_order(g):
-    """Graph.cycle_vertices_in_order as a walk of its own: from the
+    """graphs._cycle_order as a walk of its own: from the
     smallest vertex toward its smaller neighbour, or None."""
     if g.n < 3 or g.m != g.n:
         return None

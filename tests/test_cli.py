@@ -2,12 +2,14 @@
 report stability, trace replay, and the environment budget cap."""
 
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
 from tmh import tm
-from tmh.cli import _legacy_widths, main
+from tmh.cli import _build_parser, _legacy_widths, main
 from tmh.graphs import Graph, parse_graph
 from tmh.annulus import synthetic_annulus
 from tmh.linkage import Linkage, _sub_annulus
@@ -21,6 +23,7 @@ from tmh.io import (
     emit_graph,
     emit_linkage,
     file_digest,
+    load_patterns,
     normalize_graph,
     parse_linkage,
     parse_trace,
@@ -400,6 +403,27 @@ class TestExitCodes:
         assert code == 65 and rep is None
         assert "parse error: cannot read %s" % path in err
 
+    @pytest.mark.parametrize("flag", ["--trace", "--dot", "--out", "--out-prefix"])
+    def test_unwritable_output_is_a_stage_failure(self, files, capsys, tmp_path,
+                                                 flag):
+        # an output that cannot be written fails the stage with exit 2,
+        # never the negative outcome's exit 1 or a traceback
+        bad = str(tmp_path / "no" / "such" / "dir" / "out")
+        gen = ("gen-annulus", "--r", "5", "--q", "3")
+        argv = {"--trace": ("solve", "--graph", files["k4"], "--patterns",
+                            "K3", "--k", "1", "--trace", bad),
+                "--dot": gen + ("--out-prefix", str(tmp_path / "a"),
+                                "--dot", bad),
+                "--out": ("tame", "--graph", files["band_graph"],
+                          "--embedding", files["band_emb"],
+                          "--annulus", files["band_ann"],
+                          "--linkage", files["band_lnk"], "--band", "1",
+                          "--rails", "4", "--budget-f1", "0", "--out", bad),
+                "--out-prefix": gen + ("--out-prefix", bad)}[flag]
+        code, rep, err = run(capsys, *argv)
+        assert code == 2 and rep is None
+        assert "cannot write %s" % bad in err
+
     def test_bad_budget_spec_is_65(self, files, capsys):
         code, _, err = run(capsys, "solve", "--graph", files["k4"],
                            "--patterns", "K4", "--k", "1",
@@ -426,3 +450,20 @@ class TestEnvironmentCap:
                            "--pattern", "K3")
         assert code == 64
         assert "TMH_BUDGET_NODES" in err
+
+
+def _readme_cli_lines():
+    """The tmh invocations in the README's CLI block, continuations joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    return [ln for ln in block.replace("\\\n", " ").splitlines()
+            if ln.startswith("tmh ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines(),
+                         ids=lambda line: line.split()[1])
+def test_readme_cli_line_parses(line):
+    args = _build_parser().parse_args(shlex.split(line)[1:])
+    for spec in (getattr(args, "patterns", None), getattr(args, "pattern", None)):
+        if spec is not None:
+            load_patterns(spec)

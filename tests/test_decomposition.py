@@ -167,7 +167,7 @@ def _corruptions(g, td):
         tree = Graph(td.tree.vertices, td.tree.edges - {e})
         yield TreeDecomposition(tree, td.bags, width=td.width)
     if len(nodes) >= 3 and not td.tree.has_edge(nodes[0], nodes[-1]):
-        tree = td.tree.add_edges([(nodes[0], nodes[-1])])
+        tree = td.tree.union(Graph.from_edges([(nodes[0], nodes[-1])]))
         yield TreeDecomposition(tree, td.bags, width=td.width)
     for n in nodes:
         for v in sorted(td.bags[n]):
@@ -735,7 +735,7 @@ def _reference_peel(g):
     current = g
     while current.m > current.n - len(current.connected_components()):
         probe = graphs.PlaneEmbedding(current, graphs.planar_rotation(current),
-                                      outer_face_index=0)
+                                      lambda faces: 0)
         _, i = max((len(f), i) for i, f in enumerate(probe.faces))
         walk = tuple(d[0] for d in probe.faces[i])
         layers.append(walk)

@@ -16,8 +16,8 @@ from tmh.graphs import (
     PartiallyDiskEmbedded,
     PlaneEmbedding,
     TmhError,
+    _cycle_order,
     annulus_region,
-    embed_planar,
     is_planar,
     parse_graph,
     planar_rotation,
@@ -27,6 +27,12 @@ from tmh.synth import random_planar_graph
 
 def triangle():
     return Graph.from_edges([(0, 1), (1, 2), (0, 2)])
+
+
+def _embed(g):
+    """g under planar_rotation, with the outer face through the least dart,
+    which face 0 holds."""
+    return PlaneEmbedding(g, planar_rotation(g), lambda faces: 0)
 
 
 def is_separation(g, a, b):
@@ -53,7 +59,8 @@ def concentric_triangles():
         3: (0, 4, 6, 5), 4: (1, 5, 7, 3), 5: (2, 3, 8, 4),
         6: (3, 7, 8), 7: (4, 8, 6), 8: (5, 6, 7),
     }
-    return PlaneEmbedding(g, rot, outer_edge=(0, 1))
+    # face 0 holds the least dart, (0, 1), which runs along the outer triangle
+    return PlaneEmbedding(g, rot, lambda faces: 0)
 
 
 class TestParseGraph:
@@ -133,13 +140,11 @@ class TestGraphBasics:
         e = parse_graph("2 1\n0 1")
         assert not is_separation(e, {0}, {1})
 
-    def test_path_and_cycle_recovery(self):
+    def test_cycle_order(self):
         p = parse_graph("4 3\n0 1\n1 2\n2 3")
-        assert p.path_vertices_in_order() == [0, 1, 2, 3]
         c = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
-        assert c.cycle_vertices_in_order() == [0, 1, 2, 3]
-        assert triangle().path_vertices_in_order() is None
-        assert p.cycle_vertices_in_order() is None
+        assert _cycle_order({v: c.neighbors(v) for v in c.vertices}) == [0, 1, 2, 3]
+        assert _cycle_order({v: p.neighbors(v) for v in p.vertices}) is None
 
     def test_components_ordered(self):
         g = Graph.from_edges([(5, 6), (0, 1)], extra_vertices=[9])
@@ -206,20 +211,20 @@ class TestMutableAdjacency:
 
 class TestFaces:
     def test_triangle_two_faces(self):
-        emb = embed_planar(triangle())
+        emb = _embed(triangle())
         assert len(emb.faces) == 2
         assert emb.check_euler()
 
     def test_k4_four_faces(self):
         k4 = Graph.from_edges([(a, b) for a in range(4) for b in range(a + 1, 4)])
-        emb = embed_planar(k4)
+        emb = _embed(k4)
         assert len(emb.faces) == 4
 
     def test_cube_six_faces(self):
         edges = [(0, 1), (1, 2), (2, 3), (0, 3),
                  (4, 5), (5, 6), (6, 7), (4, 7),
                  (0, 4), (1, 5), (2, 6), (3, 7)]
-        emb = embed_planar(Graph.from_edges(edges))
+        emb = _embed(Graph.from_edges(edges))
         assert len(emb.faces) == 6
 
     def test_every_directed_edge_once(self):
@@ -231,7 +236,7 @@ class TestFaces:
     def test_bad_rotation_rejected(self):
         g = triangle()
         with pytest.raises(EmbeddingError):
-            PlaneEmbedding(g, {0: (1,), 1: (0, 2), 2: (1, 0)}, outer_edge=(0, 1))
+            PlaneEmbedding(g, {0: (1,), 1: (0, 2), 2: (1, 0)}, lambda faces: 0)
 
     def test_nonplanar_rejected(self):
         k5 = Graph.from_edges([(a, b) for a in range(5) for b in range(a + 1, 5)])
@@ -252,14 +257,14 @@ class TestFaces:
         for u, v in attempts:
             if u == v or g.has_edge(u, v):
                 continue
-            cand = g.add_edges([(u, v)])
+            cand = g.union(Graph.from_edges([(u, v)]))
             ng = nx.Graph(list(cand.edges))
             ng.add_nodes_from(cand.vertices)
             if nx.check_planarity(ng)[0]:
                 g = cand
         if g.m == 0:
             return
-        emb = embed_planar(g)
+        emb = _embed(g)
         assert emb.check_euler()
 
 
@@ -373,8 +378,7 @@ class TestIsPlanar:
                     links = [(h, rng.choice(vs))
                              for h in rng.sample(sorted(host.vertices),
                                                  rng.randint(1, 3))]
-                    graphs.append(host.union(Graph.from_edges(es))
-                                  .add_edges(links))
+                    graphs.append(host.union(Graph.from_edges(es + links)))
         _assert_matches_networkx(graphs)
 
     def test_blocks_components_and_relabelled_ids(self):
@@ -535,14 +539,14 @@ class TestRegions:
 class TestPartiallyDiskEmbedded:
     def test_valid_split(self):
         emb = concentric_triangles()
-        g = emb.graph.add_edges([(0, 9), (1, 9)])
+        g = emb.graph.union(Graph.from_edges([(0, 9), (1, 9)]))
         pde = PartiallyDiskEmbedded(g, emb, [0, 1, 2])
         a, b = pde.separation_halves()
         assert is_separation(g, a, b)
 
     def test_crossing_edge_rejected(self):
         emb = concentric_triangles()
-        g = emb.graph.add_edges([(6, 9)])
+        g = emb.graph.union(Graph.from_edges([(6, 9)]))
         with pytest.raises(TmhError):
             PartiallyDiskEmbedded(g, emb, [0, 1, 2])
 
@@ -587,8 +591,8 @@ def _two_trace_embedding(graph, rotation, pick):
     """An embedding built the way the annulus and wall code built them
     before one trace sufficed: a probe embedding to read the faces from,
     then a second one with the chosen outer face."""
-    probe = PlaneEmbedding(graph, rotation, outer_face_index=0)
-    return PlaneEmbedding(graph, rotation, outer_face_index=pick(probe.faces))
+    probe = PlaneEmbedding(graph, rotation, lambda faces: 0)
+    return PlaneEmbedding(graph, rotation, lambda faces: pick(probe.faces))
 
 
 def _membership(region):
@@ -627,7 +631,8 @@ def _rings(r, m):
             if i > 0:
                 around.append(vid(i - 1, k))
             rot[vid(i, k)] = tuple(around)
-    emb = PlaneEmbedding(g, rot, outer_edge=(0, 1))
+    # face 0 holds the least dart, (0, 1), which runs along ring 0
+    emb = PlaneEmbedding(g, rot, lambda faces: 0)
     return emb, [[vid(i, k) for k in range(m)] for i in range(r)]
 
 
@@ -687,9 +692,9 @@ class TestNestedFlood:
 
     def test_disconnected_embedding_floods_per_cycle(self, monkeypatch):
         base = concentric_triangles()
-        g = base.graph.add_edges([(10, 11), (11, 12), (10, 12)])
+        g = base.graph.union(Graph.from_edges([(10, 11), (11, 12), (10, 12)]))
         rot = {**base.rotation, 10: (11, 12), 11: (12, 10), 12: (10, 11)}
-        emb = PlaneEmbedding(g, rot, outer_edge=(0, 1))
+        emb = PlaneEmbedding(g, rot, lambda faces: 0)
         assert not emb._is_plane()
         cycles = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
         calls = _count_of_cycle(monkeypatch)
@@ -717,7 +722,7 @@ class TestNestedFlood:
             graphs.append((g, planar_rotation(g)))
         for g, rot in graphs:
             for pick in picks:
-                one = PlaneEmbedding._traced(g, rot, pick)
+                one = PlaneEmbedding(g, rot, pick)
                 two = _two_trace_embedding(g, rot, pick)
                 assert one.faces == two.faces
                 assert one.outer_face == two.outer_face
@@ -731,7 +736,7 @@ class TestNestedFlood:
             raise TmhError("no such face")
 
         with pytest.raises(TmhError, match="no such face"):
-            PlaneEmbedding._traced(emb.graph, emb.rotation, refuse)
+            PlaneEmbedding(emb.graph, emb.rotation, refuse)
 
 
 def _hand_restricted(emb, keep, pick):
@@ -801,7 +806,7 @@ def chorded_square():
     rot = {0: (2, 5, 1, 4, 3), 1: (5, 2, 4, 0), 2: (3, 4, 1, 0), 3: (0, 4, 2),
            4: (3, 0, 1, 2), 5: (1, 0)}
     outer = frozenset({0, 2, 3})
-    return PlaneEmbedding._traced(g, rot, lambda faces: next(
+    return PlaneEmbedding(g, rot, lambda faces: next(
         i for i, f in enumerate(faces) if {u for u, _ in f} == outer))
 
 
@@ -842,7 +847,7 @@ class TestRestrict:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_planar_hosts_on_random_subsets(self, seed):
         g = random_planar_graph(seed, 20 + seed)
-        emb = embed_planar(g)
+        emb = _embed(g)
         _assert_keys_are_darts(emb)
         rng = random.Random(seed)
         for share in (0.95, 0.8, 0.6, 0.4):

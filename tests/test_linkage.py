@@ -11,7 +11,7 @@ import pytest
 import tmh.linkage
 from tmh.annulus import _path_edges, rail_geometry, synthetic_annulus
 from tmh.decomposition import exact_treewidth, grid_bramble, validate_bramble
-from tmh.graphs import DiskRegion, Graph, TmhError, _normalize_edge
+from tmh.graphs import DiskRegion, Graph, TmhError, _flood, _normalize_edge
 from tmh.linkage import (
     LBPair,
     Linkage,
@@ -19,7 +19,6 @@ from tmh.linkage import (
     TamingBudget,
     Terrain,
     TerrainFeature,
-    _flood_faces,
     _require_in_graph,
     _sub_annulus,
     ca_cycles,
@@ -191,7 +190,7 @@ def _reference_classify_terrain(g, cycles, d, l):
                         else:
                             allowed = all_faces - reg.interior_faces
                             seeds = outer_seed
-                        reach = _flood_faces(emb, allowed, pe, seeds)
+                        reach = set(_flood(emb, all_faces - allowed, seeds, pe))
                         pocket_faces = allowed - reach
                         if not pocket_faces:
                             continue

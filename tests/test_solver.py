@@ -29,7 +29,12 @@ from tmh.tm import (
     is_F_free,
     pF_oracle,
 )
-from tmh.annulus import AnnulusFamily, sub_annulus, synthetic_disk_host
+from tmh.annulus import (
+    AnnulusFamily,
+    family_height_needed,
+    sub_annulus,
+    synthetic_disk_host,
+)
 from tmh.decomposition import (
     DEFAULT_WIDTH_FACTOR,
     TreeDecomposition,
@@ -41,6 +46,7 @@ from tmh.decomposition import (
 from tmh.solver import (
     ReductionTrace,
     SolveOutcome,
+    SolverParams,
     TraceStep,
     bounded_tw_solve,
     derive_params,
@@ -376,6 +382,29 @@ class TestFindIrrelevantVertex:
         assert payload["branch"] == "decomposition"
         assert payload["width_bound"] == DEFAULT_WIDTH_FACTOR * _odd(p.wall_q)
 
+    def test_wall_branch_carves_the_annuli_and_reduces(self):
+        # sizes preset small enough that find_wall meets a wall of the
+        # needed height and the carving succeeds: the pass records the
+        # wall and its annuli, then the inner annulus is too shallow
+        p = SolverParams(0, 3, ZERO)
+        p.x, p._y, p._z = 5, 3, 1
+        p._wall_q = family_height_needed(5, 3, 1)
+        assert p.wall_q == 19
+        tr = ReductionTrace()
+        with pytest.raises(TmhError) as caught:
+            find_irrelevant_vertex(0, 3, build_elementary_wall(19).host_subgraph,
+                                   force=True, mode="fast", trace=tr,
+                                   family=PatternFamily([K3]), params=p)
+        assert str(caught.value) == ("annulus depth 3 cannot hold one "
+                                     "stabilized run of 23 cycles")
+        assert tr.as_records() == [
+            {"kind": "wall", "status": "verified",
+             "payload": {"branch": "wall", "height": 19, "compass_width": 29}},
+            {"kind": "annuli", "status": "verified",
+             "payload": {"outer": [5, 5], "inner": 1}},
+            {"kind": "reduce_space", "status": "unverified",
+             "payload": {"size": 0, "vertices": []}}]
+
     def test_safe_mode_refuses_infeasible_oracle(self, injected):
         gr, fam = injected
         with pytest.raises(TmhError, match="safe mode refuses"):
@@ -539,7 +568,8 @@ class TestMinimalObstruction:
             if is_F_free(g, fam):
                 continue
             hits += 1
-            got = solver._minimal_obstruction(g, fam, SearchBudget(10 ** 6))
+            got = solver._minimal_obstruction(MutableAdjacency(g), fam,
+                                              SearchBudget(10 ** 6))
             want = _reference_minimal_obstruction(g, fam, SearchBudget(10 ** 6))
             assert got == want, "atlas graph %r" % (sorted(g.edges),)
         assert hits > 0
@@ -836,7 +866,12 @@ fam = PatternFamily([BUILTIN_PATTERNS["K23"](), BUILTIN_PATTERNS["C4"]()])
 assert solve_tm_deletion(g, fam, 1, mode="safe").answer is False
 """,
     "forced_pipeline": """
-from tmh.annulus import AnnulusFamily, sub_annulus, synthetic_disk_host
+from tmh.annulus import (
+    AnnulusFamily,
+    family_height_needed,
+    sub_annulus,
+    synthetic_disk_host,
+)
 from tmh.graphs import Graph
 from tmh.linkage import TamingBudget
 from tmh.solver import derive_params, solve_tm_deletion

@@ -118,7 +118,6 @@ def test_dissolve_rejects_loop_arc():
 
 def test_dissolve_rejects_branchless_cycle():
     m = Graph.from_edges([(0, 1), (1, 2), (2, 0), (5, 6)])
-    m = m.add_edges([])  # no-op, keeps the two-component shape explicit
     with pytest.raises(TmhError, match="branchless"):
         dissolve(TmPair(m, {5, 6}))
 
