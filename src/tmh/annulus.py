@@ -217,15 +217,14 @@ def annulus_from_wall(w, p):
     path order."""
     if p % 2 == 0 or p < 3:
         raise TmhError("annulus depth must be odd and at least 3, got %d" % p)
-    from .decomposition import _wall_embedding, wall_layers
+    from .decomposition import wall_layers
     layers = wall_layers(w)
     if len(layers) < p:
         raise TmhError(
             "wall of height %d has %d layer cycles; %d cycles need height %d"
             % (w.r, len(layers), p, wall_height_needed(p)))
-    emb = w.embedding or _wall_embedding(w.host_subgraph, w.coordinates)
     cycs = layers[:p]
-    nested = NestedCycles(emb, cycs)
+    nested = NestedCycles(w.embedding, cycs)
     band_v = nested.annulus(1, p).vertices
     cyc_v = [frozenset(c) for c in cycs]
     cyc_e = [frozenset(_path_edges(c, closed=True)) for c in cycs]
@@ -257,7 +256,7 @@ def annulus_from_wall(w, p):
         raise TmhError(
             "only %d of %d rails available on this wall; height %d suffices"
             % (len(picked), p, wall_height_needed(p)))
-    return RailedAnnulus(emb, cycs, picked)
+    return RailedAnnulus(w.embedding, cycs, picked)
 
 
 def annuli_capacity(x, y, z):
@@ -342,8 +341,6 @@ def find_collection_of_annuli(x, y, z, g, w):
             "construction needs height %d: %d nested cycles consume height "
             "%d and each inner annulus a %d-subwall"
             % (w.r, cap, need, x, 2 * x + 1, wall_height_needed(y)))
-    if w.coordinates is None:
-        raise TmhError("family extraction needs wall coordinates")
     if set(w.perimeter) != set(g.boundary_cycle):
         raise TmhError("wall perimeter does not bound the embedded disk")
 
@@ -353,8 +350,7 @@ def find_collection_of_annuli(x, y, z, g, w):
 
     from .decomposition import extract_subwall_at
     s = wall_height_needed(y)
-    hole_xy = {w.coordinates[v]
-               for v in outer.cycles.open_disk(x) if v in w.coordinates}
+    hole_xy = {w.coordinates[v] for v in outer.cycles.open_disk(x)}
     cols = sorted(c for c, _ in hole_xy)
     rows = sorted(r for _, r in hole_xy)
     inner = []

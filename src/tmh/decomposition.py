@@ -14,6 +14,12 @@ Brambles certify lower bounds.  Besides direct validation and exact order
 computation, the module can search for a maximum-order bramble through the
 equivalent escape-function formulation, which is what makes an exhaustive
 duality check affordable on small graphs.
+
+Every wall carries the (x, y) coordinates of its vertices in the
+elementary wall's grid and is embedded from them.  A host is recognised
+as an elementary wall by placing a corner and its neighbours and
+following the placements they force, so no general isomorphism test is
+needed.
 """
 
 from __future__ import annotations
@@ -29,9 +35,8 @@ from .graphs import (
     PlaneEmbedding,
     TmhError,
     is_planar,
-    planar_rotation,
 )
-from .tm import BudgetExceeded, SearchBudget, TmPair, arcs
+from .tm import BudgetExceeded, SearchBudget
 
 DEFAULT_EXACT_TW_CAP = 15
 DEFAULT_WIDTH_FACTOR = 124
@@ -479,28 +484,25 @@ def grid_bramble(q_graph, cycles, streams, boundary):
 
 class Wall:
     """A wall in its host subgraph: height r, horizontal and vertical
-    paths, perimeter.
+    paths, perimeter, coordinates and embedding.
 
-    A wall built here (build_elementary_wall, extract_subwall_at) carries
-    coordinates, each vertex's (x, y) in the elementary wall's grid with
-    y growing downward, and the embedding they draw: each vertex lists
-    its neighbours above, right, below and left, and the perimeter is the
-    outer face.  A wall without coordinates, that is a subdivided wall or
-    one built by hand, is embedded by planar_rotation when it is read."""
+    The coordinates give each vertex's (x, y) in the elementary wall's
+    grid, with y growing downward, and the embedding is the one they
+    draw: each vertex lists its neighbours above, right, below and left,
+    and the perimeter is the outer face.  Every wall is built by
+    _coordinate_wall."""
 
     __slots__ = ("host_subgraph", "r", "horizontal_paths", "vertical_paths",
-                 "perimeter", "subdivision_vertices", "coordinates", "embedding")
+                 "perimeter", "coordinates", "embedding")
 
     def __init__(self, host_subgraph, r, horizontal_paths, vertical_paths,
-                 perimeter, subdivision_vertices=(), coordinates=None,
-                 embedding=None):
+                 perimeter, coordinates, embedding):
         self.host_subgraph = host_subgraph
         self.r = r
         self.horizontal_paths = tuple(tuple(p) for p in horizontal_paths)
         self.vertical_paths = tuple(tuple(p) for p in vertical_paths)
         self.perimeter = tuple(perimeter)
-        self.subdivision_vertices = frozenset(subdivision_vertices)
-        self.coordinates = dict(coordinates) if coordinates else None
+        self.coordinates = dict(coordinates)
         self.embedding = embedding
 
     def __repr__(self):
@@ -552,8 +554,7 @@ def _coordinate_wall(r, vid):
     verticals = [_zigzag_path(vid, j, r) for j in range(1, r + 1)]
     coords = {v: xy for xy, v in vid.items()}
     emb, perimeter = _embed_wall(g, _coordinate_rotation(g, coords))
-    return Wall(g, r, horizontals, verticals, perimeter,
-                coordinates=coords, embedding=emb)
+    return Wall(g, r, horizontals, verticals, perimeter, coords, emb)
 
 
 def _zigzag_path(vid, j, r):
@@ -575,22 +576,10 @@ def _coordinate_rotation(g, coords):
     so this rotation embeds it (Mohar and Thomassen, Graphs on Surfaces)."""
     rotation = {}
     for v in g.vertices:
-        try:
-            x, y = coords[v]
-            rotation[v] = tuple(sorted(g.neighbors(v), key=lambda u: _CLOCKWISE[
-                coords[u][0] - x, coords[u][1] - y]))
-        except KeyError:
-            raise TmhError("wall coordinates do not put the neighbours of %r "
-                           "one unit step away" % (v,)) from None
+        x, y = coords[v]
+        rotation[v] = tuple(sorted(g.neighbors(v), key=lambda u: _CLOCKWISE[
+            coords[u][0] - x, coords[u][1] - y]))
     return rotation
-
-
-def _wall_embedding(g, coords):
-    """g embedded as a wall, from its coordinates, or by planar_rotation
-    for a wall built without them (a subdivided wall, or one built by
-    hand)."""
-    rotation = planar_rotation(g) if coords is None else _coordinate_rotation(g, coords)
-    return _embed_wall(g, rotation)[0]
 
 
 def _unique_longest(faces):
@@ -617,34 +606,7 @@ def _embed_wall(g, rotation):
     return emb, _long_face_walk(emb)
 
 
-def validate_wall(w):
-    """Check the wall shape: planar, every short face a hexagon, declared
-    paths cover the graph, perimeter is the long face.  The core is
-    embedded by planar_rotation, independently of the wall's coordinates."""
-    g = w.host_subgraph
-    core = g
-    if w.subdivision_vertices:
-        if any(g.degree(v) != 2 for v in w.subdivision_vertices):
-            raise TmhError("subdivision vertices must have degree 2")
-        branch = set(g.vertices) - w.subdivision_vertices
-        from .tm import dissolve
-        core = dissolve(TmPair(g, branch))
-    if core.n != 2 * w.r * w.r - 2:
-        raise TmhError("wall has %d core vertices, expected %d"
-                       % (core.n, 2 * w.r * w.r - 2))
-    emb, _ = _embed_wall(core, planar_rotation(core))
-    lens = sorted(len(f) for f in emb.faces)
-    if any(l != 6 for l in lens[:-1]):
-        raise TmhError("a finite wall face is not a hexagon")
-    covered = set()
-    for p in w.horizontal_paths + w.vertical_paths:
-        covered.update(p)
-    if covered != set(g.vertices):
-        raise TmhError("declared paths do not cover the wall")
-    return True
-
-
-def _peel_layers(emb):
+def wall_layers(w):
     """Layer cycles, outermost first: the outer walk of the wall's
     embedding; then the wall's embedding restricted to what is left once
     that walk and the degree-one debris are removed, and its long face;
@@ -652,6 +614,7 @@ def _peel_layers(emb):
     so does each remnant, so each holds a cycle.  A restriction keeps the
     faces the peel left whole, so each layer traces only the faces along
     the one removed."""
+    emb = w.embedding
     alive = {v: set(emb.graph.neighbors(v)) for v in emb.graph.vertices}
     layers = []
     while True:
@@ -670,53 +633,76 @@ def _peel_layers(emb):
         emb = emb.restrict(alive, _unique_longest)
 
 
-def wall_layers(w):
-    """Layer cycles, outermost first: the perimeter, then the perimeter of
-    the wall left after peeling it, and so on."""
-    g = w.host_subgraph
-    if not w.subdivision_vertices:
-        return _peel_layers(w.embedding or _wall_embedding(g, w.coordinates))
-    branch = set(g.vertices) - w.subdivision_vertices
-    pair = TmPair(g, branch)
-    arc_list, leftover = arcs(pair)
-    if leftover:
-        raise TmhError("wall subdivision vertices form a stray cycle")
-    from .tm import dissolve
-    core = dissolve(pair)
-    lift = {}
-    for u, v, interior in arc_list:
-        lift[(u, v)] = interior
-        lift[(v, u)] = tuple(reversed(interior))
-    lifted = []
-    for cycle in _peel_layers(_wall_embedding(core, w.coordinates)):
-        out = []
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            out.append(a)
-            out.extend(lift.get((a, b), ()))
-        lifted.append(tuple(out))
-    return lifted
-
-
 # -- the wall-or-width dichotomy --------------------------------------------
 
 
 def _recognize_elementary_wall(g):
-    """If g is isomorphic to an elementary wall, return (r, coordinates)."""
+    """If g is isomorphic to an elementary wall, return (r, coordinates).
+
+    A wall is rigid once a corner and its two neighbours are placed.  Each
+    degree-2 vertex in sorted order, with its neighbours in either order,
+    goes to (1, 1), (2, 1) and (1, 2), and _place fills in every other
+    position.  The first placement that maps each template edge onto a
+    host edge is an isomorphism, since n and m agree; on a host numbered
+    row by row, as build_elementary_wall numbers it, that is the
+    identity."""
     n = g.n
     r2 = (n + 2) // 2
     r = int(round(r2 ** 0.5))
     if r * r != r2 or r % 2 == 0 or r < 3 or 2 * r * r - 2 != n:
         return None
-    import networkx as nx
-
-    # the template's nodes come in row-major order, which fixes the
-    # automorphism of the wall that VF2 settles on
-    _, coord_edges = _elementary_wall_edges(r)
-    nt = nx.Graph(sorted(coord_edges, key=lambda e: (e[0][::-1], e[1][::-1])))
-    matcher = nx.algorithms.isomorphism.GraphMatcher(nx.Graph(sorted(g.edges)), nt)
-    if not matcher.is_isomorphic():
+    positions, edges = _elementary_wall_edges(r)
+    if g.m != len(edges):
         return None
-    return r, {v: matcher.mapping[v] for v in g.vertices}
+    around = {p: [] for p in positions}
+    for a, b in edges:
+        around[a].append(b)
+        around[b].append(a)
+    for corner in g.vertices:
+        if g.degree(corner) != 2:
+            continue
+        a, b = g.neighbors(corner)
+        for right, down in ((a, b), (b, a)):
+            img = _place(g, around, {(1, 1): corner, (2, 1): right, (1, 2): down})
+            if img is not None and all(g.has_edge(img[p], img[q]) for p, q in edges):
+                return r, {v: xy for xy, v in img.items()}
+    return None
+
+
+def _place(g, around, img):
+    """Extend img, a map from template positions (around: position -> its
+    template neighbours) to host vertices, by every image that is forced:
+    the last free host neighbour of a placed vertex whose template
+    neighbours are placed but one, or the one common neighbour of two
+    placed vertices, which a wall's girth of 6 makes unique.  Returns the
+    map once every position is placed, or None when a forced image is
+    missing, ambiguous or taken, or a degree differs."""
+    used = set(img.values())
+    queue = deque(img)
+    while queue:
+        p = queue.popleft()
+        v = img[p]
+        if g.degree(v) != len(around[p]):
+            return None
+        free = [q for q in around[p] if q not in img]
+        for q in free:
+            placed = [img[t] for t in around[q] if t in img]
+            if len(placed) >= 2:
+                cand = set(g.neighbors(placed[0])).intersection(
+                    *(g.neighbors(u) for u in placed[1:]))
+            elif len(free) == 1:
+                cand = set(g.neighbors(v)).difference(
+                    img[t] for t in around[p] if t in img)
+            else:
+                continue
+            cand -= used
+            if len(cand) != 1:
+                return None
+            img[q] = u = cand.pop()
+            used.add(u)
+            queue.append(q)
+            queue.extend(t for t in around[q] if t in img)
+    return img if len(img) == len(around) else None
 
 
 def extract_subwall_at(g, coords, q, x0=1, y0=1):
@@ -775,7 +761,7 @@ def _find_wall(g, q, c, decompose):
     if found is not None and found[0] >= q:
         _, coords = found
         sub = extract_subwall_at(g, coords, q)
-        emb = _wall_embedding(g, coords)
+        emb, _ = _embed_wall(g, _coordinate_rotation(g, coords))
         region = DiskRegion.of_cycle(emb, sub.perimeter)
         compass_graph = region.subgraph("closed")
         if compass_graph != sub.host_subgraph:

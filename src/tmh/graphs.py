@@ -241,8 +241,7 @@ class MutableAdjacency:
     of the state before that deletion exactly.  Readers see the interface
     the containment tests read on a Graph: vertices (in no set order),
     membership, has_edge, neighbors (live sets, stale after the next
-    deletion), degree, n and m.  graph() is the Graph of the current
-    state, the one delete_vertices gives for the deleted vertices.
+    deletion), degree, n and m.
     """
 
     __slots__ = ("_adj", "_m", "_undo")
@@ -310,10 +309,6 @@ class MutableAdjacency:
             ns = adj[v]
             self.delete(v)
             doomed.extend(w for w in ns if len(adj[w]) <= 1)
-
-    def graph(self):
-        return Graph(self._adj, [(v, w) for v, ns in self._adj.items()
-                                 for w in ns if v < w])
 
 
 def _cycle_order(adj):

@@ -46,16 +46,6 @@ def read_text(path):
 # -- graph files -------------------------------------------------------------
 
 
-def normalize_graph(g):
-    """The graph relabeled onto 0..n-1 in sorted-id order, with the old-id
-    map, for emitting hosts whose ids have holes (wall extractions,
-    deletion leftovers)."""
-    order = sorted(g.vertices)
-    to_new = {v: i for i, v in enumerate(order)}
-    return (Graph(range(g.n), [(to_new[u], to_new[v]) for u, v in g.edges]),
-            to_new)
-
-
 def emit_graph(g):
     """The edge-list document parse_graph reads back: "n m" header, then
     one sorted "u v" line per edge.  Vertex ids must be 0..n-1."""
@@ -302,14 +292,6 @@ def make_report(command, inputs, outcome, verification, timings):
 
 def emit_report(report):
     return json.dumps(report, indent=2) + "\n"
-
-
-def report_core(text):
-    """Parsed report minus the timings section, the part that must be
-    byte-stable across identical runs."""
-    data = json.loads(text)
-    data.pop("timings", None)
-    return data
 
 
 def payload_digest(payload):

@@ -159,8 +159,7 @@ def _canonical_paths_key(paths):
     return tuple(sorted(min(tuple(p), tuple(reversed(tuple(p)))) for p in paths))
 
 
-def _search_linkages(host, pairs, node_budget, better_than=None, base_edges=None,
-                     exclude_key=None, stop_on_first=False):
+def _search_linkages(host, pairs, node_budget, better_than=None, base_edges=None):
     """Exhaustive backtracking over vertex-disjoint path systems realizing
     the given terminal pairs inside host.
 
@@ -169,13 +168,11 @@ def _search_linkages(host, pairs, node_budget, better_than=None, base_edges=None
     search a pure existence enumeration).  Returns (cost, paths) for the
     cheapest system, ties broken toward the lexicographically least
     canonical form, or None when no system exists.  better_than admits
-    only strictly cheaper systems; exclude_key skips one canonical form;
-    stop_on_first returns the first admissible complete system instead of
-    the optimum.
+    only strictly cheaper systems.
 
     Partial paths grow in place, each step pushed before its recursion
     and popped after it, so nodes are visited as if each step copied the
-    path (a stop skips the pop: the search is over).
+    path.
     """
     pairs = sorted((min(u, v), max(u, v)) for u, v in pairs)
     if len(set(pairs)) != len(pairs):
@@ -189,19 +186,13 @@ def _search_linkages(host, pairs, node_budget, better_than=None, base_edges=None
     if base_edges is None:
         base_edges = host.edges
     best = [None]
-    hit = [None]
 
     def place(idx, used, acc, cost):
         if idx == len(pairs):
             key = _canonical_paths_key(acc)
-            if exclude_key is not None and key == exclude_key:
-                return False
             if best[0] is None or (cost, key) < (best[0][0], best[0][1]):
                 best[0] = (cost, key, [tuple(p) for p in acc])
-            if stop_on_first:
-                hit[0] = (cost, [tuple(p) for p in acc])
-                return True
-            return False
+            return
         u, v = pairs[idx]
         blocked = terminals - {u, v}
         path = [u]
@@ -212,9 +203,9 @@ def _search_linkages(host, pairs, node_budget, better_than=None, base_edges=None
             last = path[-1]
             if last == v:
                 acc.append(tuple(path))
-                stop = place(idx + 1, used | on_path, acc, cost + pcost)
+                place(idx + 1, used | on_path, acc, cost + pcost)
                 acc.pop()
-                return stop
+                return
             for w in host.neighbors(last):
                 if w in used or w in on_path or w in blocked:
                     continue
@@ -226,21 +217,16 @@ def _search_linkages(host, pairs, node_budget, better_than=None, base_edges=None
                     continue
                 path.append(w)
                 on_path.add(w)
-                if extend(ncost):
-                    return True
+                extend(ncost)
                 path.pop()
                 on_path.discard(w)
-            return False
 
-        if u not in host or v not in host:
-            return False
-        return extend(0)
+        if u in host and v in host:
+            extend(0)
 
     if not pairs:
         return (0, [])
     place(0, frozenset(), [], 0)
-    if stop_on_first:
-        return hit[0]
     if best[0] is None:
         return None
     return (best[0][0], best[0][2])

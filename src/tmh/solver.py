@@ -734,11 +734,14 @@ def solve_tm_deletion(g, f, k, budget=None, mode="safe", force=False,
 
     A non-planar graph is refused with EmbeddingError, even when it is
     already free of the family.  Planarity is tested once, here: every
-    later pass sees a subgraph of this graph.  The loop strips one irrelevant vertex at a time, each deletion
-    oracle-verified in safe mode, until the pipeline certifies bounded
-    width; the remainder is decided exactly and the witness is lifted
-    back to the original graph.  Injected annuli apply to the first pass
-    only.  The outcome carries the full trace.
+    later pass sees a subgraph of this graph, so the searches look only
+    for the family's planar patterns, and a family with none is answered
+    yes with the empty witness.  The derived parameters still come from
+    the whole family.  The loop strips one irrelevant vertex at a time,
+    each deletion oracle-verified in safe mode, until the pipeline
+    certifies bounded width; the remainder is decided exactly and the
+    witness is lifted back to the original graph.  Injected annuli apply
+    to the first pass only.  The outcome carries the full trace.
     """
     if k < 0:
         raise TmhError("deletion budget must be non-negative, got %r" % (k,))
@@ -747,14 +750,16 @@ def solve_tm_deletion(g, f, k, budget=None, mode="safe", force=False,
     if not is_planar(g):
         raise EmbeddingError("graph is not planar")
     trace = ReductionTrace()
-    if is_F_free(g, f, budget=default_budget()):
+    h = f.h
+    f = f.planar
+    if f is None or is_F_free(g, f, budget=default_budget()):
         return SolveOutcome(True, (), trace)
 
     cur = g
     inject = annuli
     while True:
         out = _irrelevant_vertex_pass(
-            k, f.h, cur, _pass_params(k, f.h, budget, force, params, mode),
+            k, h, cur, _pass_params(k, h, budget, force, params, mode),
             force=force, annuli=inject, b=2, family=f, mode=mode, trace=trace,
             oracle_cap=DEFAULT_ORACLE_SWEEP_CAP)
         inject = None

@@ -19,7 +19,7 @@ import itertools
 import math
 import os
 
-from .graphs import Graph, MutableAdjacency, TmhError, _augment, _series_parallel_core
+from .graphs import Graph, MutableAdjacency, TmhError, _augment, _series_parallel_core, is_planar
 
 
 class BudgetExceeded(TmhError):
@@ -477,9 +477,14 @@ class PatternFamily:
     skips: a host free of a tag below them is free of them too, so the
     family's answer stands without their tests.  A family with a pattern
     for the generic search skips none, so that search runs exactly when
-    it did before."""
+    it did before.
 
-    __slots__ = ("patterns", "tags", "implied", "h", "g")
+    planar is the family of the planar patterns (the family itself when
+    every pattern is planar), or None when there is none: a planar host
+    holds no subdivision of a non-planar pattern (Kuratowski), so on a
+    planar host the family and its planar part are contained alike."""
+
+    __slots__ = ("patterns", "tags", "implied", "h", "g", "planar")
 
     def __init__(self, patterns):
         patterns = tuple(patterns)
@@ -494,6 +499,11 @@ class PatternFamily:
             t for t in self.tags if set(_TAGS_BELOW[t]) & set(self.tags))
         self.h = max(p.n for p in patterns)
         self.g = max(p.m for p in patterns)
+        planar = [p for p in patterns if is_planar(p)]
+        if len(planar) == len(patterns):
+            self.planar = self
+        else:
+            self.planar = PatternFamily(planar) if planar else None
 
     def __repr__(self):
         return "PatternFamily(%d patterns, h=%d)" % (len(self.patterns), self.h)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import normalize_graph, report_core
 from tmh import tm
 from tmh.cli import _build_parser, _legacy_widths, main
 from tmh.graphs import Graph, parse_graph
@@ -24,10 +25,8 @@ from tmh.io import (
     emit_linkage,
     file_digest,
     load_patterns,
-    normalize_graph,
     parse_linkage,
     parse_trace,
-    report_core,
     trace_records,
 )
 

@@ -7,6 +7,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+import networkx as nx
 from networkx.generators.atlas import graph_atlas_g
 
 import tmh.decomposition as decomposition
@@ -18,9 +19,10 @@ from tmh.decomposition import (
     DecompositionViolation,
     InstanceTooLarge,
     TreeDecomposition,
-    Wall,
     WallWithCompass,
     _decomposition_from_order,
+    _elementary_wall_edges,
+    _recognize_elementary_wall,
     bramble_order,
     build_elementary_wall,
     exact_treewidth,
@@ -31,7 +33,6 @@ from tmh.decomposition import (
     max_bramble_order,
     validate_bramble,
     validate_decomposition,
-    validate_wall,
     wall_layers,
 )
 from tmh.synth import random_planar_graph, stream_cycle_fabric
@@ -511,6 +512,24 @@ def test_max_bramble_order_matches_width_random(n, mask):
 # -- walls -------------------------------------------------------------------
 
 
+def _validate_wall(w):
+    """Cross-check of the wall shape, independent of the wall's
+    coordinates: the host, embedded by planar_rotation, has 2r^2 - 2
+    vertices, every short face is a hexagon, the perimeter is the long
+    face, and the declared paths cover the graph."""
+    g = w.host_subgraph
+    assert g.n == 2 * w.r * w.r - 2
+    emb, walk = decomposition._embed_wall(g, graphs.planar_rotation(g))
+    lens = sorted(len(f) for f in emb.faces)
+    assert all(l == 6 for l in lens[:-1])
+    assert set(walk) == set(w.perimeter)
+    covered = set()
+    for p in w.horizontal_paths + w.vertical_paths:
+        covered.update(p)
+    assert covered == set(g.vertices)
+    return True
+
+
 def test_elementary_wall_shape():
     w = build_elementary_wall(3)
     g = w.host_subgraph
@@ -519,7 +538,7 @@ def test_elementary_wall_shape():
     assert len(w.perimeter) == 14
     assert set(g.vertices) - set(w.perimeter) == {8, 9}
     assert w.coordinates[8] == (3, 2) and w.coordinates[9] == (4, 2)
-    assert validate_wall(w)
+    assert _validate_wall(w)
 
 
 def test_elementary_wall_paths_cover_every_edge():
@@ -563,63 +582,6 @@ def test_wall_layers_are_nested_cycles():
         assert set(inner) <= region.vertices("open")
 
 
-def _splice(path, u, v, fresh):
-    out = []
-    for a, b in zip(path, path[1:]):
-        out.append(a)
-        if {a, b} == {u, v}:
-            out.append(fresh)
-    out.append(path[-1])
-    return out
-
-
-def _splice_cycle(cycle, u, v, fresh):
-    out = _splice(list(cycle) + [cycle[0]], u, v, fresh)
-    return out[:-1] if out[-1] == out[0] else out[:-1] + [out[-1]]
-
-
-def test_wall_layers_lift_through_subdivisions():
-    w = build_elementary_wall(5)
-    g = w.host_subgraph
-    u, v = w.perimeter[0], w.perimeter[1]
-    inner_edge = next(e for e in g.sorted_edges()
-                      if e[0] not in w.perimeter and e[1] not in w.perimeter)
-    edges = set(g.edges)
-    edges.discard((min(u, v), max(u, v)))
-    edges |= {(min(u, 900), max(u, 900)), (min(v, 900), max(v, 900))}
-    a, b = inner_edge
-    edges.discard(inner_edge)
-    edges |= {(min(a, 901), max(a, 901)), (min(b, 901), max(b, 901))}
-    g2 = Graph(set(g.vertices) | {900, 901}, edges)
-    h2 = [_splice(_splice(list(p), u, v, 900), a, b, 901)
-          for p in w.horizontal_paths]
-    v2 = [_splice(_splice(list(p), u, v, 900), a, b, 901)
-          for p in w.vertical_paths]
-    per2 = _splice_cycle(w.perimeter, u, v, 900)
-    w2 = Wall(g2, 5, h2, v2, per2, subdivision_vertices={900, 901})
-    assert validate_wall(w2)
-    layers = wall_layers(w2)
-    assert len(layers) == 2
-    assert 900 in layers[0]
-    assert set(layers[0]) == set(per2)
-    for layer in layers:
-        for x, y in zip(layer, layer[1:] + layer[:1]):
-            assert g2.has_edge(x, y)
-
-
-def test_hand_built_walls_are_embedded_when_read():
-    w = build_elementary_wall(7)
-    parts = (w.host_subgraph, 7, w.horizontal_paths, w.vertical_paths, w.perimeter)
-    # from the coordinates when a wall has them, else by planar_rotation
-    assert wall_layers(Wall(*parts, coordinates=w.coordinates)) == wall_layers(w)
-    assert [set(c) for c in wall_layers(Wall(*parts))] == [set(c) for c in wall_layers(w)]
-    skewed = dict(w.coordinates)
-    skewed[0] = (3, 3)
-    with pytest.raises(TmhError, match="^wall coordinates do not put the "
-                                       "neighbours of 0 one unit step away$"):
-        wall_layers(Wall(*parts, coordinates=skewed))
-
-
 # -- the wall-or-width entry point -------------------------------------------
 
 
@@ -628,7 +590,7 @@ def test_find_wall_on_a_wall_host():
     out = find_wall(g, 5)
     assert isinstance(out, WallWithCompass)
     assert out.wall.r == 5
-    assert validate_wall(out.wall)
+    assert _validate_wall(out.wall)
     assert set(out.compass.compass.vertices) == set(g.vertices)
     assert out.compass_tw_certificate.width <= 124 * 5
 
@@ -638,7 +600,7 @@ def test_find_wall_extracts_subwall():
     out = find_wall(g, 5)
     assert isinstance(out, WallWithCompass)
     assert out.wall.r == 5
-    assert validate_wall(out.wall)
+    assert _validate_wall(out.wall)
     sub = out.wall.host_subgraph
     assert set(sub.vertices) < set(g.vertices)
     assert sub.edges < g.edges
@@ -707,7 +669,6 @@ def _count_rotations(monkeypatch):
 
     rotation = graphs.planar_rotation
     monkeypatch.setattr(graphs, "planar_rotation", counting)
-    monkeypatch.setattr(decomposition, "planar_rotation", counting)
     return calls
 
 
@@ -772,3 +733,44 @@ class TestCoordinateWalls:
         assert [set(c) for c in got] == [set(c) for c in ref]
         assert [c[0] for c in got] == [c[0] for c in ref]
         assert got[0] == w.perimeter
+
+
+def _relabelled(g, seed):
+    perm = list(g.vertices)
+    random.Random(seed).shuffle(perm)
+    return g.relabel(dict(zip(g.vertices, perm)))
+
+
+class TestWallRecognition:
+    """An elementary wall is recognised by rigid placement from a corner;
+    networkx's isomorphism test is the reference."""
+
+    @pytest.mark.parametrize("h", range(3, 22, 2))
+    def test_row_major_walls_get_the_builder_coordinates(self, h):
+        w = build_elementary_wall(h)
+        assert _recognize_elementary_wall(w.host_subgraph) == (h, w.coordinates)
+
+    @pytest.mark.parametrize("h, seed", [(h, s) for h in (3, 5, 7, 9) for s in range(5)])
+    def test_relabelled_walls_map_onto_the_template(self, h, seed):
+        g = _relabelled(build_elementary_wall(h).host_subgraph, seed)
+        r, coords = _recognize_elementary_wall(g)
+        positions, edges = _elementary_wall_edges(h)
+        assert r == h and sorted(coords.values()) == sorted(positions)
+        assert {frozenset((coords[u], coords[v])) for u, v in g.edges} \
+            == {frozenset(e) for e in edges}
+        out = find_wall(g, 3)
+        assert isinstance(out, WallWithCompass)
+        assert _validate_wall(out.wall)
+
+    @pytest.mark.parametrize("h, seed", [(h, s) for h in (3, 5, 7) for s in range(6)])
+    def test_a_moved_edge_is_no_wall(self, h, seed):
+        g = build_elementary_wall(h).host_subgraph
+        rng = random.Random(seed)
+        gone = rng.choice(g.sorted_edges())
+        new = rng.choice([e for e in itertools.combinations(g.vertices, 2)
+                          if not g.has_edge(*e)])
+        moved = Graph(g.vertices, (g.edges - {gone}) | {new})
+        assert (moved.n, moved.m) == (g.n, g.m)
+        assert _recognize_elementary_wall(moved) is None
+        template = nx.Graph(_elementary_wall_edges(h)[1])
+        assert not nx.is_isomorphic(nx.Graph(sorted(moved.edges)), template)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from helpers import normalize_graph, report_core
 from tmh.graphs import EmbeddingError, Graph, ParseError, TmhError, parse_graph
 from tmh.annulus import synthetic_annulus, synthetic_disk_host
 from tmh.decomposition import build_elementary_wall
@@ -22,12 +23,10 @@ from tmh.io import (
     export_dot,
     load_patterns,
     make_report,
-    normalize_graph,
     parse_annulus_index,
     parse_embedding,
     parse_linkage,
     parse_trace,
-    report_core,
     trace_records,
 )
 

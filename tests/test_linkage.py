@@ -337,14 +337,13 @@ class TestBudget:
 def is_vital(g, l, node_budget=None):
     """Cross-check: whether l spans g and is the unique linkage of g with
     its pattern, by an exhaustive search over the equivalent linkages of g,
-    so only for small hosts.  The search runs through the module
-    attribute, so a recorded search sees it."""
+    so only for small hosts."""
     _require_in_graph(g, l)
     node_budget = node_budget if node_budget is not None else default_budget()
     if l.vertices != frozenset(g.vertices):
         return False
     pairs = [tuple(sorted(pair)) for pair in l.pattern]
-    found = tmh.linkage._search_linkages(
+    found = _reference_search_linkages(
         g, pairs, node_budget, exclude_key=l.canonical_key(),
         stop_on_first=True)
     return found is None
@@ -1022,8 +1021,8 @@ class TestInPlaceSearch:
                 cur = LBPair(nxt, cur.base)
         monkeypatch.undo()
         assert verdicts == [True, False, False]
-        kinds = {(kw.get("stop_on_first", False), "better_than" in kw)
-                 for _, _, kw, _, _ in searches}
-        assert kinds == {(True, False), (False, True)}
+        # is_vital runs the reference search itself, so every recorded
+        # search is an improvement
+        assert searches and all("better_than" in kw for _, _, kw, _, _ in searches)
         _assert_searches_match(searches)
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx import check_planarity, graph_atlas_g
 
+from helpers import adjacency_graph
 from tmh import decomposition, solver
 from tmh.graphs import EmbeddingError, Graph, MutableAdjacency, TmhError
 from tmh.linkage import TamingBudget
@@ -593,7 +594,7 @@ class TestMinimalObstruction:
             before = _adjacency_state(adj)
             got = solver._minimal_obstruction(adj, fam, SearchBudget(10 ** 6))
             assert _adjacency_state(adj) == before
-            assert adj.graph() == smaller
+            assert adjacency_graph(adj) == smaller
             want = _reference_minimal_obstruction(smaller, fam,
                                                   SearchBudget(10 ** 6))
             assert got == want, "atlas graph %r" % (sorted(g.edges),)
@@ -665,12 +666,38 @@ def test_safe_solve_matches_the_generic_oracle_on_the_atlas(patterns):
     assert solved == 3 * len(PLANAR_ATLAS)
 
 
+@pytest.mark.parametrize("extra", [K5, K33], ids=["K5", "K33"])
+def test_non_planar_patterns_add_nothing_on_the_atlas(extra):
+    # a planar host holds no subdivision of K5 or K3,3 (Kuratowski)
+    alone, mixed = PatternFamily([K3]), PatternFamily([K3, extra])
+    assert mixed.planar.patterns == (K3,) and mixed.h == extra.n
+    for ng in PLANAR_ATLAS:
+        g = Graph(ng.nodes(), ng.edges())
+        for k in (0, 1, 2):
+            want = solve_tm_deletion(g, alone, k)
+            got = solve_tm_deletion(g, mixed, k)
+            assert (got.answer, got.witness) == (want.answer, want.witness), \
+                "atlas graph %r, k=%d" % (sorted(g.edges), k)
+
+
 class TestSolve:
     def test_pattern_free_host_answers_immediately(self):
         g = Graph(range(6), [(0, 1), (2, 3)])
         out = solve_tm_deletion(g, PatternFamily([K3]), 0)
         assert out.answer is True and out.witness == ()
         assert len(out.trace) == 0
+
+    @pytest.mark.parametrize("patterns", [[K33], [K5], [K5, K33]],
+                             ids=["K33", "K5", "K5+K33"])
+    def test_non_planar_family_needs_no_search(self, patterns, monkeypatch):
+        # the generic search would spend the whole budget looking for a
+        # model that a planar host cannot hold
+        monkeypatch.setenv("TMH_BUDGET_NODES", "100000")
+        fam = PatternFamily(patterns)
+        out = solve_tm_deletion(random_planar_graph(0, 12), fam, 0)
+        assert out.answer is True and out.witness == ()
+        assert len(out.trace) == 0
+        assert fam.planar is None
 
     def test_validation(self):
         g = Graph(range(2), [(0, 1)])
@@ -850,11 +877,16 @@ def test_outcome_repr_is_compact():
     assert "answer=True" in repr(out)
 
 
-# networkx is loaded only where a rotation or an isomorphism is read, and a
-# wall reads its rotation off its coordinates; each program runs in a fresh
-# interpreter and must leave it unimported
+# networkx is loaded only where planar_rotation reads a rotation; a wall
+# reads its rotation off its coordinates, and is recognised by placing it
+# at them; each program runs in a fresh interpreter and must leave it
+# unimported
 NO_NETWORKX_RUNS = {
     "cli_import": "import tmh.cli",
+    "find_wall": """
+from tmh.decomposition import WallWithCompass, build_elementary_wall, find_wall
+assert isinstance(find_wall(build_elementary_wall(21).host_subgraph, 5), WallWithCompass)
+""",
     "safe_solve": """
 from tmh.graphs import _series_parallel_core
 from tmh.solver import solve_tm_deletion
