@@ -595,13 +595,14 @@ def planar_rotation(g):
     return {v: tuple(data.get(v, ())) for v in g.vertices}
 
 
-def _series_parallel_core(g):
-    """Reduce by deleting degree-<=1 vertices and smoothing degree-2
+def _series_parallel_core(adj):
+    """Reduce the graph with adjacency map adj (vertex -> its neighbours,
+    left unchanged) by deleting degree-<=1 vertices and smoothing degree-2
     vertices, collapsing any parallel edges that appear.  The reduction
     runs to a fixed point; the core is empty exactly when every block is
     series-parallel, i.e. when no K4 shape exists."""
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    queue = deque(v for v in g.vertices if len(adj[v]) <= 2)
+    adj = {v: set(ns) for v, ns in adj.items()}
+    queue = deque(v for v, ns in adj.items() if len(ns) <= 2)
     while queue:
         v = queue.popleft()
         if v not in adj:
@@ -631,16 +632,21 @@ def _series_parallel_core(g):
 def is_planar(g):
     """Whether g is planar, for callers that need no rotation.
 
-    The route has three steps.  A graph with n >= 3 and more than 3n - 6
-    edges breaks Euler's bound.  A graph whose series-parallel core is
-    empty has no K4 minor, hence no K5 or K3,3 minor, and is planar
-    (Duffin, 1965).  Any other graph is planar exactly when its core is,
-    since the core only drops pendant vertices, smooths degree-2 vertices
-    and merges parallel edges; the core goes to the left-right test.
+    A graph with n >= 3 and more than 3n - 6 edges breaks Euler's bound.
+    A graph whose series-parallel core is empty has no K4 minor, hence
+    no K5 or K3,3 minor, and is planar (Duffin, 1965).  Any other graph
+    is planar exactly when its core is (the core only drops pendant
+    vertices, smooths degree-2 vertices and merges parallel edges), which
+    the left-right test decides; _planar_adjacency runs these two steps.
     """
     if g.n >= 3 and g.m > 3 * g.n - 6:
         return False
-    core = _series_parallel_core(g)
+    return _planar_adjacency(g._adj)
+
+
+def _planar_adjacency(adj):
+    """is_planar past its Euler bound, on an adjacency map."""
+    core = _series_parallel_core(adj)
     return not core or _lr_planar(core)
 
 
@@ -652,25 +658,30 @@ def _lr_planar(adj):
 
     Ported from the iterative LRPlanarity of networkx (BSD-3-Clause,
     Copyright (c) 2004-2025, NetworkX Developers), without its embedding
-    phase and the side and tree-edge references that only that phase reads.
-    A conflict pair is a list [left low, left high, right low, right high]
-    of back edges; an interval is empty when both of its ends are None.
+    phase and the side and tree-edge references that only that phase reads,
+    and on integers: the vertices become 0..n-1 in adj's order, each edge
+    gets an id in the order the DFS orients it, and the per-vertex and
+    per-edge labels are lists indexed by these, with -1 for none.  A
+    conflict pair is a list [left low, left high, right low, right high]
+    of back-edge ids; an interval is empty when both of its ends are -1.
     """
     n = len(adj)
-    if n > 2 and sum(map(len, adj.values())) > 2 * (3 * n - 6):
+    m = sum(map(len, adj.values())) // 2
+    if n > 2 and m > 3 * n - 6:
         return False
+    index = {v: i for i, v in enumerate(adj)}
+    nbrs = [[index[w] for w in ws] for ws in adj.values()]
     # orientation: DFS heights, lowpoints and the nesting order of edges
-    height = {}
-    parent_edge = {}
-    lowpt = {}
-    lowpt2 = {}
-    nesting = {}
-    out = {v: [] for v in adj}
-    roots = []
+    height = [-1] * n
+    parent_edge = [-1] * n
+    # per edge id: the vertex it points to, its lowpoints and nesting depth
+    head, lowpt, lowpt2, nesting = ([0] * m for _ in range(4))
+    out = [[] for _ in range(n)]
+    oriented = set()  # v * n + w for each edge oriented v -> w
 
     def finish(vw, hv, e):
         nesting[vw] = 2 * lowpt[vw] + (lowpt2[vw] < hv)
-        if e is not None:
+        if e >= 0:
             lw, le = lowpt[vw], lowpt[e]
             if lw < le:
                 lowpt2[e] = min(le, lowpt2[vw])
@@ -680,72 +691,70 @@ def _lr_planar(adj):
             else:
                 lowpt2[e] = min(lowpt2[e], lowpt2[vw])
 
-    for root in adj:
-        if root in height:
+    for root in range(n):
+        if height[root] >= 0:
             continue
         height[root] = 0
-        parent_edge[root] = None
-        roots.append(root)
-        frames = [(root, iter(adj[root]))]
+        frames = [(root, iter(nbrs[root]))]
         while frames:
             v, todo = frames[-1]
             hv = height[v]
             for w in todo:
-                if (w, v) in lowpt:
+                if w * n + v in oriented:
                     continue
-                vw = (v, w)
-                out[v].append(w)
+                vw = len(oriented)
+                oriented.add(v * n + w)
+                head[vw] = w
+                out[v].append(vw)
                 lowpt[vw] = lowpt2[vw] = hv
-                if w not in height:
+                if height[w] < 0:
                     parent_edge[w] = vw
                     height[w] = hv + 1
-                    frames.append((w, iter(adj[w])))
+                    frames.append((w, iter(nbrs[w])))
                     break
                 lowpt[vw] = height[w]
                 finish(vw, hv, parent_edge[v])
             else:
                 frames.pop()
                 e = parent_edge[v]
-                if e is not None:
-                    u = e[0]
+                if e >= 0:
+                    u = frames[-1][0]  # the tail of e
                     finish(e, height[u], parent_edge[u])
 
     # testing: merge the constraints of the return edges, bottom up
-    ordered = {v: sorted(ws, key=lambda w, v=v: nesting[(v, w)])
-               for v, ws in out.items()}
+    ordered = [sorted(es, key=nesting.__getitem__) for es in out]
     stack = []
-    stack_bottom = {}
-    lowpt_edge = {}
-    ref = {}
+    # stack_bottom holds the stack's size when the edge is reached
+    stack_bottom, lowpt_edge, ref = ([-1] * m for _ in range(3))
 
     def conflicting(low, high, b):
-        return (low is not None or high is not None) and lowpt[high] > lowpt[b]
+        return (low >= 0 or high >= 0) and lowpt[high] > lowpt[b]
 
     def lowest(p):
-        if p[0] is None and p[1] is None:
+        if p[0] < 0 and p[1] < 0:
             return lowpt[p[2]]
-        if p[2] is None and p[3] is None:
+        if p[2] < 0 and p[3] < 0:
             return lowpt[p[0]]
         return min(lowpt[p[0]], lowpt[p[2]])
 
     def add_constraints(ei, e):
-        p = [None, None, None, None]
+        p = [-1, -1, -1, -1]
         # merge the return edges of ei into the right interval of p
         while True:
             q = stack.pop()
-            if q[0] is not None or q[1] is not None:
+            if q[0] >= 0 or q[1] >= 0:
                 q[:] = q[2], q[3], q[0], q[1]
-            if q[0] is not None or q[1] is not None:
+            if q[0] >= 0 or q[1] >= 0:
                 return False
             if lowpt[q[2]] > lowpt[e]:
-                if p[2] is None and p[3] is None:
+                if p[2] < 0 and p[3] < 0:
                     p[3] = q[3]
                 else:
                     ref[p[2]] = q[3]
                 p[2] = q[2]
             else:
                 ref[q[2]] = lowpt_edge[e]
-            if (stack[-1] if stack else None) is stack_bottom[ei]:
+            if len(stack) == stack_bottom[ei]:
                 break
         # merge the conflicting return edges of earlier siblings into the left
         while (conflicting(stack[-1][0], stack[-1][1], ei)
@@ -755,55 +764,56 @@ def _lr_planar(adj):
                 q[:] = q[2], q[3], q[0], q[1]
             if conflicting(q[2], q[3], ei):
                 return False
-            ref[p[2]] = q[3]
-            if q[2] is not None:
+            if p[2] >= 0:
+                ref[p[2]] = q[3]
+            if q[2] >= 0:
                 p[2] = q[2]
-            if p[0] is None and p[1] is None:
+            if p[0] < 0 and p[1] < 0:
                 p[1] = q[1]
             else:
                 ref[p[0]] = q[1]
             p[0] = q[0]
-        if any(x is not None for x in p):
+        if p != [-1, -1, -1, -1]:
             stack.append(p)
         return True
 
-    def remove_back_edges(e):
-        u = e[0]
+    def remove_back_edges(u):
+        # u is the tail of the tree edge whose subtree is done
         hu = height[u]
         while stack and lowest(stack[-1]) == hu:
             stack.pop()
         if stack:
             p = stack[-1]
             # trim the left interval, then the right one
-            while p[1] is not None and p[1][1] == u:
-                p[1] = ref.get(p[1])
-            if p[1] is None and p[0] is not None:
+            while p[1] >= 0 and head[p[1]] == u:
+                p[1] = ref[p[1]]
+            if p[1] < 0 and p[0] >= 0:
                 ref[p[0]] = p[2]
-                p[0] = None
-            while p[3] is not None and p[3][1] == u:
-                p[3] = ref.get(p[3])
-            if p[3] is None and p[2] is not None:
+                p[0] = -1
+            while p[3] >= 0 and head[p[3]] == u:
+                p[3] = ref[p[3]]
+            if p[3] < 0 and p[2] >= 0:
                 ref[p[2]] = p[0]
-                p[2] = None
+                p[2] = -1
 
-    for root in roots:
+    for root in (v for v in range(n) if parent_edge[v] < 0):
         frames = [(root, 0, False)]
         while frames:
             v, k, resumed = frames.pop()
             e = parent_edge[v]
             hv = height[v]
-            ws = ordered[v]
-            while k < len(ws):
-                w = ws[k]
-                ei = (v, w)
+            es = ordered[v]
+            while k < len(es):
+                ei = es[k]
                 if not resumed:
-                    stack_bottom[ei] = stack[-1] if stack else None
+                    stack_bottom[ei] = len(stack)
+                    w = head[ei]
                     if parent_edge[w] == ei:
                         frames.append((v, k, True))
                         frames.append((w, 0, False))
                         break
                     lowpt_edge[ei] = ei
-                    stack.append([None, None, ei, ei])
+                    stack.append([-1, -1, ei, ei])
                 resumed = False
                 if lowpt[ei] < hv:
                     if k == 0:
@@ -812,8 +822,8 @@ def _lr_planar(adj):
                         return False
                 k += 1
             else:
-                if e is not None:
-                    remove_back_edges(e)
+                if e >= 0:
+                    remove_back_edges(frames[-1][0])
     return True
 
 

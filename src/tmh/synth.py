@@ -9,7 +9,7 @@ depending on interpreter hash state.
 
 from __future__ import annotations
 
-from .graphs import Graph, TmhError, is_planar
+from .graphs import Graph, TmhError, _planar_adjacency
 
 
 class Lcg:
@@ -76,20 +76,26 @@ def stream_cycle_fabric(r, subdivide=0):
 
 
 def random_planar_graph(seed, n, tries=200):
-    """Seeded connected planar graph on n vertices: grow a random tree,
-    then keep adding random chords while planarity survives.
+    """Seeded connected planar graph on n >= 1 vertices: grow a random
+    tree, then keep adding random chords while planarity survives.
 
     Every try draws its two endpoints whatever happens to the chord, so
-    the output depends only on the seed, n and tries.  A chord once
-    refused is refused again without a test: the graph only gains edges,
-    and a graph with a non-planar subgraph is not planar.
+    the output depends only on the seed, n and tries.  The chords are
+    tried on one adjacency of sets: added, tested, and taken out again if
+    refused.  Two refusals need no test: a chord refused before (the graph
+    only gains edges, and a graph with a non-planar subgraph is not
+    planar), and any chord once the graph has 3n - 6 edges (Euler's bound).
     """
+    if n < 1:
+        raise TmhError("random planar graph needs n >= 1, got %d" % n)
     rng = Lcg(seed)
-    vertices = list(range(n))
+    adj = {v: set() for v in range(n)}
     edges = set()
     for v in range(1, n):
         u = rng.next_int(v)
         edges.add((u, v))
+        adj[u].add(v)
+        adj[v].add(u)
     rejected = set()
     for _ in range(tries):
         a = rng.next_int(n)
@@ -97,13 +103,17 @@ def random_planar_graph(seed, n, tries=200):
         if a == b:
             continue
         e = (min(a, b), max(a, b))
-        if e in edges or e in rejected:
+        if e in edges or e in rejected or len(edges) >= 3 * n - 6:
             continue
-        if is_planar(Graph(vertices, edges | {e})):
+        adj[a].add(b)
+        adj[b].add(a)
+        if _planar_adjacency(adj):
             edges.add(e)
         else:
+            adj[a].discard(b)
+            adj[b].discard(a)
             rejected.add(e)
-    return Graph(vertices, edges)
+    return Graph(range(n), edges)
 
 
 def series_parallel_graph(seed, n):

@@ -431,7 +431,7 @@ def _contains_fast(g, tag):
     if tag == "c4":
         return any(len(b) >= 4 for b in _block_vertex_sets(g))
     if tag == "k4":
-        return bool(_series_parallel_core(g))
+        return bool(_series_parallel_core({v: g.neighbors(v) for v in g.vertices}))
     if tag == "k23":
         # a vertex of degree at most one lies in no model of a pattern of
         # minimum degree two, so the test runs on the 2-core

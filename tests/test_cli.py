@@ -359,6 +359,14 @@ class TestBench:
         assert len(rep["outcome"]["rows"]) == 2
         assert len(rep["timings"]["per_instance_s"]) == 2
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_a_host_without_vertices_is_refused(self, capsys, n):
+        code, rep, err = run(capsys, "bench", "--patterns", "K3",
+                             "--k", "0", "--n", n)
+        assert code == 2 and rep is None
+        assert err == ("failure in bench: random planar graph needs "
+                       "n >= 1, got %s\n" % n)
+
 
 class TestExitCodes:
     def test_usage_error_is_64(self, capsys):

@@ -18,6 +18,9 @@ from tmh.graphs import (
     PlaneEmbedding,
     TmhError,
     _cycle_order,
+    _lr_planar,
+    _planar_adjacency,
+    _series_parallel_core,
     annulus_region,
     is_planar,
     parse_graph,
@@ -315,6 +318,31 @@ def _subdivided(edges, first_id, rng):
     return out
 
 
+def _adjacency(g):
+    return {v: set(g.neighbors(v)) for v in g.vertices}
+
+
+def _chord_stream(monkeypatch):
+    """(graph, verdict) for every planarity test random_planar_graph makes
+    for seeds 0 and 1 and n in 12, 24, 48 and 96."""
+    from tmh import synth
+
+    asked = []
+
+    def recording(adj):
+        verdict = _planar_adjacency(adj)
+        asked.append((Graph(adj, [(v, w) for v, ws in adj.items()
+                                  for w in ws if v < w]), verdict))
+        return verdict
+
+    monkeypatch.setattr(synth, "_planar_adjacency", recording)
+    for seed in range(2):
+        for n in (12, 24, 48, 96):
+            synth.random_planar_graph(seed, n)
+    monkeypatch.undo()
+    return asked
+
+
 def _assert_matches_networkx(graphs):
     seen = set()
     for g in graphs:
@@ -408,19 +436,44 @@ class TestIsPlanar:
 
     def test_matches_networkx_on_the_chord_stream(self, monkeypatch):
         # every verdict random_planar_graph asks for, up to n = 96
-        from tmh import synth
+        seen = set()
+        for g, verdict in _chord_stream(monkeypatch):
+            assert verdict == _nx_planar(g), sorted(g.edges)
+            seen.add(verdict)
+        assert seen == {True, False}
 
-        asked = []
-
-        def recording(g):
-            asked.append(g)
-            return is_planar(g)
-
-        monkeypatch.setattr(synth, "is_planar", recording)
-        for seed in range(2):
-            for n in (12, 24, 48, 96):
-                synth.random_planar_graph(seed, n)
-        _assert_matches_networkx(asked)
+    def test_lr_verdict_does_not_depend_on_order(self, monkeypatch):
+        # shuffled key and neighbour orders give other DFS trees, which
+        # exercise other conflict-pair merges
+        adjs = []
+        for ng in nx.graph_atlas_g():
+            if ng.number_of_nodes() >= 5:
+                adjs.append({v: set(ng[v]) for v in ng})
+        for g, _ in _chord_stream(monkeypatch):
+            core = _series_parallel_core(_adjacency(g))
+            if core:
+                adjs.append(core)
+        for seed in range(4):
+            for n in (192, 384):
+                adjs.append(_adjacency(random_planar_graph(seed, n,
+                                                           tries=n // 6)))
+        seen = set()
+        for adj in adjs:
+            ng = nx.Graph()
+            ng.add_nodes_from(adj)
+            ng.add_edges_from((v, w) for v, ws in adj.items() for w in ws)
+            want = nx.check_planarity(ng)[0]
+            for seed in range(3):
+                rng = random.Random(seed)
+                keys = list(adj)
+                rng.shuffle(keys)
+                shuffled = {}
+                for v in keys:
+                    shuffled[v] = list(adj[v])
+                    rng.shuffle(shuffled[v])
+                assert _lr_planar(shuffled) == want, (sorted(ng.edges), seed)
+            seen.add(want)
+        assert seen == {True, False}
 
     def test_disconnected_graphs(self):
         k5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]

@@ -871,6 +871,31 @@ def test_random_planar_graph_output_is_frozen():
     assert h.hexdigest() == GENERATOR_DIGEST
 
 
+# every (seed, n, tries) with seed 0-7, n in 12, 16, 20, 24, 40, 64, 128
+# and tries n // 8, n // 6 or 200, hashed over one list of sorted edge lists
+GENERATOR_GRID_DIGEST = ("8152bb7124f83a31b6993fed970eada8"
+                         "dc0f4fe594c4746f33d342cf6d7a9508")
+
+
+def test_random_planar_graph_grid_is_frozen():
+    hosts = [sorted(random_planar_graph(s, n, t).edges) for s in range(8)
+             for n in (12, 16, 20, 24, 40, 64, 128)
+             for t in (n // 8, n // 6, 200)]
+    digest = hashlib.sha256(repr(hosts).encode()).hexdigest()
+    assert digest == GENERATOR_GRID_DIGEST
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_random_planar_graph_refuses_an_empty_host(n):
+    with pytest.raises(TmhError, match=r"needs n >= 1, got %d$" % n):
+        random_planar_graph(0, n)
+
+
+def test_random_planar_graph_on_one_and_two_vertices():
+    assert random_planar_graph(0, 1) == Graph([0], [])
+    assert random_planar_graph(0, 2) == Graph.from_edges([(0, 1)])
+
+
 def test_outcome_repr_is_compact():
     out = SolveOutcome(True, (3, 1), ReductionTrace())
     assert out.witness == (3, 1)
@@ -893,7 +918,8 @@ from tmh.solver import solve_tm_deletion
 from tmh.synth import random_planar_graph
 from tmh.tm import BUILTIN_PATTERNS, PatternFamily
 g = random_planar_graph(5, 17)
-assert _series_parallel_core(g)  # the planarity test runs in full
+# the planarity test runs in full
+assert _series_parallel_core({v: g.neighbors(v) for v in g.vertices})
 fam = PatternFamily([BUILTIN_PATTERNS["K23"](), BUILTIN_PATTERNS["C4"]()])
 assert solve_tm_deletion(g, fam, 1, mode="safe").answer is False
 """,
