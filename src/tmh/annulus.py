@@ -91,6 +91,10 @@ class RailedAnnulus:
         return self
 
     def _attach(self, nested, rail_list):
+        """Validate the rails against the nested cycles and record each
+        rail's orientation, crossings and entry vertices.  Each rail vertex
+        is checked against the band on its own (AnnulusBand.has_vertex),
+        so no disk's vertex or edge sets are built here."""
         self.cycles = nested
         self.embedding = embedding = nested.embedding
         self.r = r = nested.r
@@ -99,7 +103,7 @@ class RailedAnnulus:
         band = self.cycles.annulus(1, r)
         for j, rail in enumerate(rail_list):
             _check_simple_path(g, rail, "rail %d" % (j + 1))
-            outside = [v for v in rail if v not in band.vertices]
+            outside = [v for v in rail if not band.has_vertex(v)]
             if outside:
                 raise TmhError("rail %d leaves the annulus at %r"
                                % (j + 1, outside[0]))
@@ -666,6 +670,8 @@ def synthetic_annulus_parts(r, q, girth=None, seed=0, span=1, noise=0,
         raise TmhError("need at least 3 rails, got %d" % q)
     if span < 1:
         raise TmhError("crossing span must be positive, got %d" % span)
+    if noise < 0:
+        raise TmhError("noise must be non-negative, got %d" % noise)
     m = girth if girth is not None else max(2 * q, q * span + q)
     if m < q * span + q:
         raise TmhError("girth %d cannot host %d rails of span %d" % (m, q, span))

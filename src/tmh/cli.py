@@ -63,7 +63,20 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the contract wants 64
     def error(self, message):
         self.print_usage(sys.stderr)
+        sys.stderr.write("%s: error: %s\n" % (self.prog, message))
         raise SystemExit(EXIT_USAGE)
+
+
+def _rail_indices(text):
+    """A --rails value: a comma list of integer rail indices."""
+    rails = []
+    for entry in text.split(","):
+        try:
+            rails.append(int(entry))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "rail index %r in %r is not an integer" % (entry, text))
+    return tuple(rails)
 
 
 def _taming_from(spec):
@@ -241,7 +254,7 @@ def cmd_tame(args):
     bundle, g, _, a = _load_annulus_bundle(args, need_disk=False)
     l = parse_linkage(read_text(args.linkage))
     budget = _taming_from(args.budget_f1)
-    rails = tuple(int(t) for t in args.rails.split(","))
+    rails = args.rails
     t0 = time.perf_counter()
     out = tame_linkage(g, a, l, args.band, rails, budget=budget,
                        force=args.force)
@@ -434,7 +447,8 @@ def _build_parser():
     p.add_argument("--linkage", required=True)
     p.add_argument("--band", type=int, required=True,
                    help="half-width of the middle band to confine within")
-    p.add_argument("--rails", required=True, help="comma list of rail indices")
+    p.add_argument("--rails", required=True, type=_rail_indices,
+                   help="comma list of rail indices")
     budget_flag(p)
     p.add_argument("--force", action="store_true")
     p.add_argument("--out", metavar="PATH", help="write the tamed linkage")

@@ -22,6 +22,7 @@ three substrates defined here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from operator import itemgetter
@@ -421,15 +422,17 @@ class PlaneEmbedding:
     one tuple object, and the low-to-high dart of an edge is also the key
     of the edge's entry in _edge_faces, the tuple of the faces on its two
     sides in increasing order (a bridge lists its one face twice).
-    _vertex_faces maps each vertex to the sorted tuple of its faces.
+    _vertex_faces maps each vertex to the sorted tuple of its faces; it is
+    built on first use, since most embeddings only answer for the few
+    vertices they are asked about (see _faces_at).
 
     restrict(vertices, pick_outer) embeds an induced subgraph under the
     restricted rotation.  It keeps every face whose vertices all survive,
     as the same tuple, and traces only the surviving darts of the others.
     """
 
-    __slots__ = ("graph", "rotation", "faces", "outer_face", "_vertex_faces", "_edge_faces",
-                 "_plane")
+    __slots__ = ("graph", "rotation", "faces", "outer_face", "_vertex_face_map",
+                 "_edge_faces", "_plane")
 
     def __init__(self, graph, rotation, pick_outer):
         """rotation: dict v -> sequence of neighbors in clockwise order.
@@ -471,7 +474,7 @@ class PlaneEmbedding:
         lost = set()
         for v in self.graph.vertices:
             if v not in keep:
-                lost.update(self._vertex_faces[v])
+                lost.update(self._faces_at(v))
         new = PlaneEmbedding.__new__(PlaneEmbedding)
         new.graph = graph
         new._plane = None
@@ -521,18 +524,11 @@ class PlaneEmbedding:
         return faces
 
     def _index(self):
-        """The vertex and edge incidences of the faces (see the class
-        docstring).  A face through v leaves v along one of its darts, so
-        the tails of the darts name every vertex of a face."""
-        vertex_faces = {v: [] for v in self.graph.vertices}
+        """The edge incidences of the faces (see the class docstring)."""
         edge_faces = {}
         for idx, face in enumerate(self.faces):
             for d in face:
-                u, v = d
-                fs = vertex_faces[u]
-                if not fs or fs[-1] != idx:
-                    fs.append(idx)
-                if u < v:
+                if d[0] < d[1]:
                     edge_faces[d] = idx
         for idx, face in enumerate(self.faces):
             for u, v in face:
@@ -540,8 +536,29 @@ class PlaneEmbedding:
                     e = (v, u)
                     other = edge_faces[e]
                     edge_faces[e] = (other, idx) if other <= idx else (idx, other)
-        self._vertex_faces = {v: tuple(fs) for v, fs in vertex_faces.items()}
         self._edge_faces = edge_faces
+        self._vertex_face_map = None
+
+    @property
+    def _vertex_faces(self):
+        """Each vertex's faces as a sorted tuple, built on first read.  A
+        face through v leaves v along one of its darts, so the tails of the
+        darts name every vertex of a face."""
+        if self._vertex_face_map is None:
+            vertex_faces = {v: [] for v in self.graph.vertices}
+            for idx, face in enumerate(self.faces):
+                for u, _ in face:
+                    fs = vertex_faces[u]
+                    if not fs or fs[-1] != idx:
+                        fs.append(idx)
+            self._vertex_face_map = {v: tuple(fs) for v, fs in vertex_faces.items()}
+        return self._vertex_face_map
+
+    def _faces_at(self, v):
+        """The faces through v, with repeats: those of v's incident edges,
+        since a face through v leaves it along an edge."""
+        ef = self._edge_faces
+        return [f for w in self.graph.neighbors(v) for f in ef[(v, w) if v < w else (w, v)]]
 
     def faces_of_vertex(self, v):
         if v not in self._vertex_faces:
@@ -561,20 +578,6 @@ class PlaneEmbedding:
             g = self.graph
             self._plane = g.is_connected() and g.n - g.m + len(self.faces) == 2
         return self._plane
-
-    def check_euler(self):
-        """v - e + f = 2 on each connected component (f counted locally)."""
-        for comp in self.graph.connected_components():
-            vs = set(comp)
-            es = sum(1 for e in self.graph.edges if e[0] in vs)
-            fs = set()
-            for v in comp:
-                fs.update(self._vertex_faces[v])
-            if len(comp) == 1 and not fs:
-                continue
-            if len(vs) - es + len(fs) != 2:
-                return False
-        return True
 
 
 def planar_rotation(g):
@@ -831,50 +834,22 @@ class DiskRegion:
     """A closed disk of an embedding: a set of interior faces plus the cycle
     bounding them.  Membership is face arithmetic and nothing else.
 
-    The interior faces and the boundary cycle are fixed at construction;
-    the open and closed vertex and edge sets are computed together the
-    first time vertices() or edges() is called, since most disks are only
-    compared by their faces."""
+    The interior faces and the boundary cycle are fixed at construction.
+    The closed and open vertex and edge sets are each built on first read
+    (an open one from its closed one), so vertices() builds no edge set
+    and edges() no vertex set; has_vertex asks only the faces at a vertex.
+    Only the interior faces' darts are scanned, and an edge is kept as a
+    face's own (low, high) dart where one exists, so regions share their
+    edge tuples with the embedding."""
 
-    __slots__ = ("embedding", "interior_faces", "boundary_cycle", "_sets")
+    __slots__ = ("embedding", "interior_faces", "boundary_cycle", "_closed_v", "_open_v",
+                 "_closed_e", "_open_e")
 
     def __init__(self, embedding, interior_faces, boundary_cycle):
         self.embedding = embedding
         self.interior_faces = frozenset(interior_faces)
         self.boundary_cycle = tuple(boundary_cycle)
-        self._sets = None
-
-    def _membership(self):
-        """(closed vertices, open vertices, closed edges, open edges)."""
-        if self._sets is not None:
-            return self._sets
-        embedding = self.embedding
-        # anything on no interior face and off the boundary is in neither
-        # set, so only the interior faces' own vertices and edges are scanned;
-        # an edge is kept as the face's own (low, high) step where one
-        # exists, so regions share their edge tuples with the embedding
-        interior = self.interior_faces
-        touched_v, touched_e, reversed_e = set(), set(), []
-        for f in interior:
-            for step in embedding.faces[f]:
-                u, v = step
-                touched_v.add(u)
-                if u < v:
-                    touched_e.add(step)
-                else:
-                    reversed_e.append(step)
-        for u, v in reversed_e:
-            if (v, u) not in touched_e:
-                touched_e.add((v, u))
-        boundary = {v for v in self.boundary_cycle if v in embedding.graph}
-        vertex_faces = embedding._vertex_faces
-        edge_faces = embedding._edge_faces
-        open_v = {v for v in touched_v - boundary
-                  if interior.issuperset(vertex_faces[v])}
-        open_e = {e for e in touched_e if interior.issuperset(edge_faces[e])}
-        self._sets = (frozenset(touched_v | boundary), frozenset(open_v),
-                      frozenset(touched_e), frozenset(open_e))
-        return self._sets
+        self._closed_v = self._open_v = self._closed_e = self._open_e = None
 
     @classmethod
     def of_cycle(cls, embedding, cycle_vertices):
@@ -888,23 +863,54 @@ class DiskRegion:
         return cls(embedding, interior, cyc)
 
     def vertices(self, mode="closed"):
-        if mode == "closed":
-            return self._membership()[0]
-        if mode == "open":
-            return self._membership()[1]
-        raise TmhError("mode must be 'open' or 'closed'")
+        """Closed: the boundary and the vertices of interior faces; open:
+        the closed ones off the boundary with every face interior."""
+        emb = self.embedding
+        if _is_open(mode):
+            if self._open_v is None:
+                off, vertex_faces = set(self.boundary_cycle), emb._vertex_faces
+                self._open_v = frozenset(v for v in self.vertices() if v not in off and
+                                         self.interior_faces.issuperset(vertex_faces[v]))
+            return self._open_v
+        if self._closed_v is None:
+            closed = {u for f in self.interior_faces for u, _ in emb.faces[f]}
+            closed.update(v for v in self.boundary_cycle if v in emb.graph)
+            self._closed_v = frozenset(closed)
+        return self._closed_v
 
     def edges(self, mode="closed"):
-        if mode == "closed":
-            return self._membership()[2]
-        if mode == "open":
-            return self._membership()[3]
-        raise TmhError("mode must be 'open' or 'closed'")
+        """Closed: the edges of interior faces; open: those with both sides
+        interior."""
+        emb = self.embedding
+        if _is_open(mode):
+            if self._open_e is None:
+                self._open_e = frozenset(e for e in self.edges() if
+                                         self.interior_faces.issuperset(emb._edge_faces[e]))
+            return self._open_e
+        if self._closed_e is None:
+            darts = [d for f in self.interior_faces for d in emb.faces[f]]
+            closed = {d for d in darts if d[0] < d[1]}
+            closed.update((v, u) for u, v in darts if u > v)
+            self._closed_e = frozenset(closed)
+        return self._closed_e
+
+    def has_vertex(self, v, mode="closed"):
+        """v in vertices(mode), read from that set where it exists and else
+        from the faces at v.  False for a vertex outside the embedding."""
+        is_open = _is_open(mode)
+        known = self._open_v if is_open else self._closed_v
+        if known is not None or v not in self.embedding.graph:
+            return known is not None and v in known
+        faces = self.embedding._faces_at(v)
+        if is_open:
+            return (bool(faces) and self.interior_faces.issuperset(faces)
+                    and v not in self.boundary_cycle)
+        return not self.interior_faces.isdisjoint(faces) or v in self.boundary_cycle
 
     def contains_vertex(self, v, mode="closed"):
         if v not in self.embedding.graph:
             raise EmbeddingError("vertex %r is outside the embedded part" % (v,))
-        return v in self.vertices(mode)
+        return self.has_vertex(v, mode)
 
     def subgraph(self, mode="closed"):
         """The graph on the vertices of the given mode.  An open edge may
@@ -915,6 +921,13 @@ class DiskRegion:
         if mode == "open":
             es = [e for e in es if e[0] in vs and e[1] in vs]
         return self.embedding.graph.restrict(vs, es)
+
+
+def _is_open(mode):
+    """Whether mode asks for the open disk rather than the closed one."""
+    if mode not in ("closed", "open"):
+        raise TmhError("mode must be 'open' or 'closed'")
+    return mode == "open"
 
 
 def _cycle_edges(embedding, cyc):
@@ -1045,15 +1058,23 @@ class NestedCycles:
 
 
 class AnnulusBand:
-    """Vertex and edge sets of a band between two nested cycles."""
+    """The band between nested cycles x <= y: the closed disk of the outer
+    one minus the open disk of the inner one.  Its vertex and edge sets are
+    built on first read; has_vertex asks the two disks instead."""
 
-    __slots__ = ("vertices", "edges", "x", "y")
+    def __init__(self, outer, inner, x, y):
+        self.outer, self.inner, self.x, self.y = outer, inner, x, y
 
-    def __init__(self, vertices, edges, x, y):
-        self.vertices = frozenset(vertices)
-        self.edges = frozenset(edges)
-        self.x = x
-        self.y = y
+    @functools.cached_property
+    def vertices(self):
+        return self.outer.vertices("closed") - self.inner.vertices("open")
+
+    @functools.cached_property
+    def edges(self):
+        return self.outer.edges("closed") - self.inner.edges("open")
+
+    def has_vertex(self, v):
+        return self.outer.has_vertex(v, "closed") and not self.inner.has_vertex(v, "open")
 
     def subgraph_of(self, g):
         vs = self.vertices & set(g.vertices)
@@ -1066,11 +1087,7 @@ def annulus_region(nc, x, y):
     1-based, x outermost.  ann(C) is annulus_region(nc, 1, r)."""
     if not (1 <= x <= y <= nc.r):
         raise TmhError("annulus indices must satisfy 1 <= x <= y <= r")
-    outer = nc.regions[x - 1]
-    inner = nc.regions[y - 1]
-    vs = outer.vertices("closed") - inner.vertices("open")
-    es = outer.edges("closed") - inner.edges("open")
-    return AnnulusBand(vs, es, x, y)
+    return AnnulusBand(nc.regions[x - 1], nc.regions[y - 1], x, y)
 
 
 class PartiallyDiskEmbedded:

@@ -159,16 +159,16 @@ def _canonical_paths_key(paths):
     return tuple(sorted(min(tuple(p), tuple(reversed(tuple(p)))) for p in paths))
 
 
-def _search_linkages(host, pairs, node_budget, better_than=None, base_edges=None):
+def _search_linkages(steps, pairs, node_budget, better_than=None):
     """Exhaustive backtracking over vertex-disjoint path systems realizing
-    the given terminal pairs inside host.
+    the given terminal pairs along steps: a map from each vertex to its
+    (neighbour, step cost) pairs in increasing neighbour order, symmetric
+    in the two ends of a step.
 
-    The cost of a system is the number of its edges outside base_edges
-    (zero when base_edges is None, which makes all systems cost 0 and the
-    search a pure existence enumeration).  Returns (cost, paths) for the
-    cheapest system, ties broken toward the lexicographically least
-    canonical form, or None when no system exists.  better_than admits
-    only strictly cheaper systems.
+    The cost of a system is the sum of its step costs.  Returns (cost,
+    paths) for the cheapest system, ties broken toward the
+    lexicographically least canonical form, or None when no system
+    exists.  better_than admits only strictly cheaper systems.
 
     Partial paths grow in place, each step pushed before its recursion
     and popped after it, so nodes are visited as if each step copied the
@@ -183,8 +183,6 @@ def _search_linkages(host, pairs, node_budget, better_than=None, base_edges=None
             raise TmhError("a pattern pair needs two distinct terminals")
         terminals.add(u)
         terminals.add(v)
-    if base_edges is None:
-        base_edges = host.edges
     best = [None]
 
     def place(idx, used, acc, cost):
@@ -206,10 +204,9 @@ def _search_linkages(host, pairs, node_budget, better_than=None, base_edges=None
                 place(idx + 1, used | on_path, acc, cost + pcost)
                 acc.pop()
                 return
-            for w in host.neighbors(last):
+            for w, step in steps[last]:
                 if w in used or w in on_path or w in blocked:
                     continue
-                step = 0 if _normalize_edge(last, w) in base_edges else 1
                 ncost = pcost + step
                 if better_than is not None and cost + ncost >= better_than:
                     continue
@@ -221,7 +218,7 @@ def _search_linkages(host, pairs, node_budget, better_than=None, base_edges=None
                 path.pop()
                 on_path.discard(w)
 
-        if u in host and v in host:
+        if u in steps and v in steps:
             extend(0)
 
     if not pairs:
@@ -243,9 +240,11 @@ def improve_linkage(lb):
     instances.
     """
     host = lb.linkage.union_graph().union(lb.base)
+    base = lb.base.edges
+    steps = {x: [(w, 0 if _normalize_edge(x, w) in base else 1)
+                 for w in host.neighbors(x)] for x in host.vertices}
     pairs = [tuple(sorted(pair)) for pair in lb.linkage.pattern]
-    found = _search_linkages(host, pairs, default_budget(),
-                             better_than=lb.cae, base_edges=lb.base.edges)
+    found = _search_linkages(steps, pairs, default_budget(), better_than=lb.cae)
     if found is None:
         return None
     cost, paths = found
@@ -253,21 +252,6 @@ def improve_linkage(lb):
     if cost >= lb.cae:
         raise TmhError("search returned a non-improving rerouting")
     return improved
-
-
-def _cycles_base(cycles, d):
-    """The vertex and edge sets of the cycle family minus the closed region
-    d: the base graph linkages are allowed to reroute along."""
-    verts = set()
-    edges = set()
-    for c in cycles.cycles:
-        verts.update(c)
-        edges.update(_path_edges(c, closed=True))
-    if d is not None:
-        banned = d.vertices("closed")
-        verts -= banned
-        edges = {e for e in edges if e[0] not in banned and e[1] not in banned}
-    return verts, edges
 
 
 def minimal_linkage(g, cycles, d, l, node_budget=None):
@@ -278,23 +262,38 @@ def minimal_linkage(g, cycles, d, l, node_budget=None):
     and l avoids the closed region d.  The search is exhaustive, so the
     result is a global minimum; rerunning improve_linkage on it finds
     nothing by construction.
+
+    The search steps along the cycles' own vertex orders and l's paths:
+    a cycle step with neither end in d costs 0, any other step of l
+    costs 1.  The terminals are checked against the band one by one
+    (AnnulusBand.has_vertex), so no disk's sets are built for them.
     """
     _require_in_graph(g, l)
     node_budget = node_budget if node_budget is not None else default_budget()
     band = cycles.annulus(1, cycles.r)
-    bad = l.terminals & band.vertices
+    bad = [t for t in l.terminals if band.has_vertex(t)]
     if bad:
-        raise TmhError("linkage terminal %r lies inside the cycle band"
-                       % (sorted(bad)[0],))
+        raise TmhError("linkage terminal %r lies inside the cycle band" % (min(bad),))
+    banned = frozenset()
     if d is not None:
-        hit = l.vertices & d.vertices("closed")
+        banned = d.vertices("closed")
+        hit = l.vertices & banned
         if hit:
             raise TmhError("linkage meets the forbidden region at %r"
                            % (sorted(hit)[0],))
-    base_v, base_e = _cycles_base(cycles, d)
-    host = Graph(l.vertices | base_v, l.edges | base_e)
+    steps = {}
+    for c in cycles.cycles:
+        for x, y in zip(c, c[1:] + c[:1]):
+            if x not in banned and y not in banned:
+                steps.setdefault(x, {})[y] = 0
+                steps.setdefault(y, {})[x] = 0
+    for p in l.paths:
+        for x, y in zip(p, p[1:]):
+            steps.setdefault(x, {}).setdefault(y, 1)
+            steps.setdefault(y, {}).setdefault(x, 1)
     pairs = [tuple(sorted(pair)) for pair in l.pattern]
-    found = _search_linkages(host, pairs, node_budget, base_edges=base_e)
+    found = _search_linkages({x: sorted(ws.items()) for x, ws in steps.items()},
+                             pairs, node_budget)
     if found is None:
         raise TmhError("the linkage itself vanished from its own search space")
     _, paths = found
@@ -877,10 +876,9 @@ def tame_linkage(g, a, l, s, i_set, budget=None, force=False, node_budget=None):
         raise TmhError("chosen rails must be a non-empty subset of [1, %d], got %r"
                        % (a.q, rails))
     band = a.cycles.annulus(1, a.r)
-    bad = l.terminals & band.vertices
+    bad = [t for t in l.terminals if band.has_vertex(t)]
     if bad:
-        raise TmhError("linkage terminal %r lies inside the annulus"
-                       % (sorted(bad)[0],))
+        raise TmhError("linkage terminal %r lies inside the annulus" % (min(bad),))
     if a.confines(l, s, rails):
         return l
     k = len(l.paths)
@@ -1038,7 +1036,7 @@ def tame_linkage(g, a, l, s, i_set, budget=None, force=False, node_budget=None):
         raise TameFailed("verification", str(err))
     if not equivalent(l, ltilde):
         raise TameFailed("verification", "pattern changed")
-    if ltilde.terminals & band.vertices:
+    if any(band.has_vertex(t) for t in ltilde.terminals):
         raise TameFailed("verification", "a terminal moved into the annulus")
     ov, oe = _outside_parts(ltilde, band)
     lv, le = _outside_parts(l, band)

@@ -1,6 +1,6 @@
-"""Conversions that only the tests read: the Graph of a MutableAdjacency's
-current state, a graph relabelled onto 0..n-1, and a report without its
-volatile section."""
+"""Conversions and checks that only the tests read: the Graph of a
+MutableAdjacency's current state, a graph relabelled onto 0..n-1, a report
+without its volatile section, and Euler's formula on an embedding."""
 
 import json
 
@@ -30,3 +30,20 @@ def report_core(text):
     data = json.loads(text)
     data.pop("timings", None)
     return data
+
+
+def check_euler(emb):
+    """v - e + f = 2 on each connected component of a PlaneEmbedding (f
+    counted locally)."""
+    g = emb.graph
+    for comp in g.connected_components():
+        vs = set(comp)
+        es = sum(1 for e in g.edges if e[0] in vs)
+        fs = set()
+        for v in comp:
+            fs.update(emb.faces_of_vertex(v))
+        if len(comp) == 1 and not fs:
+            continue
+        if len(vs) - es + len(fs) != 2:
+            return False
+    return True

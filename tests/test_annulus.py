@@ -1,12 +1,15 @@
 """Railed annuli: validation, wall extraction, capacity accounting, the
 annulus-family extractor, confinement, entry vertices, and rail geometry."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import check_euler
 import tmh.annulus
 from tmh.annulus import (
     AnnulusFamily,
@@ -284,7 +287,7 @@ class TestSyntheticValidation:
     def test_reference_shape_accepted(self):
         a = synthetic_annulus(5, 8)
         assert (a.r, a.q) == (5, 8)
-        assert a.embedding.check_euler()
+        assert check_euler(a.embedding)
         for i in range(1, 6):
             for j in range(1, 9):
                 assert len(a.crossings[(i, j)]) >= 1
@@ -329,10 +332,24 @@ class TestSyntheticValidation:
     def test_noise_and_hub_do_not_break_axioms(self):
         a = synthetic_annulus(5, 4, girth=24, seed=3, span=2, noise=5, core=True)
         assert (a.r, a.q) == (5, 4)
-        assert a.embedding.check_euler()
+        assert check_euler(a.embedding)
         # span-2 rails cross each ring in a two-vertex path
         assert all(len(a.crossings[(i, j)]) == 2
                    for i in range(1, 6) for j in range(1, 5))
+
+    def test_negative_noise_is_refused(self):
+        with pytest.raises(TmhError, match="noise must be non-negative, got -1"):
+            synthetic_annulus_parts(13, 8, girth=32, seed=58, noise=-1)
+
+    @pytest.mark.parametrize("noise, digest", [
+        (0, "1826a5dff81aefc449a0902a5989a8690469a13cd135db9fa60654a541871548"),
+        (2, "39b1ecb133bc5e3f108c0fee7b74d6e5193fba5af91405053e3fd8b223d9f24a"),
+    ])
+    def test_noise_builds_the_pinned_edges(self, noise, digest):
+        emb, _, _ = synthetic_annulus_parts(13, 8, girth=32, seed=58 + noise,
+                                            noise=noise)
+        edges = json.dumps(sorted(emb.graph.edges)).encode()
+        assert hashlib.sha256(edges).hexdigest() == digest
 
     def test_disk_host_boundary_is_the_outer_ring(self):
         host, a = synthetic_disk_host(5, 8)
@@ -1240,3 +1257,117 @@ class TestGraphFreeGeometry:
                                % (key,))
                 refusals += 1
         assert refusals == 6
+
+
+def _four_sets(region):
+    """The closed and open vertex and edge sets, built together in one
+    pass over the interior faces as a region once built them on any read;
+    a cross-check for the separately built sets."""
+    emb = region.embedding
+    interior = region.interior_faces
+    touched_v, touched_e = set(), set()
+    for f in interior:
+        for u, v in emb.faces[f]:
+            touched_v.add(u)
+            touched_e.add((u, v) if u < v else (v, u))
+    boundary = {v for v in region.boundary_cycle if v in emb.graph}
+    open_v = {v for v in touched_v - boundary
+              if interior.issuperset(emb._vertex_faces[v])}
+    open_e = {e for e in touched_e if interior.issuperset(emb._edge_faces[e])}
+    return touched_v | boundary, open_v, touched_e, open_e
+
+
+def _assert_point_queries_match(regions, bands=()):
+    """DiskRegion.has_vertex in both modes, on a fresh copy of each region
+    (which holds no sets, so every answer comes from the faces), and
+    AnnulusBand.has_vertex, on every vertex of the embedding and on one
+    vertex outside it, against the full scan."""
+    scans = {}
+    for region in regions:
+        closed_v, open_v, _, _ = scans[id(region)] = _scanned_membership(region)
+        emb = region.embedding
+        twin = DiskRegion(emb, region.interior_faces, region.boundary_cycle)
+        for v in list(emb.graph.vertices) + [max(emb.graph.vertices) + 1]:
+            assert twin.has_vertex(v, "closed") == (v in closed_v)
+            assert twin.has_vertex(v, "open") == (v in open_v)
+        assert (twin._closed_v, twin._open_v, twin._closed_e, twin._open_e) \
+            == (None,) * 4
+    for band in bands:
+        outer, inner = scans[id(band.outer)], scans[id(band.inner)]
+        want = outer[0] - inner[1]
+        emb = band.outer.embedding
+        for v in list(emb.graph.vertices) + [max(emb.graph.vertices) + 1]:
+            assert band.has_vertex(v) == (v in want)
+        assert band.vertices == want
+
+
+def _matrix_annuli():
+    """The taming matrix annuli of the benchmark's seed 0, each with its
+    band cut by the public sub_annulus."""
+    rows = [(13, q, 4 * q + pad, noise)
+            for q in range(5, 12) for pad in (0, 6) for noise in (0, 2, 3)]
+    rows += [(11, q, 4 * q, noise) for q in range(5, 9) for noise in (0, 2)]
+    for R, q, m, noise in rows:
+        full = synthetic_annulus(R, q, girth=m, seed=7 * q + noise, noise=noise)
+        yield full, sub_annulus(full, 2, R - 1)
+
+
+class TestPointMembership:
+    """Point queries answer like the vertex sets, the vertex and edge sets
+    are built apart, and building an annulus builds neither."""
+
+    def test_matrix_annuli_and_their_bands(self):
+        count = 0
+        for full, band in _matrix_annuli():
+            for a in (full, band):
+                _assert_point_queries_match(a.cycles.regions, [a.cycles.annulus(1, a.r)])
+                count += 1
+        assert count == 100
+
+    def test_forced_host_sub_annuli(self):
+        _, full = synthetic_disk_host(25, 3, seed=1, noise=2)
+        for a in (sub_annulus(full, 1, 3), sub_annulus(full, 7, 25)):
+            bands = [a.cycles.annulus(x, y) for x in range(1, a.r + 1)
+                     for y in range(x, a.r + 1)]
+            _assert_point_queries_match(a.cycles.regions, bands)
+
+    def test_composite_cycle_disks(self):
+        for full, band in itertools.islice(_matrix_annuli(), 0, 42, 5):
+            ca = ca_cycles(band)
+            _assert_point_queries_match(ca.regions, [ca.annulus(1, ca.r)])
+
+    @pytest.mark.parametrize("h, p", [(7, 3), (13, 5)])
+    def test_wall_annulus(self, h, p):
+        a = annulus_from_wall(build_elementary_wall(h), p)
+        _assert_point_queries_match(a.cycles.regions, [a.cycles.annulus(1, p)])
+
+    def test_vertex_and_edge_sets_are_built_apart(self):
+        _, full = synthetic_disk_host(25, 3, seed=1, noise=2)
+        a = sub_annulus(full, 7, 25)
+        _, band = next(_matrix_annuli())
+        w = annulus_from_wall(build_elementary_wall(9), 3)
+        regions = (list(full.cycles.regions) + list(a.cycles.regions)
+                   + list(ca_cycles(band).regions) + list(w.cycles.regions))
+        for region in regions:
+            by_v, by_e = (DiskRegion(region.embedding, region.interior_faces,
+                                     region.boundary_cycle) for _ in range(2))
+            vs = by_v.vertices("closed"), by_v.vertices("open")
+            assert (by_v._closed_e, by_v._open_e) == (None, None)
+            es = by_e.edges("closed"), by_e.edges("open")
+            assert (by_e._closed_v, by_e._open_v) == (None, None)
+            assert vs + es == _four_sets(region) == _scanned_membership(region)
+        # closed reads build no open set
+        fresh = DiskRegion(band.embedding, band.cycles.regions[3].interior_faces,
+                           band.cycles.cycles[3])
+        fresh.vertices("closed")
+        fresh.edges("closed")
+        assert (fresh._open_v, fresh._open_e) == (None, None)
+
+    def test_building_an_annulus_builds_no_sets_and_no_face_index(self):
+        full = synthetic_annulus(13, 11, girth=50, noise=2)
+        band = sub_annulus(full, 2, 12)
+        for region in band.cycles.regions:
+            assert (region._closed_v, region._open_v, region._closed_e,
+                    region._open_e) == (None,) * 4
+        assert full.embedding._vertex_face_map is None
+        assert band.embedding._vertex_face_map is None

@@ -277,6 +277,12 @@ class TestGenAnnulus:
         with open(prefix + ".graph.txt") as fh:
             assert fh.read() == first
 
+    def test_negative_noise_fails_the_stage(self, capsys, tmp_path):
+        code, rep, err = run(capsys, "gen-annulus", "--r", "5", "--q", "3",
+                             "--noise", "-2", "--out-prefix", str(tmp_path / "a"))
+        assert code == 2 and rep is None
+        assert err == "failure in gen-annulus: noise must be non-negative, got -2\n"
+
     def test_bundle_parses_back(self, disk_bundle):
         with open(disk_bundle["graph"]) as fh:
             g = parse_graph(fh.read())
@@ -348,6 +354,22 @@ class TestTame:
         tamed = parse_linkage(out.read_text())
         band = files["band_obj"]
         assert band.confines(tamed.union_graph(), 1, (4,))
+
+    @pytest.mark.parametrize("rails, entry", [("x", "'x'"), ("", "''"), ("1,,2", "''")])
+    def test_bad_rail_entry_is_a_usage_error_naming_it(self, files, capsys, rails,
+                                                       entry):
+        with pytest.raises(SystemExit) as ei:
+            main(["tame", "--graph", files["band_graph"],
+                  "--embedding", files["band_emb"], "--annulus", files["band_ann"],
+                  "--linkage", files["band_lnk"], "--band", "1", "--rails", rails])
+        assert ei.value.code == 64
+        err = capsys.readouterr().err
+        assert "argument --rails: rail index %s in %r is not an integer" % (
+            entry, rails) in err
+
+    def test_readme_rails_parse(self):
+        line, = (ln for ln in _readme_cli_lines() if ln.startswith("tmh tame "))
+        assert _build_parser().parse_args(shlex.split(line)[1:]).rails == (4,)
 
 
 class TestBench:

@@ -2,6 +2,7 @@
 linkages, terrain classification with tightness, stream orderings, grid and
 rail rerouting, composite boundary cycles, and the two taming entry points."""
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -874,6 +875,27 @@ class TestTamingIdentity:
             assert _terrain_key(classify_terrain(*args)) == \
                 _terrain_key(_reference_classify_terrain(*args))
 
+    def test_whole_taming_round_is_frozen(self, monkeypatch):
+        # all 92 tamed outputs of the seed-0 matrix (every linkage, and the
+        # model of every annulus deeper than 11) under one digest, and the
+        # search nodes the round spends; any difference here is a change of
+        # taming's behaviour
+        spent = SearchBudget(DEFAULT_BUDGET_NODES)
+        monkeypatch.setattr(tmh.linkage, "default_budget", lambda: spent)
+        outs = []
+        for idx, (R, *_) in enumerate(_matrix_rows()):
+            g, band, mid, l, m = _matrix_case(idx)
+            out = tame_linkage(g, band, l, 1, (mid,), budget=zero_budget())
+            outs.append([list(p) for p in out.paths])
+            if R > 11:
+                out = tame_tm_model(g, band, m, 1, (mid,), budget=zero_budget())
+                outs.append([sorted(out.branches),
+                             [list(e) for e in sorted(out.model.edges)]])
+        assert len(outs) == 92
+        assert spent.used == 57814
+        assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == \
+            "b01a65a88c3d7753d4ff6171c9515f2ed3ac81b1ad95c5633cbb0a68db434ea4"
+
     def test_tamed_outputs_are_frozen(self):
         # three linkages and three models over q in {5, 8, 11} and noise 0
         # and 2; any difference here is a change of taming's behaviour
@@ -959,27 +981,44 @@ def _reference_search_linkages(host, pairs, node_budget, better_than=None,
 
 
 def _record_searches(monkeypatch):
-    """Record every _search_linkages call: its arguments, result and the
-    search nodes it spent."""
+    """Record every _search_linkages call: its step table, pairs and
+    keywords, its result and the search nodes it spent."""
     real = tmh.linkage._search_linkages
     calls = []
 
-    def recording(host, pairs, node_budget, **kw):
+    def recording(steps, pairs, node_budget, **kw):
         before = node_budget.used
-        out = real(host, pairs, node_budget, **kw)
-        calls.append((host, pairs, kw, out, node_budget.used - before))
+        out = real(steps, pairs, node_budget, **kw)
+        calls.append((steps, pairs, kw, out, node_budget.used - before))
         return out
 
     monkeypatch.setattr(tmh.linkage, "_search_linkages", recording)
     return calls
 
 
+def _steps_host(steps):
+    """The host graph a step table describes and its cost-0 edges, after
+    checking that each row lists its neighbours in increasing order and
+    that every step is listed from both ends at the same cost."""
+    costs = {}
+    for x, row in steps.items():
+        ws = [w for w, _ in row]
+        assert ws == sorted(set(ws))
+        for w, c in row:
+            assert c in (0, 1) and (x, c) in steps[w]
+            costs[_normalize_edge(x, w)] = c
+    return Graph(steps, costs), {e for e, c in costs.items() if c == 0}
+
+
 def _assert_searches_match(calls):
     """Every recorded search gives the copying reference's result for the
-    same number of search nodes."""
-    for host, pairs, kw, out, spent in calls:
+    same number of search nodes, on the host its step table describes with
+    the cost-0 steps as the base edges."""
+    for steps, pairs, kw, out, spent in calls:
+        host, base = _steps_host(steps)
         budget = SearchBudget(DEFAULT_BUDGET_NODES)
-        assert _reference_search_linkages(host, pairs, budget, **kw) == out
+        assert _reference_search_linkages(host, pairs, budget, base_edges=base,
+                                          **kw) == out
         assert budget.used == spent
 
 
