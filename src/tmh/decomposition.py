@@ -99,13 +99,18 @@ def validate_decomposition(g, td):
     for v in g.vertices:
         if v not in holders:
             return DecompositionViolation("vertex-uncovered", v)
-    for u, v in g.sorted_edges():
-        if holders[u].isdisjoint(holders[v]):
-            return DecompositionViolation("edge-uncovered", (u, v))
+    for u in g.vertices:
+        at_u = holders[u]
+        for v in g.neighbors(u):
+            if u < v and at_u.isdisjoint(holders[v]):
+                return DecompositionViolation("edge-uncovered", (u, v))
     shared = dict.fromkeys(holders, 0)
-    for a, b in td.tree.edges:
-        for v in td.bags[a] & td.bags[b]:
-            shared[v] += 1
+    for a in nodes:
+        bag = td.bags[a]
+        for b in td.tree.neighbors(a):
+            if a < b:
+                for v in bag & td.bags[b]:
+                    shared[v] += 1
     for v in g.vertices:
         if shared[v] != len(holders[v]) - 1:
             return DecompositionViolation("occurrence-not-subtree", v)
@@ -118,10 +123,12 @@ def validate_decomposition(g, td):
 def _bitmask_adjacency(g):
     """One neighbour bitmask per vertex, bit i standing for g.vertices[i]."""
     index = {v: i for i, v in enumerate(g.vertices)}
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[index[u]] |= 1 << index[v]
-        adj[index[v]] |= 1 << index[u]
+    adj = []
+    for v in g.vertices:
+        mask = 0
+        for w in g.neighbors(v):
+            mask |= 1 << index[w]
+        adj.append(mask)
     return adj
 
 

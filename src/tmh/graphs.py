@@ -56,28 +56,40 @@ def _path_edges(seq, closed=False):
 
 
 class Graph:
-    """Immutable simple undirected graph with integer-comparable vertex ids."""
+    """Immutable simple undirected graph with integer-comparable vertex ids.
 
-    __slots__ = ("_adj", "_vertices", "_edges", "_hash")
+    Storage.  The adjacency rows are the only storage: each vertex, in
+    increasing order, maps to the sorted tuple of its neighbours, and m
+    is counted from them once.  The edge frozenset of (low, high) tuples
+    is built from the rows on the first read of edges or of the hash, and
+    kept; has_edge, sorted_edges and equality read the rows.  subgraph,
+    delete_vertices and restrict hand every vertex whose row is unchanged
+    the parent's own row tuple, so a subgraph holds new rows only where
+    it cuts."""
+
+    __slots__ = ("_adj", "_vertices", "_m", "_edges", "_hash")
 
     def __init__(self, vertices=(), edges=()):
         adj = {v: set() for v in vertices}
-        es = set()
-        for e in edges:
-            u, v = e
-            # an edge that is already a normalised tuple is kept, so graphs
-            # derived from one another share their edge tuples
-            if not (u < v and type(e) is tuple):
-                e = _normalize_edge(u, v)
-            if e[0] not in adj or e[1] not in adj:
-                raise TmhError("edge %r has an undeclared endpoint" % (e,))
-            es.add(e)
-            adj[e[0]].add(e[1])
-            adj[e[1]].add(e[0])
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        self._vertices = tuple(sorted(adj))
-        self._edges = frozenset(es)
-        self._hash = None
+        for u, v in edges:
+            if u == v or u not in adj or v not in adj:
+                raise TmhError("edge %r has an undeclared endpoint" % (_normalize_edge(u, v),))
+            adj[u].add(v)
+            adj[v].add(u)
+        self._set_rows({v: tuple(sorted(adj[v])) for v in sorted(adj)})
+
+    def _set_rows(self, rows):
+        """Take rows, vertex -> sorted neighbour tuple in increasing vertex
+        order, as this graph's adjacency."""
+        self._adj = rows
+        self._vertices = tuple(rows)
+        self._m = sum(map(len, rows.values())) // 2
+        self._edges = self._hash = None
+        return self
+
+    @classmethod
+    def _of_rows(cls, rows):
+        return cls.__new__(cls)._set_rows(rows)
 
     @classmethod
     def from_edges(cls, edges, extra_vertices=()):
@@ -94,10 +106,12 @@ class Graph:
 
     @property
     def edges(self):
+        if self._edges is None:
+            self._edges = frozenset(self.sorted_edges())
         return self._edges
 
     def sorted_edges(self):
-        return sorted(self._edges)
+        return [(u, w) for u, row in self._adj.items() for w in row if u < w]
 
     @property
     def n(self):
@@ -105,15 +119,16 @@ class Graph:
 
     @property
     def m(self):
-        return len(self._edges)
+        return self._m
 
     def __contains__(self, v):
         return v in self._adj
 
     def has_edge(self, u, v):
-        if u == v:
+        try:
+            return v in self._adj[u]
+        except KeyError:
             return False
-        return ((u, v) if u < v else (v, u)) in self._edges
 
     def neighbors(self, v):
         return self._adj[v]
@@ -122,16 +137,16 @@ class Graph:
         return len(self._adj[v])
 
     def max_degree(self):
-        return max((len(ns) for ns in self._adj.values()), default=0)
+        return max(map(len, self._adj.values()), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return self._m == other._m and self._adj == other._adj
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self._vertices, self._edges))
+            self._hash = hash((self._vertices, self.edges))
         return self._hash
 
     def __repr__(self):
@@ -142,39 +157,57 @@ class Graph:
     def subgraph(self, vertices):
         """Induced subgraph on the given vertex set."""
         vs = set(vertices)
-        unknown = vs - set(self._adj)
+        unknown = vs - self._adj.keys()
         if unknown:
             raise TmhError("unknown vertices %r" % (sorted(unknown),))
-        edges = [e for e in self._edges if e[0] in vs and e[1] in vs]
-        return Graph(vs, edges)
+        return self._induced(vs)
+
+    def _induced(self, keep):
+        """The subgraph induced on keep, a set of this graph's vertices; a
+        vertex that keeps all its neighbours keeps this graph's row."""
+        return Graph._of_rows({
+            v: row if keep.issuperset(row) else tuple([w for w in row if w in keep])
+            for v, row in self._adj.items() if v in keep})
 
     def restrict(self, vertices, edges):
-        """Subgraph with exactly the given vertices and the given edges; an
-        edge given as a low-to-high tuple is kept as that tuple."""
+        """Subgraph with exactly the given vertices and the given edges; a
+        vertex that keeps all its neighbours keeps this graph's row."""
         edges = list(edges)
         for u, v in edges:
             if not self.has_edge(u, v):
                 raise TmhError("edge %r not present" % (_normalize_edge(u, v),))
-        return Graph(vertices, edges)
+        g = Graph(vertices, edges)
+        for v, row in g._adj.items():
+            if row == self._adj.get(v):
+                g._adj[v] = self._adj[v]
+        return g
 
     def delete_vertices(self, s):
         s = set(s)
-        unknown = s - set(self._adj)
+        unknown = s - self._adj.keys()
         if unknown:
             raise TmhError("cannot delete unknown vertices %r" % (sorted(unknown),))
-        return self.subgraph(set(self._adj) - s)
+        return self._induced(self._adj.keys() - s)
 
     def union(self, other):
-        vs = set(self._vertices) | set(other._vertices)
-        return Graph(vs, set(self._edges) | set(other._edges))
+        rows = {}
+        for v in sorted(self._adj.keys() | other._adj.keys()):
+            a, b = self._adj.get(v), other._adj.get(v)
+            rows[v] = (b if a is None else a if b is None or a == b
+                       else tuple(sorted(set(a).union(b))))
+        return Graph._of_rows(rows)
 
     def relabel(self, mapping):
-        """New graph with vertex v renamed mapping[v]; mapping must be injective."""
+        """New graph with vertex v renamed mapping[v]; mapping must name
+        every vertex and be injective."""
+        for v in self._vertices:
+            if v not in mapping:
+                raise TmhError("relabel mapping misses vertex %r" % (v,))
         if len(set(mapping.values())) != len(mapping):
             raise TmhError("relabel mapping is not injective")
-        vs = [mapping[v] for v in self._vertices]
-        es = [(mapping[u], mapping[v]) for u, v in self._edges]
-        return Graph(vs, es)
+        rows = {mapping[v]: tuple(sorted(mapping[w] for w in row))
+                for v, row in self._adj.items()}
+        return Graph._of_rows({v: rows[v] for v in sorted(rows)})
 
     # -- traversal -----------------------------------------------------------
 
@@ -481,7 +514,7 @@ class PlaneEmbedding:
         rot = {}
         for v in graph.vertices:
             order = self.rotation[v]
-            kept = tuple(u for u in order if u in keep)
+            kept = tuple([u for u in order if u in keep])
             rot[v] = order if len(kept) == len(order) else kept
         new.rotation = rot
         faces, starts = [], []
@@ -559,17 +592,6 @@ class PlaneEmbedding:
         since a face through v leaves it along an edge."""
         ef = self._edge_faces
         return [f for w in self.graph.neighbors(v) for f in ef[(v, w) if v < w else (w, v)]]
-
-    def faces_of_vertex(self, v):
-        if v not in self._vertex_faces:
-            raise EmbeddingError("vertex %r is not embedded" % (v,))
-        return frozenset(self._vertex_faces[v])
-
-    def faces_of_edge(self, u, v):
-        e = _normalize_edge(u, v)
-        if e not in self._edge_faces:
-            raise EmbeddingError("edge %r is not embedded" % (e,))
-        return self._edge_faces[e]
 
     def _is_plane(self):
         """Whether the graph is connected with V - E + F = 2, i.e. the
@@ -907,11 +929,6 @@ class DiskRegion:
                     and v not in self.boundary_cycle)
         return not self.interior_faces.isdisjoint(faces) or v in self.boundary_cycle
 
-    def contains_vertex(self, v, mode="closed"):
-        if v not in self.embedding.graph:
-            raise EmbeddingError("vertex %r is outside the embedded part" % (v,))
-        return self.has_vertex(v, mode)
-
     def subgraph(self, mode="closed"):
         """The graph on the vertices of the given mode.  An open edge may
         end on the boundary cycle, which is not open, so the open subgraph
@@ -1078,7 +1095,7 @@ class AnnulusBand:
 
     def subgraph_of(self, g):
         vs = self.vertices & set(g.vertices)
-        es = [e for e in self.edges if e in g.edges]
+        es = [e for e in self.edges if g.has_edge(*e)]
         return g.restrict(vs, es)
 
 
@@ -1108,16 +1125,18 @@ class PartiallyDiskEmbedded:
             u, v = self.boundary_cycle[i], self.boundary_cycle[(i + 1) % k]
             if not self.compass.has_edge(u, v):
                 raise EmbeddingError("boundary step %r-%r is not a compass edge" % (u, v))
-        if not (set(self.compass.vertices) <= set(graph.vertices)):
+        if not all(v in graph for v in self.compass.vertices):
             raise TmhError("compass vertices must belong to the graph")
-        if not (self.compass.edges <= graph.edges):
+        if not all(set(graph.neighbors(v)).issuperset(self.compass.neighbors(v))
+                   for v in self.compass.vertices):
             raise TmhError("compass edges must belong to the graph")
-        inside_only = set(self.compass.vertices) - b
-        outside = set(graph.vertices) - set(self.compass.vertices)
-        for u, v in graph.edges:
-            if (u in inside_only and v in outside) or (v in inside_only and u in outside):
-                raise TmhError(
-                    "edge %r-%r crosses the disk boundary away from it" % (u, v))
+        # an edge crossing the boundary away from it has an end inside only
+        for u in self.compass.vertices:
+            if u not in b:
+                for v in graph.neighbors(u):
+                    if v not in self.compass:
+                        raise TmhError("edge %r-%r crosses the disk boundary away "
+                                       "from it" % (min(u, v), max(u, v)))
 
     def separation_halves(self):
         a = set(self.compass.vertices)

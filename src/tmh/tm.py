@@ -210,7 +210,7 @@ def find_tm_model(g, h, budget=None, candidates=None, forbidden_interior=()):
                         for w in g.neighbors(c)) >= need]
 
     allowed_at = {p: allowed(p) for p in pattern_vs}
-    pattern_edges = sorted((min(e), max(e)) for e in h.edges)
+    pattern_edges = h.sorted_edges()
     image = {}
     paths = {}
 
@@ -586,12 +586,13 @@ class BoundariedGraph:
         inner = sorted(v for v in g.vertices if v not in self.labels)
         label_of = dict(self.labels)
         lab_set = tuple(sorted(self.labels.values()))
+        edges = g.sorted_edges()
 
         def encode(perm):
             name = {v: ("i", i) for i, v in enumerate(perm)}
             for v, lab in label_of.items():
                 name[v] = ("b", lab)
-            return tuple(sorted(tuple(sorted((name[u], name[v]))) for u, v in g.edges))
+            return tuple(sorted(tuple(sorted((name[u], name[v]))) for u, v in edges))
 
         if len(inner) <= 1:
             best = encode(inner)

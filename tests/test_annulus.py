@@ -1,15 +1,17 @@
 """Railed annuli: validation, wall extraction, capacity accounting, the
 annulus-family extractor, confinement, entry vertices, and rail geometry."""
 
+import gc
 import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import check_euler
+from helpers import check_euler, faces_of_edge, faces_of_vertex
 import tmh.annulus
 from tmh.annulus import (
     AnnulusFamily,
@@ -151,7 +153,7 @@ def _scanned_membership(region):
     boundary = set(region.boundary_cycle)
     closed_v, open_v = set(), set()
     for v in emb.graph.vertices:
-        fs = emb.faces_of_vertex(v)
+        fs = faces_of_vertex(emb, v)
         if fs and fs <= inside:
             open_v.add(v)
             closed_v.add(v)
@@ -159,7 +161,7 @@ def _scanned_membership(region):
             closed_v.add(v)
     closed_e, open_e = set(), set()
     for e in emb.graph.edges:
-        flags = [f in inside for f in emb.faces_of_edge(*e)]
+        flags = [f in inside for f in faces_of_edge(emb, *e)]
         if all(flags):
             open_e.add(e)
             closed_e.add(e)
@@ -1371,3 +1373,52 @@ class TestPointMembership:
                     region._open_e) == (None,) * 4
         assert full.embedding._vertex_face_map is None
         assert band.embedding._vertex_face_map is None
+
+
+def _band_and_host():
+    """A taming-matrix annulus (depth 13, 8 rails, girth 32, noise 2) and
+    its band on cycles 2..12, as (host graph, band annulus)."""
+    full = synthetic_annulus(13, 8, girth=32, noise=2)
+    return full.embedding.graph, sub_annulus(full, 2, 12)
+
+
+class TestRowStorage:
+    """Annulus graphs keep only their adjacency rows: a band shares its
+    host's rows, and neither the matrix nor its bands build an edge set."""
+
+    # bytes a host graph and its band hold under tracemalloc, read in a
+    # fresh interpreter (Python 3.11); with an edge set beside the rows of
+    # every graph the same reading was 406,304
+    HELD_BYTES = 305_584
+
+    def test_matrix_graphs_hold_no_edge_set(self):
+        count = 0
+        for full, band in _matrix_annuli():
+            for a in (full, band):
+                assert a.embedding.graph._edges is None
+                count += 1
+        assert count == 100
+
+    def test_band_shares_the_host_rows(self):
+        host, band = _band_and_host()
+        g = band.embedding.graph
+        shared = 0
+        for v in g.vertices:
+            keeps = all(w in g for w in host.neighbors(v))
+            assert (g.neighbors(v) is host.neighbors(v)) == keeps
+            shared += keeps
+        # only vertices of cycle 2 can lose a neighbour, on cycle 1
+        assert g.n - 32 <= shared < g.n
+        assert (host._edges, g._edges) == (None, None)
+
+    def test_memory_of_a_band_and_its_host(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            kept = _band_and_host()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept[1].embedding.graph.n == 384
+        assert held <= 1.05 * self.HELD_BYTES

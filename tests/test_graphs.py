@@ -5,7 +5,14 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import adjacency_graph, check_euler
+from helpers import (
+    EdgeSetGraph,
+    adjacency_graph,
+    check_euler,
+    contains_vertex,
+    faces_of_edge,
+    faces_of_vertex,
+)
 from tmh.graphs import (
     AnnulusBand,
     DiskRegion,
@@ -113,22 +120,42 @@ class TestGraphBasics:
         with pytest.raises(TmhError):
             triangle().delete_vertices({9})
 
-    def test_derived_graphs_share_edge_tuples(self):
+    def test_derived_graphs_share_rows(self):
         g = Graph(range(5), [[1, 0], (1, 2), (3, 2), (3, 4), (0, 4)])
         assert g.edges == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
-        parent = {id(e) for e in g.edges}
         restricted = g.restrict({0, 1, 2, 3}, [e for e in g.edges if 4 not in e])
         for h in (g.subgraph({0, 1, 2, 3}), g.delete_vertices({4}), restricted):
-            assert all(id(e) in parent for e in h.edges)
-        # a disk's subgraph keeps the edge tuples the disk hands over, and an
-        # open edge is its interior face's own low-to-high dart
+            assert h.edges == {(0, 1), (1, 2), (2, 3)}
+            # 1 and 2 keep every neighbour, 0 and 3 lose 4
+            assert [h.neighbors(v) is g.neighbors(v) for v in h.vertices] == \
+                [False, True, True, False]
+        # a disk's subgraph holds the edges the disk hands over, and an open
+        # edge is its interior face's own low-to-high dart
         emb = concentric_triangles()
         darts = {id(d) for face in emb.faces for d in face}
         for cyc in ([0, 1, 2], [3, 4, 5], [6, 7, 8]):
             region = DiskRegion.of_cycle(emb, cyc)
-            handed = {id(e) for e in region.edges("closed")}
-            assert {id(e) for e in region.subgraph("closed").edges} == handed
+            assert region.subgraph("closed").edges == region.edges("closed")
             assert {id(e) for e in region.edges("open")} <= darts
+
+    def test_relabel_refuses_a_mapping_that_misses_a_vertex(self):
+        with pytest.raises(TmhError, match="relabel mapping misses vertex 2"):
+            Graph(range(3), [(0, 1), (1, 2)]).relabel({0: 5, 1: 6})
+
+    def test_queries_read_the_rows(self):
+        g = Graph(range(4), [(1, 0), (1, 2), (3, 2)])
+        twin = g.relabel({v: v for v in g.vertices})
+        assert g.has_edge(1, 0) and g.has_edge(2, 3) and not g.has_edge(0, 2)
+        # a loop and an unknown vertex, on either side, are no edge
+        assert not g.has_edge(1, 1)
+        assert not g.has_edge(9, 0) and not g.has_edge(0, 9)
+        assert g.sorted_edges() == [(0, 1), (1, 2), (2, 3)]
+        assert g.m == 3 and g == twin and g != g.delete_vertices([3])
+        assert (g._edges, twin._edges) == (None, None)
+        # the edge set is built on its first read, or the hash's, and kept
+        assert hash(g) == hash(((0, 1, 2, 3), frozenset({(0, 1), (1, 2), (2, 3)})))
+        assert g.edges is g.edges
+        assert g.m == len(g.edges)
 
     @pytest.mark.parametrize("edge", [(2, 2), [2, 2]])
     def test_loops_are_refused(self, edge):
@@ -161,6 +188,82 @@ class TestGraphBasics:
         once = g.delete_vertices(s1 | s2)
         twice = g.delete_vertices(s1).delete_vertices(s2 - s1)
         assert once == twice
+
+
+def _assert_matches_reference(g, ref):
+    """Graph g answers every query as the edge-set reference ref does, and
+    equals and hashes as a Graph built from ref's edges in another order."""
+    assert g.vertices == ref.vertices
+    assert g.edges == ref.edges
+    assert g.sorted_edges() == ref.sorted_edges()
+    assert g.m == ref.m == len(g.edges)
+    probe = list(ref.vertices) + [max(ref.vertices, default=0) + 1]
+    for u in probe:
+        if u in g:
+            assert g.neighbors(u) == ref.neighbors(u)
+        for v in probe:
+            assert g.has_edge(u, v) == ref.has_edge(u, v)
+    twin = Graph(reversed(ref.vertices), [(v, u) for u, v in sorted(ref.edges, reverse=True)])
+    assert g == twin and hash(g) == hash(twin) == hash(ref)
+
+
+def _assert_rows_shared(h, g):
+    """Each vertex of h keeps g's own row exactly when its row is g's."""
+    for v in h.vertices:
+        assert (h.neighbors(v) is g.neighbors(v)) == (h.neighbors(v) == g.neighbors(v))
+
+
+class TestRowStorage:
+    """Graph keeps only adjacency rows; it answers like a graph kept as an
+    explicit edge set, on generated hosts and on every derivation."""
+
+    @pytest.mark.parametrize("seed, n", [(s, n) for s in range(3) for n in (12, 24, 40)])
+    def test_matches_the_edge_set_reference(self, seed, n):
+        g = random_planar_graph(seed, n)
+        rng = random.Random(seed * 1000 + n)
+        ref = EdgeSetGraph(g.vertices, g.sorted_edges())
+        order = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in ref.edges]
+        rng.shuffle(order)
+        built = Graph(rng.sample(g.vertices, n), order)
+        _assert_matches_reference(g, ref)
+        _assert_matches_reference(built, ref)
+        assert built == g
+
+        keep = set(rng.sample(g.vertices, n // 2 + 1))
+        gone = set(g.vertices) - keep
+        picked = [e for e in ref.subgraph(keep).sorted_edges() if rng.random() < 0.7]
+        mapping = dict(zip(g.vertices, rng.sample(range(100, 100 + 2 * n), n)))
+        halves = (keep, gone | set(rng.sample(sorted(keep), 2)))
+        derived = {
+            "subgraph": (g.subgraph(keep), ref.subgraph(keep)),
+            "delete_vertices": (g.delete_vertices(gone), ref.delete_vertices(gone)),
+            "restrict": (g.restrict(keep, picked), ref.restrict(keep, picked)),
+            "relabel": (g.relabel(mapping), ref.relabel(mapping)),
+            "union": (g.subgraph(halves[0]).union(g.subgraph(halves[1])),
+                      ref.subgraph(halves[0]).union(ref.subgraph(halves[1]))),
+            "relabel of subgraph": (g.subgraph(keep).relabel(mapping),
+                                    ref.subgraph(keep).relabel(mapping)),
+        }
+        for h, href in derived.values():
+            _assert_matches_reference(h, href)
+        for name in ("subgraph", "delete_vertices", "restrict"):
+            _assert_rows_shared(derived[name][0], g)
+        # one graph by different routes
+        sub = derived["subgraph"][0]
+        assert sub == derived["delete_vertices"][0] == g.restrict(keep, sub.edges)
+        assert hash(sub) == hash(derived["delete_vertices"][0])
+        assert derived["union"][0].subgraph(keep) == sub
+        assert g.subgraph(keep).union(g.subgraph(gone | set(g.vertices))) == g
+
+    def test_subgraphs_share_the_rows_of_vertices_that_keep_every_neighbour(self):
+        g = random_planar_graph(1, 40)
+        for k in range(1, 5):
+            gone = set(g.vertices[::k + 3])
+            for h in (g.delete_vertices(gone), g.subgraph(set(g.vertices) - gone)):
+                for v in h.vertices:
+                    keeps = gone.isdisjoint(g.neighbors(v))
+                    assert (h.neighbors(v) is g.neighbors(v)) == keeps
+                assert h._edges is None
 
 
 def _adjacency_state(adj):
@@ -508,11 +611,11 @@ class TestRegions:
         region = DiskRegion.of_cycle(emb, [3, 4, 5])
         assert region.vertices("closed") == frozenset({3, 4, 5, 6, 7, 8})
         assert region.vertices("open") == frozenset({6, 7, 8})
-        assert region.contains_vertex(6, "closed")
-        assert region.contains_vertex(6, "open")
-        assert region.contains_vertex(3, "closed")
-        assert not region.contains_vertex(3, "open")
-        assert not region.contains_vertex(0, "closed")
+        assert contains_vertex(region, 6, "closed")
+        assert contains_vertex(region, 6, "open")
+        assert contains_vertex(region, 3, "closed")
+        assert not contains_vertex(region, 3, "open")
+        assert not contains_vertex(region, 0, "closed")
 
     def test_open_subgraph_keeps_edges_between_open_vertices(self):
         # the spoke (0, 3) lies inside the outer triangle's disk, but its
@@ -524,14 +627,16 @@ class TestRegions:
         assert sub.vertices == (3, 4, 5, 6, 7, 8)
         assert sub.edges == {(3, 4), (4, 5), (3, 5), (6, 7), (7, 8), (6, 8),
                              (3, 6), (4, 7), (5, 8)}
-        handed = {id(e) for e in region.edges("open")}
-        assert {id(e) for e in sub.edges} <= handed
+        # the inner triangle keeps every neighbour and so the host's rows;
+        # the middle one loses its spokes to the boundary
+        assert [sub.neighbors(v) is emb.graph.neighbors(v) for v in sub.vertices] == \
+            [False, False, False, True, True, True]
 
     def test_membership_outside_compass_errors(self):
         emb = concentric_triangles()
         region = DiskRegion.of_cycle(emb, [3, 4, 5])
         with pytest.raises(EmbeddingError):
-            region.contains_vertex(99, "closed")
+            contains_vertex(region, 99, "closed")
 
     def test_closed_minus_open_is_boundary(self):
         emb = concentric_triangles()
@@ -619,7 +724,7 @@ def _reference_interior(emb, cyc):
             e = (u, v) if u < v else (v, u)
             if e in cycle_edges:
                 continue
-            for g in emb.faces_of_edge(u, v):
+            for g in faces_of_edge(emb, u, v):
                 if g not in outside:
                     outside.add(g)
                     queue.append(g)
@@ -822,9 +927,9 @@ def _assert_same_restriction(got, ref):
     assert got.outer_face == ref.outer_face
     vertex_faces, edge_faces = _reference_incidences(ref)
     for v in ref.graph.vertices:
-        assert got.faces_of_vertex(v) == ref.faces_of_vertex(v) == vertex_faces[v]
+        assert faces_of_vertex(got, v) == faces_of_vertex(ref, v) == vertex_faces[v]
     for u, v in ref.graph.edges:
-        assert got.faces_of_edge(u, v) == ref.faces_of_edge(u, v) == edge_faces[u, v]
+        assert faces_of_edge(got, u, v) == faces_of_edge(ref, u, v) == edge_faces[u, v]
 
 
 def _assert_shares_with(got, parent):

@@ -891,6 +891,8 @@ class TestTamingIdentity:
                 out = tame_tm_model(g, band, m, 1, (mid,), budget=zero_budget())
                 outs.append([sorted(out.branches),
                              [list(e) for e in sorted(out.model.edges)]])
+            # taming reads the host and the band by their rows only
+            assert (g._edges, band.embedding.graph._edges) == (None, None)
         assert len(outs) == 92
         assert spent.used == 57814
         assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == \

@@ -687,6 +687,23 @@ class TestSolve:
         assert out.answer is True and out.witness == ()
         assert len(out.trace) == 0
 
+    def test_a_safe_solve_builds_no_edge_set(self, monkeypatch):
+        # the solve, its re-proofs and every graph it derives read rows
+        # only: neither an edge set nor a hash, which reads one, is asked for
+        read = []
+        edges = Graph.edges
+        monkeypatch.setattr(Graph, "edges",
+                            property(lambda g: read.append(g) or edges.fget(g)))
+        answers = []
+        for seed, n, tries, patterns, k in [
+                (0, 16, 200, [K3], 2), (1, 20, 200, [C4], 1), (0, 12, 200, [K23], 1),
+                (1, 20, 2, [C4], 2), (0, 16, 2, [K3, K4, K23, C4], 2)]:
+            g = random_planar_graph(seed, n, tries=tries)
+            answers.append(solve_tm_deletion(g, PatternFamily(patterns), k,
+                                             mode="safe").answer)
+        assert True in answers and False in answers
+        assert read == []
+
     @pytest.mark.parametrize("patterns", [[K33], [K5], [K5, K33]],
                              ids=["K33", "K5", "K5+K33"])
     def test_non_planar_family_needs_no_search(self, patterns, monkeypatch):
