@@ -70,37 +70,32 @@ class RailedAnnulus:
     """Nested cycles C_1..C_r (outermost first) crossed by q pairwise
     disjoint rails, each oriented inward; every rail meets every cycle in
     a non-empty subpath.  Construction validates all axioms and rejects
-    the input otherwise."""
+    the input otherwise.
 
-    __slots__ = ("embedding", "cycles", "rails", "r", "q",
-                 "crossings", "entries")
+    crossings[(i, j)] lists the vertices rail j shares with C_i, in rail
+    order, so its first vertex is where the rail enters C_i.  A rail's
+    crossings are disjoint runs of consecutive rail vertices, in inward
+    order.  So a rail cut from its entry into C_lo to its exit from C_hi
+    holds the whole runs of C_lo..C_hi and no other vertex of those
+    cycles: it crosses each kept cycle exactly where the whole rail did,
+    inside the band between C_lo and C_hi.  A window cut this way
+    (sub_annulus, window) therefore satisfies the axioms the parent was
+    checked against, and takes its rails and crossings from the parent
+    instead of validating them again."""
+
+    __slots__ = ("embedding", "cycles", "rails", "r", "q", "crossings")
 
     def __init__(self, embedding, cycle_list, rail_list):
+        """Each rail vertex is checked against the band on its own
+        (AnnulusBand.has_vertex), so no disk's vertex or edge sets are
+        built here."""
         _check_counts(len(cycle_list), len(rail_list))
-        self._attach(NestedCycles(embedding, cycle_list), rail_list)
-
-    @classmethod
-    def _window(cls, a, lo, hi, rail_list):
-        """The annulus on cycle levels lo..hi of a, in a's embedding, with
-        a's disks of those cycles reused; the rails are validated as in
-        the constructor."""
-        _check_counts(len(a.cycles.cycles[lo - 1:hi]), len(rail_list))
-        self = cls.__new__(cls)
-        regions = a.cycles.regions[lo - 1:hi]
-        self._attach(NestedCycles._of_regions(a.embedding, regions), rail_list)
-        return self
-
-    def _attach(self, nested, rail_list):
-        """Validate the rails against the nested cycles and record each
-        rail's orientation, crossings and entry vertices.  Each rail vertex
-        is checked against the band on its own (AnnulusBand.has_vertex),
-        so no disk's vertex or edge sets are built here."""
-        self.cycles = nested
-        self.embedding = embedding = nested.embedding
+        self.cycles = nested = NestedCycles(embedding, cycle_list)
+        self.embedding = embedding
         self.r = r = nested.r
         self.q = q = len(rail_list)
         g = embedding.graph
-        band = self.cycles.annulus(1, r)
+        band = nested.annulus(1, r)
         for j, rail in enumerate(rail_list):
             _check_simple_path(g, rail, "rail %d" % (j + 1))
             outside = [v for v in rail if not band.has_vertex(v)]
@@ -113,40 +108,59 @@ class RailedAnnulus:
                 raise TmhError("rails %d and %d share vertex %r"
                                % (a + 1, b + 1, sorted(hit)[0]))
 
-        cyc_v = [frozenset(c) for c in self.cycles.cycles]
-        cyc_e = [frozenset(_path_edges(c, closed=True))
-                 for c in self.cycles.cycles]
+        cyc_v = [frozenset(c) for c in nested.cycles]
+        cyc_e = [frozenset(_path_edges(c, closed=True)) for c in nested.cycles]
         rails = []
         crossings = {}
-        entries = {}
         for j, rail in enumerate(rail_list):
-            oriented = None
-            for cand in (list(rail), list(reversed(rail))):
+            for cand in (tuple(rail), tuple(reversed(rail))):
                 per_cycle = []
                 for i in range(r):
                     shared = _crossing_path(cyc_v[i], cyc_e[i], cand)
                     if shared is None:
-                        per_cycle = None
                         break
                     per_cycle.append(shared)
-                if per_cycle is None:
+                if len(per_cycle) < r:
                     continue
                 pos = {v: k for k, v in enumerate(cand)}
-                firsts = [min(pos[v] for v in shared) for shared in per_cycle]
+                firsts = [pos[shared[0]] for shared in per_cycle]
                 if all(a < b for a, b in zip(firsts, firsts[1:])):
-                    oriented = (cand, per_cycle, firsts)
                     break
-            if oriented is None:
+            else:
                 raise TmhError(
                     "rail %d does not cross the cycles inward in order" % (j + 1))
-            cand, per_cycle, firsts = oriented
-            rails.append(tuple(cand))
+            rails.append(cand)
             for i in range(r):
                 crossings[(i + 1, j + 1)] = tuple(per_cycle[i])
-                entries[(i + 1, j + 1)] = cand[firsts[i]]
         self.rails = tuple(rails)
         self.crossings = crossings
-        self.entries = entries
+
+    def window(self, lo, hi):
+        """The annulus on cycle levels lo..hi (see sub_annulus) in this
+        annulus's embedding and on its disks of those cycles."""
+        _check_window(self, lo, hi)
+        return self._cut(lo, hi, NestedCycles._of_regions(
+            self.embedding, self.cycles.regions[lo - 1:hi]))
+
+    def _cut(self, lo, hi, nested):
+        """The annulus on cycle levels lo..hi bounded by nested, which
+        holds those levels' cycles: every rail clipped from its entry into
+        C_lo to its exit from C_hi, and the crossings of the kept levels
+        renumbered from 1.  Nothing is validated again (see the class
+        docstring)."""
+        sub = RailedAnnulus.__new__(RailedAnnulus)
+        sub.cycles = nested
+        sub.embedding = nested.embedding
+        sub.r = hi - lo + 1
+        sub.q = self.q
+        sub.rails = tuple(
+            rail[rail.index(self.crossings[(lo, j)][0]):
+                 rail.index(self.crossings[(hi, j)][-1]) + 1]
+            for j, rail in enumerate(self.rails, 1))
+        sub.crossings = {(i - lo + 1, j): self.crossings[(i, j)]
+                         for j in range(1, self.q + 1)
+                         for i in range(lo, hi + 1)}
+        return sub
 
     def __repr__(self):
         return "RailedAnnulus(r=%d, q=%d)" % (self.r, self.q)
@@ -158,9 +172,6 @@ class RailedAnnulus:
     def inner_disk(self):
         """Closed vertex set of the disk bounded by C_r."""
         return self.cycles.closed_disk(self.r)
-
-    def band(self, lo, hi):
-        return self.cycles.annulus(lo, hi)
 
     def middle_band(self, s):
         """The band of the s middle cycle levels; s odd, 1 <= s <= r.  For
@@ -385,14 +396,15 @@ def find_collection_of_annuli(x, y, z, g, w):
 
 def boundaried_at_cycle(g, a, i, t):
     """The part of the graph inside the closed disk of C_i, with boundary
-    at the first t rail entry vertices on C_i, labeled by rail index."""
+    at the vertices where the first t rails enter C_i (the first vertex of
+    each crossing), labeled by rail index."""
     if not (1 <= i <= a.r):
         raise TmhError("cycle index %r out of range [1, %d]" % (i, a.r))
     if not (1 <= t <= a.q):
         raise TmhError("boundary size %r out of range [1, %d]" % (t, a.q))
     region = a.cycles.regions[i - 1]
     sub = region.subgraph("closed")
-    labels = {a.entries[(i, j)]: j for j in range(1, t + 1)}
+    labels = {a.crossings[(i, j)][0]: j for j in range(1, t + 1)}
     return BoundariedGraph(sub, labels)
 
 
@@ -615,26 +627,21 @@ def sub_annulus(a, lo, hi):
 
     The embedding is a's restricted to that disk (PlaneEmbedding.restrict),
     whose outer face is the face that walks cycle lo.  The window's disks
-    are flooded again in it, once for the whole family (see NestedCycles)."""
-    if not (1 <= lo < hi <= a.r):
-        raise TmhError("cycle window must satisfy 1 <= lo < hi <= r")
-    cycles = [list(c) for c in a.cycles.cycles[lo - 1:hi]]
+    are flooded again in it, once for the whole family (see NestedCycles).
+    The rails and crossings are a's, cut as in RailedAnnulus.window: the
+    restriction keeps every vertex and edge of the band between cycles lo
+    and hi, so the rails a was checked against stay valid in it."""
+    _check_window(a, lo, hi)
+    cycles = a.cycles.cycles[lo - 1:hi]
     emb = a.embedding.restrict(a.cycles.closed_disk(lo), lambda faces: _cycle_face(
         faces, cycles[0], "restricted embedding lost the boundary face"))
-    return RailedAnnulus(emb, cycles, _clipped_rails(a, lo, hi))
+    return a._cut(lo, hi, NestedCycles(emb, cycles))
 
 
-def _clipped_rails(a, lo, hi):
-    """Every rail of a cut to cycle levels lo..hi: from its first vertex on
-    cycle lo to its last on cycle hi.  A crossing lists its vertices in
-    rail order, so these are its least and greatest rail positions."""
-    rails = []
-    for j, rail in enumerate(a.rails, 1):
-        pos = {v: k for k, v in enumerate(rail)}
-        start = pos[a.crossings[(lo, j)][0]]
-        end = pos[a.crossings[(hi, j)][-1]]
-        rails.append(list(rail[start:end + 1]))
-    return rails
+def _check_window(a, lo, hi):
+    if not (1 <= lo < hi <= a.r):
+        raise TmhError("cycle window must satisfy 1 <= lo < hi <= r")
+    _check_counts(hi - lo + 1, a.q)
 
 
 def _cycle_face(faces, cycle, missing):

@@ -446,7 +446,8 @@ def _build_parser():
     p.add_argument("--annulus", required=True)
     p.add_argument("--linkage", required=True)
     p.add_argument("--band", type=int, required=True,
-                   help="half-width of the middle band to confine within")
+                   help="width in cycle levels (odd) of the middle band to "
+                   "confine within")
     p.add_argument("--rails", required=True, type=_rail_indices,
                    help="comma list of rail indices")
     budget_flag(p)

@@ -234,15 +234,14 @@ class Graph:
     def is_connected(self):
         return self.n <= 1 or len(self.connected_components()) == 1
 
-    def shortest_path(self, source, targets, forbidden_edges=None, forbidden_vertices=None):
+    def shortest_path(self, source, targets, forbidden_vertices=None):
         """BFS path from source to the nearest of targets, or None.
 
         Ties are broken by visiting neighbors in sorted order, so the result
-        is deterministic.  forbidden_edges/_vertices are excluded (the source
+        is deterministic.  forbidden_vertices are excluded (the source
         itself is always allowed).
         """
         targets = set(targets)
-        banned_e = frozenset(_normalize_edge(u, v) for u, v in (forbidden_edges or ()))
         banned_v = set(forbidden_vertices or ())
         banned_v.discard(source)
         if source in targets:
@@ -253,8 +252,6 @@ class Graph:
             u = queue.popleft()
             for w in self._adj[u]:
                 if w in prev or w in banned_v:
-                    continue
-                if _normalize_edge(u, w) in banned_e:
                     continue
                 prev[w] = u
                 if w in targets:
@@ -1071,7 +1068,11 @@ class NestedCycles:
         return self.regions[i - 1].vertices("closed")
 
     def annulus(self, x, y):
-        return annulus_region(self, x, y)
+        """The band D-closed(x) minus D-open(y), 1-based, x outermost; the
+        whole annulus is annulus(1, r)."""
+        if not (1 <= x <= y <= self.r):
+            raise TmhError("annulus indices must satisfy 1 <= x <= y <= r")
+        return AnnulusBand(self.regions[x - 1], self.regions[y - 1], x, y)
 
 
 class AnnulusBand:
@@ -1097,14 +1098,6 @@ class AnnulusBand:
         vs = self.vertices & set(g.vertices)
         es = [e for e in self.edges if g.has_edge(*e)]
         return g.restrict(vs, es)
-
-
-def annulus_region(nc, x, y):
-    """The band D-closed(x) minus D-open(y) of a nested cycle sequence,
-    1-based, x outermost.  ann(C) is annulus_region(nc, 1, r)."""
-    if not (1 <= x <= y <= nc.r):
-        raise TmhError("annulus indices must satisfy 1 <= x <= y <= r")
-    return AnnulusBand(nc.regions[x - 1], nc.regions[y - 1], x, y)
 
 
 class PartiallyDiskEmbedded:

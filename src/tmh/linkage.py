@@ -21,7 +21,7 @@ of returning an unverified object.
 
 from .graphs import (DiskRegion, Graph, NestedCycles, TmhError, _augment, _flood,
                      _nested_disks, _normalize_edge, _path_edges)
-from .annulus import RailedAnnulus, _check_simple_path, _clipped_rails, rail_geometry
+from .annulus import _check_simple_path, rail_geometry
 from .tm import TmPair, arcs, default_budget, dissolve
 
 
@@ -678,12 +678,6 @@ def ca_cycles(a, geo=None):
     return NestedCycles._of_regions(a.embedding, [geo.delta_disks[key] for key in keys])
 
 
-def _sub_annulus(a, lo, hi):
-    """The railed annulus on cycles lo..hi with every rail clipped to that
-    band, in a's embedding and on a's disks of those cycles."""
-    return RailedAnnulus._window(a, lo, hi, _clipped_rails(a, lo, hi))
-
-
 # -- confined crossing families along rails ----------------------------------
 
 
@@ -720,7 +714,7 @@ def _check_walk(g, walk, name):
     _check_simple_path(g, walk, name)
 
 
-def _expand_grid_path(geo, gpath, row_to_cycle, enter_vertex=None, cover_last=True):
+def _expand_grid_path(geo, gpath, row_to_cycle, cover_last, enter_vertex=None):
     """Replay a grid path on the annulus: grid cells become rail crossings,
     grid edges become the lateral or radial connector paths between them.
 
@@ -764,15 +758,13 @@ def _expand_grid_path(geo, gpath, row_to_cycle, enter_vertex=None, cover_last=Tr
             walk = _stitch(walk, _subwalk(run, conn[-1], conns[t + 1][0]))
     last_run = runs[-1]
     arrival = conns[-1][-1]
-    if cover_last is True:
+    if cover_last:
         if arrival not in (last_run[0], last_run[-1]):
             raise TmhError("connector attaches inside a crossing, not at an end")
         end = last_run[-1] if arrival == last_run[0] else last_run[0]
         walk = _stitch(walk, _subwalk(last_run, arrival, end))
-    elif cover_last == "rail_forward":
-        walk = _stitch(walk, _subwalk(last_run, arrival, last_run[-1]))
     else:
-        raise TmhError("unknown cover_last mode %r" % (cover_last,))
+        walk = _stitch(walk, _subwalk(last_run, arrival, last_run[-1]))
     return walk
 
 
@@ -815,12 +807,11 @@ def rail_linkage(a, s, b, d, i_set):
     paths = []
     for h in range(1, d + 1):
         gp = grid[h - 1]
-        down = _expand_grid_path(geo, gp, lambda row: row,
-                                 cover_last="rail_forward")
+        down = _expand_grid_path(geo, gp, lambda row: row, False)
         mid = list(geo.r_path(b, a.r - b + 1, chosen[h - 1]))
         up_gp = list(reversed(gp))
-        up = _expand_grid_path(geo, up_gp, lambda row: a.r + 1 - row,
-                               enter_vertex=mid[-1], cover_last=True)
+        up = _expand_grid_path(geo, up_gp, lambda row: a.r + 1 - row, True,
+                               enter_vertex=mid[-1])
         walk = _stitch(_stitch(down, mid), up)
         _check_walk(g, walk, "crossing path %d" % h)
         top_run = a.crossings[(1, b + h)]
@@ -941,7 +932,7 @@ def tame_linkage(g, a, l, s, i_set, budget=None, force=False, node_budget=None):
         ltilde = settled
     else:
         ordered = d_ordering(a.cycles, terrain.rivers, sector)
-        inner = _sub_annulus(a, w, wp)
+        inner = a.window(w, wp)
         crossing = rail_linkage(inner, s, b, dcount, rails[:dcount])
         sector_open = sector.vertices("open")
         cyc_graphs = {}
@@ -1081,7 +1072,7 @@ def tame_tm_model(g, a, m, s, i_set, budget=None):
         (len(set(i_set)) > mm, "|I|=%d <= f1(%d)=%d" % (len(set(i_set)), ge, mm)),
     ], force=False)
 
-    shrunk = _sub_annulus(a, 2, a.r - 1)
+    shrunk = a.window(2, a.r - 1)
     link_paths = [interior for _, _, interior in arc_list if len(interior) >= 2]
     link = Linkage(link_paths)
     tamed = tame_linkage(g, shrunk, link, s, i_set, budget=budget, force=True)

@@ -591,7 +591,7 @@ def _irrelevant_vertex_pass(k, h, g, params, force, annuli, b, family, mode,
     pick = None
     pick_index = None
     for idx, inner in enumerate(fam.inner):
-        if not (r_set & inner.band(1, inner.r).vertices):
+        if not (r_set & inner.cycles.annulus(1, inner.r).vertices):
             pick = inner
             pick_index = idx
             break
@@ -692,7 +692,7 @@ def bounded_tw_solve(g, f, k, td, budget=None):
     return _bounded_tw_solve(g, f, k, td, budget=budget)
 
 
-def _bounded_tw_solve(g, f, k, td, trace=None, budget=None):
+def _bounded_tw_solve(g, f, k, td, budget=None):
     # bounded_tw_solve on a decomposition already validated against g
     budget = budget if budget is not None else default_budget()
     rank = {}
@@ -717,14 +717,13 @@ def _bounded_tw_solve(g, f, k, td, trace=None, budget=None):
         return None
 
     s = search([], k)
-    trace = trace if trace is not None else ReductionTrace()
     if s is None:
-        return SolveOutcome(False, None, trace)
+        return SolveOutcome(False, None, ReductionTrace())
     witness = tuple(sorted(s))
     if not is_F_free(g.delete_vertices(witness), f, budget=default_budget()):
         raise TmhError("branching produced %r but the deletion is not "
                        "pattern-free" % (witness,))
-    return SolveOutcome(True, witness, trace)
+    return SolveOutcome(True, witness, ReductionTrace())
 
 
 def solve_tm_deletion(g, f, k, budget=None, mode="safe", force=False,
@@ -764,7 +763,7 @@ def solve_tm_deletion(g, f, k, budget=None, mode="safe", force=False,
             oracle_cap=DEFAULT_ORACLE_SWEEP_CAP)
         inject = None
         if isinstance(out, TreeDecomposition):
-            tail = _bounded_tw_solve(cur, f, k, out, trace=trace)
+            tail = _bounded_tw_solve(cur, f, k, out)
             answer, witness = tail.answer, tail.witness
             break
         status = trace.steps[-1].status

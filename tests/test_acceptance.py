@@ -39,7 +39,6 @@ from tmh.linkage import (
     Linkage,
     TameFailed,
     TamingBudget,
-    _sub_annulus,
     classify_terrain,
     improve_linkage,
     minimal_linkage,
@@ -228,7 +227,7 @@ def annulus_matrix():
     built = []
     for R, q, girth, noise in _annulus_rows():
         full = synthetic_annulus(R, q, girth=girth, seed=7 * q + noise, noise=noise)
-        band = _sub_annulus(full, 2, R - 1)
+        band = full.window(2, R - 1)
         built.append((full, band, R, q, girth))
     return built
 
@@ -451,7 +450,7 @@ def _seeded_lb_pair(seed):
 def _blocked_dip_instance(R, q, d, mirror):
     m = 4 * q
     full = synthetic_annulus(R, q, girth=m)
-    band = _sub_annulus(full, 2, R - 1)
+    band = full.window(2, R - 1)
     g = full.embedding.graph
     p = _rail_positions(q, m)
 

@@ -46,7 +46,7 @@ from tmh.graphs import (
     PlaneEmbedding,
     TmhError,
 )
-from tmh.linkage import _sub_annulus, ca_cycles
+from tmh.linkage import ca_cycles
 from tmh.tm import TmPair
 
 
@@ -100,7 +100,8 @@ def _reference_rail_geometry(a):
     l_paths = {}
     for i in range(1, a.r + 1):
         cyc = list(a.cycles.cycles[i - 1])
-        cyc_graph = Graph(cyc, _path_edges(cyc + [cyc[0]]))
+        cyc_graph = Graph(cyc, [e for e in _path_edges(cyc + [cyc[0]])
+                                if e not in all_ref])
         for j in range(1, a.q + 1):
             for jp in range(1, a.q + 1):
                 if j == jp:
@@ -108,8 +109,7 @@ def _reference_rail_geometry(a):
                 targets = set(a.crossings[(i, jp)])
                 best = None
                 for src in a.crossings[(i, j)]:
-                    path = cyc_graph.shortest_path(src, targets,
-                                                   forbidden_edges=all_ref)
+                    path = cyc_graph.shortest_path(src, targets)
                     if path is not None and (best is None or len(path) < len(best)):
                         best = path
                 if best is None:
@@ -142,7 +142,7 @@ def _taming_band(q, girth, noise):
     """A band of the acceptance gate's taming matrix: the depth-13 host
     with the given rail count, girth and noise, cut to cycles 2..12."""
     full = synthetic_annulus(13, q, girth=girth, seed=7 * q + noise, noise=noise)
-    return full, _sub_annulus(full, 2, 12)
+    return full, full.window(2, 12)
 
 
 def _scanned_membership(region):
@@ -293,7 +293,8 @@ class TestSyntheticValidation:
         for i in range(1, 6):
             for j in range(1, 9):
                 assert len(a.crossings[(i, j)]) >= 1
-                assert a.entries[(i, j)] in a.crossings[(i, j)]
+                run = a.crossings[(i, j)]
+                assert min(run, key=a.rails[j - 1].index) == run[0]
 
     def test_rail_leaving_the_band_rejected(self):
         emb, cycles, rails = synthetic_annulus_parts(5, 8, core=True)
@@ -369,7 +370,7 @@ class TestEntryVertices:
         a = synthetic_annulus(**kwargs)
         for j in range(1, a.q + 1):
             pos = {v: k for k, v in enumerate(a.rails[j - 1])}
-            firsts = [pos[a.entries[(i, j)]] for i in range(1, a.r + 1)]
+            firsts = [pos[a.crossings[(i, j)][0]] for i in range(1, a.r + 1)]
             assert firsts == sorted(firsts)
             assert len(set(firsts)) == a.r
 
@@ -377,7 +378,7 @@ class TestEntryVertices:
         a = annulus_from_wall(build_elementary_wall(9), 3)
         for j in range(1, 4):
             pos = {v: k for k, v in enumerate(a.rails[j - 1])}
-            firsts = [pos[a.entries[(i, j)]] for i in range(1, 4)]
+            firsts = [pos[a.crossings[(i, j)][0]] for i in range(1, 4)]
             assert firsts == sorted(firsts)
 
 
@@ -410,7 +411,7 @@ class TestConfinement:
 
     def test_allowed_rail_vertex_on_middle_cycle_is_fine(self):
         a = synthetic_annulus(5, 8)
-        v = a.entries[(3, 2)]
+        v = a.crossings[(3, 2)][0]
         pair = TmPair(Graph([v], []), [v])
         assert a.confines(pair.model, 1, [2]) is True
 
@@ -486,19 +487,19 @@ class TestBoundariedAtCycle:
         assert set(bg.labels.values()) == {1, 2, 3, 4}
         for v, j in bg.labels.items():
             assert v in cyc3
-            assert v == a.entries[(3, j)]
+            assert v == a.crossings[(3, j)][0]
         assert set(bg.graph.vertices) == a.cycles.closed_disk(3)
 
     def test_innermost_cycle_with_all_rails(self):
         host, a = synthetic_disk_host(5, 8)
         bg = boundaried_at_cycle(host, a, 5, 8)
         assert len(bg.labels) == 8
-        assert set(bg.labels) == {a.entries[(5, j)] for j in range(1, 9)}
+        assert set(bg.labels) == {a.crossings[(5, j)][0] for j in range(1, 9)}
 
     def test_single_vertex_boundary(self):
         host, a = synthetic_disk_host(5, 8)
         bg = boundaried_at_cycle(host, a, 1, 1)
-        assert set(bg.labels.items()) == {(a.entries[(1, 1)], 1)}
+        assert set(bg.labels.items()) == {(a.crossings[(1, 1)][0], 1)}
 
     def test_out_of_range_indices(self):
         host, a = synthetic_disk_host(5, 8)
@@ -1152,10 +1153,10 @@ class TestGraphFreeGeometry:
         annuli = []
         for R, q, m, noise in rows:
             full = synthetic_annulus(R, q, girth=m, seed=7 * q + noise, noise=noise)
-            band = _sub_annulus(full, 2, R - 1)
+            band = full.window(2, R - 1)
             # and the windows taming cuts from the band: the shrunk band of
             # tame_tm_model and the inner windows of one or two rivers
-            annuli += [full, band] + [_sub_annulus(band, lo, band.r + 1 - lo)
+            annuli += [full, band] + [band.window(lo, band.r + 1 - lo)
                                       for lo in (2, 3, 4)]
         monkeypatch.undo()
         assert len(annuli) == 250
@@ -1163,7 +1164,10 @@ class TestGraphFreeGeometry:
             _assert_crossings_match(a)
         for cycle_v, cycle_e, rail, out in calls:
             assert out == _reference_crossing_path(cycle_v, cycle_e, rail)
-        assert sum(out is not None for *_, out in calls) > 5000
+        # only the constructor of each full annulus asks, once per cycle and
+        # rail; the windows take their crossings from the annulus they are
+        # cut from
+        assert len(calls) == sum(a.r * a.q for a in annuli[::5]) == 4940
 
     @pytest.mark.parametrize("h", [7, 9])
     def test_crossings_match_the_reference_on_wall_runs(self, monkeypatch, h):
@@ -1422,3 +1426,61 @@ class TestRowStorage:
             tracemalloc.stop()
         assert kept[1].embedding.graph.n == 384
         assert held <= 1.05 * self.HELD_BYTES
+
+
+def _clipped_rails(a, lo, hi):
+    """Every rail of a cut from its first vertex on cycle lo to its last on
+    cycle hi, found by cycle membership rather than by a's crossings."""
+    first, last = set(a.cycles.cycles[lo - 1]), set(a.cycles.cycles[hi - 1])
+    rails = []
+    for rail in a.rails:
+        start = min(k for k, v in enumerate(rail) if v in first)
+        end = max(k for k, v in enumerate(rail) if v in last)
+        rails.append(list(rail[start:end + 1]))
+    return rails
+
+
+class TestWindowsInheritRails:
+    """A window cut from a validated annulus, in its embedding (window) or
+    in a restriction of it (sub_annulus), has the rails and crossings the
+    validating constructor gives its cycles and clipped rails.  Those do
+    not depend on the embedding, which the constructor only checks the
+    rails against, so one reference in the smaller, restricted embedding
+    serves both."""
+
+    @staticmethod
+    def _assert_windows_match(a):
+        count = 0
+        for lo in range(1, a.r - 1):
+            for hi in range(lo + 2, a.r + 1, 2):
+                sub = sub_annulus(a, lo, hi)
+                ref = RailedAnnulus(sub.embedding, a.cycles.cycles[lo - 1:hi],
+                                    _clipped_rails(a, lo, hi))
+                for win in (a.window(lo, hi), sub):
+                    assert win.cycles.cycles == ref.cycles.cycles
+                    assert (win.r, win.q) == (ref.r, ref.q)
+                    assert win.rails == ref.rails
+                    assert list(win.crossings.items()) == list(ref.crossings.items())
+                count += 1
+        return count
+
+    def test_every_odd_window_of_the_matrix_bands(self):
+        count = sum(self._assert_windows_match(band) for _, band in _matrix_annuli())
+        assert count == 42 * 25 + 8 * 16
+
+    def test_every_odd_window_of_the_forced_host(self):
+        _, a = synthetic_disk_host(25, 3, seed=1, noise=2)
+        assert self._assert_windows_match(a) == 144
+
+    def test_windows_refuse_like_sub_annulus(self):
+        a = synthetic_annulus(7, 4)
+        for lo, hi in ((0, 3), (3, 3), (5, 8), (4, 2)):
+            for cut in (a.window, lambda lo, hi: sub_annulus(a, lo, hi)):
+                with pytest.raises(TmhError, match="^cycle window must satisfy "
+                                   r"1 <= lo < hi <= r$"):
+                    cut(lo, hi)
+        for lo, hi in ((1, 2), (2, 5)):
+            for cut in (a.window, lambda lo, hi: sub_annulus(a, lo, hi)):
+                with pytest.raises(TmhError, match="^need an odd number of "
+                                   "cycles, at least 3, got %d$" % (hi - lo + 1)):
+                    cut(lo, hi)

@@ -13,7 +13,7 @@ from tmh import tm
 from tmh.cli import _build_parser, _legacy_widths, main
 from tmh.graphs import Graph, parse_graph
 from tmh.annulus import synthetic_annulus
-from tmh.linkage import Linkage, _sub_annulus
+from tmh.linkage import Linkage
 from tmh.tm import BUILTIN_PATTERNS
 from tmh.synth import random_planar_graph
 from tmh.io import (
@@ -52,7 +52,7 @@ def files(tmp_path_factory):
     bad = write("bad.txt", "not a graph\n")
 
     full = synthetic_annulus(13, 7)
-    band = _sub_annulus(full, 2, 12)
+    band = full.window(2, 12)
     paths = {
         "k4": k4, "p5": p5, "bad": bad, "root": str(root),
         "band_graph": write("band.graph.txt",
@@ -366,6 +366,24 @@ class TestTame:
         err = capsys.readouterr().err
         assert "argument --rails: rail index %s in %r is not an integer" % (
             entry, rails) in err
+
+    def test_even_band_width_is_refused(self, files, capsys):
+        # --band is the band's width in cycle levels, which must be odd
+        code, rep, err = run(capsys, "tame",
+                             "--graph", files["band_graph"],
+                             "--embedding", files["band_emb"],
+                             "--annulus", files["band_ann"],
+                             "--linkage", files["band_lnk"],
+                             "--band", "2", "--rails", "4", "--budget-f1", "0")
+        assert (code, rep) == (2, None)
+        assert err == ("failure in tame: band width must be odd within [1, 11], "
+                       "got 2\n")
+
+    def test_band_help_names_an_odd_width(self):
+        tame = _build_parser()._subparsers._group_actions[0].choices["tame"]
+        band, = (act for act in tame._actions if act.dest == "band")
+        assert band.help == ("width in cycle levels (odd) of the middle band "
+                             "to confine within")
 
     def test_readme_rails_parse(self):
         line, = (ln for ln in _readme_cli_lines() if ln.startswith("tmh tame "))

@@ -28,7 +28,6 @@ from tmh.graphs import (
     _lr_planar,
     _planar_adjacency,
     _series_parallel_core,
-    annulus_region,
     is_planar,
     parse_graph,
     planar_rotation,
@@ -648,21 +647,21 @@ class TestRegions:
     def test_degenerate_annulus_is_cycle(self):
         emb = concentric_triangles()
         nc = NestedCycles(emb, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
-        band = annulus_region(nc, 2, 2)
+        band = nc.annulus(2, 2)
         assert band.vertices == frozenset({3, 4, 5})
         assert band.edges == frozenset({(3, 4), (4, 5), (3, 5)})
 
     def test_full_annulus(self):
         emb = concentric_triangles()
         nc = NestedCycles(emb, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
-        band = annulus_region(nc, 1, 3)
+        band = nc.annulus(1, 3)
         assert band.vertices == frozenset(range(9))
         assert (6, 7) in band.edges
 
     def test_outer_two_rings(self):
         emb = concentric_triangles()
         nc = NestedCycles(emb, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
-        band = annulus_region(nc, 1, 2)
+        band = nc.annulus(1, 2)
         assert band.vertices == frozenset(range(6))
         assert (6, 7) not in band.edges
         assert (3, 6) not in band.edges
@@ -674,15 +673,15 @@ class TestRegions:
         for (x, y) in [(1, 1), (1, 2), (2, 2), (2, 3), (1, 3), (3, 3)]:
             for (x2, y2) in [(1, 1), (1, 2), (2, 2), (2, 3), (1, 3), (3, 3)]:
                 if x <= x2 <= y2 <= y:
-                    inner = annulus_region(nc, x2, y2)
-                    outer = annulus_region(nc, x, y)
+                    inner = nc.annulus(x2, y2)
+                    outer = nc.annulus(x, y)
                     assert inner.vertices <= outer.vertices
 
     def test_bad_indices(self):
         emb = concentric_triangles()
         nc = NestedCycles(emb, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
         with pytest.raises(TmhError):
-            annulus_region(nc, 2, 1)
+            nc.annulus(2, 1)
 
     def test_disjointness_enforced(self):
         emb = concentric_triangles()

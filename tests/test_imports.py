@@ -50,3 +50,42 @@ def test_only_planar_rotation_imports_networkx():
         _networkx_imports(ast.parse(path.read_text(), filename=str(path)),
                           (path.stem,), found)
     assert found == [("graphs", "planar_rotation")]
+
+
+def _private_definitions_and_references():
+    """The underscore-named functions, methods and classes defined in the
+    package (dunder methods aside), and for each name the references to it
+    as a Name, an Attribute or an import alias, each with the definitions
+    that enclose it."""
+    defs, refs = [], []
+
+    def visit(node, where, enclosing):
+        for child in ast.iter_child_nodes(node):
+            inner = enclosing
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = child.name
+                if name.startswith("_") and not (name.startswith("__")
+                                                 and name.endswith("__")):
+                    defs.append((name, where, child))
+                inner = enclosing + (child,)
+            elif isinstance(child, ast.Name):
+                refs.append((child.id, inner))
+            elif isinstance(child, ast.Attribute):
+                refs.append((child.attr, inner))
+            elif isinstance(child, ast.alias):
+                refs.append((child.asname or child.name, inner))
+            visit(child, where, inner)
+
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        visit(tree, path.stem, ())
+    return defs, refs
+
+
+def test_every_private_definition_is_referenced_elsewhere():
+    defs, refs = _private_definitions_and_references()
+    orphans = sorted(
+        "%s.%s (line %d)" % (where, name, node.lineno) for name, where, node in defs
+        if not any(ref == name and node not in enclosing for ref, enclosing in refs))
+    assert len(defs) > 80
+    assert not orphans, "private definitions no code refers to: %r" % orphans

@@ -21,7 +21,6 @@ from tmh.linkage import (
     Terrain,
     TerrainFeature,
     _require_in_graph,
-    _sub_annulus,
     ca_cycles,
     check_tight,
     classify_terrain,
@@ -60,26 +59,26 @@ def zero_budget():
 @pytest.fixture(scope="module")
 def seven_rails_13():
     full = synthetic_annulus(13, 7)
-    return full, _sub_annulus(full, 2, 12)
+    return full, full.window(2, 12)
 
 
 @pytest.fixture(scope="module")
 def seven_rails_17():
     full = synthetic_annulus(17, 7)
-    return full, _sub_annulus(full, 2, 16)
+    return full, full.window(2, 16)
 
 
 @pytest.fixture(scope="module")
 def five_rails_17():
     full = synthetic_annulus(17, 5)
-    return full, _sub_annulus(full, 2, 16)
+    return full, full.window(2, 16)
 
 
 @pytest.fixture(scope="module")
 def six_rails_7():
     # girth 24 spreads the six rails four ring positions apart
     full = synthetic_annulus(7, 6, girth=24)
-    return full, _sub_annulus(full, 2, 6)
+    return full, full.window(2, 6)
 
 
 M6 = 24  # girth of the six-rail host
@@ -242,7 +241,7 @@ def _matrix_case(idx):
     model)."""
     R, q, m, noise = _matrix_rows()[idx]
     full = synthetic_annulus(R, q, girth=m, seed=7 * q + noise, noise=noise)
-    band = _sub_annulus(full, 2, R - 1)
+    band = full.window(2, R - 1)
     p = [k * m // q for k in range(q)]
     ring = (R + 1) // 2
     kind = idx % 4
@@ -832,7 +831,7 @@ class TestInvariants:
 
     def test_ordered_streams_feed_a_valid_bramble(self):
         full = synthetic_annulus(9, 7)
-        band = _sub_annulus(full, 2, 6)
+        band = full.window(2, 6)
         g = full.embedding.graph
         d = rail_geometry(band).delta_disk(2, 4, 6, 7)
         shuffled = [band.rails[j] for j in (2, 0, 4, 1, 3)]
