@@ -137,10 +137,10 @@ class RailedAnnulus:
 
     def window(self, lo, hi):
         """The annulus on cycle levels lo..hi (see sub_annulus) in this
-        annulus's embedding and on its disks of those cycles."""
+        annulus's embedding and on its own disks of those cycles, which
+        nest already (NestedCycles._slice)."""
         _check_window(self, lo, hi)
-        return self._cut(lo, hi, NestedCycles._of_regions(
-            self.embedding, self.cycles.regions[lo - 1:hi]))
+        return self._cut(lo, hi, self.cycles._slice(lo, hi))
 
     def _cut(self, lo, hi, nested):
         """The annulus on cycle levels lo..hi bounded by nested, which
@@ -649,7 +649,7 @@ def _cycle_face(faces, cycle, missing):
     TmhError(missing) when no face does."""
     ring = frozenset(cycle)
     for idx, face in enumerate(faces):
-        if len(face) == len(cycle) and {u for u, _ in face} == ring:
+        if len(face) == len(cycle) and set(face) == ring:
             return idx
     raise TmhError(missing)
 

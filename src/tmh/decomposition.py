@@ -600,7 +600,7 @@ def _unique_longest(faces):
 def _long_face_walk(emb):
     """The vertices along the outer face, which is the unique longest face;
     refused if a vertex comes twice."""
-    walk = tuple(d[0] for d in emb.faces[emb.outer_face])
+    walk = emb.faces[emb.outer_face]
     if len(set(walk)) != len(walk):
         raise TmhError("outer walk revisits a vertex; host is not a wall shape")
     return walk

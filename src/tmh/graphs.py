@@ -12,20 +12,25 @@ three substrates defined here:
 
   * PlaneEmbedding: a clockwise rotation system plus the face structure it
     induces.  Faces are traced combinatorially; no coordinates are kept.
+    A face is the tuple of its vertices, and the faces across its steps
+    are integers.
 
   * DiskRegion / NestedCycles: disks are sets of faces, never geometry.  A
     cycle of an embedded graph bounds the set of faces that cannot reach the
     outer face without crossing the cycle, and every region predicate
     (open/closed membership, annulus bands, nesting) reduces to face-set
-    arithmetic on that representation.
+    arithmetic on that representation.  A nested family keeps one depth
+    per face, the number of its disks that hold it, instead of a set per
+    disk.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
+from array import array
 from collections import deque
-from operator import itemgetter
 
 
 class TmhError(Exception):
@@ -445,24 +450,28 @@ class PlaneEmbedding:
     region is designated the outer face.
 
     Storage.  rotation maps each vertex to a tuple, the caller's own tuple
-    where one was given.  faces is a tuple of walks, each a tuple of darts
-    (u, v) that starts at its least dart, and the walks are ordered by
-    their least darts: the order of one trace over the darts in the order
-    the graph keeps them, sorted tails and then sorted heads.  Each dart is
-    one tuple object, and the low-to-high dart of an edge is also the key
-    of the edge's entry in _edge_faces, the tuple of the faces on its two
-    sides in increasing order (a bridge lists its one face twice).
-    _vertex_faces maps each vertex to the sorted tuple of its faces; it is
-    built on first use, since most embeddings only answer for the few
-    vertices they are asked about (see _faces_at).
+    where one was given.  faces is a tuple of walks, each the tuple of the
+    tails of its darts: dart j of a walk runs from its entry j to the next
+    one, and its last dart back to its first entry.  A walk starts at the
+    tail of its least dart (u, v), and the walks are ordered by their
+    least darts: the order of one trace over the darts in the order the
+    graph keeps them, sorted tails and then sorted heads.  No dart or edge
+    is an object: the darts are numbered walk by walk, dart j of face f
+    being _face_base[f] + j, and four integer arrays hold the rest.
+    _across gives the face on the other side of each dart, _twin the
+    reverse dart, and _vertex_dart one dart leaving each vertex, in graph
+    order (-1 for an isolated one).  So a flood reads the face across each
+    step of a walk directly, and the darts leaving v come one after the
+    other from the successor of each one's twin (_around), for the faces
+    at v (_faces_at).
 
     restrict(vertices, pick_outer) embeds an induced subgraph under the
     restricted rotation.  It keeps every face whose vertices all survive,
     as the same tuple, and traces only the surviving darts of the others.
     """
 
-    __slots__ = ("graph", "rotation", "faces", "outer_face", "_vertex_face_map",
-                 "_edge_faces", "_plane")
+    __slots__ = ("graph", "rotation", "faces", "outer_face", "_face_base", "_across",
+                 "_twin", "_vertex_dart", "_plane")
 
     def __init__(self, graph, rotation, pick_outer):
         """rotation: dict v -> sequence of neighbors in clockwise order.
@@ -483,9 +492,10 @@ class PlaneEmbedding:
                     "rotation at %r does not list its neighbors exactly once" % (v,))
             rot[v] = order
         self.rotation = rot
-        self.faces = tuple(self._trace(
-            (u, v) for u in graph.vertices for v in graph.neighbors(u)))
-        self._index()
+        faces, numbers = self._trace(
+            (u, v) for u in graph.vertices for v in graph.neighbors(u))
+        self.faces = tuple(faces)
+        self._index(numbers)
         self.outer_face = pick_outer(self.faces)
 
     def restrict(self, vertices, pick_outer):
@@ -498,7 +508,11 @@ class PlaneEmbedding:
         tuple: each of its darts still leaves toward the same next
         neighbour, since that neighbour survives.  Only the surviving
         darts of the other faces are traced again, and the faces come in
-        the order a trace of the whole restriction gives them."""
+        the order a trace of the whole restriction gives them.
+
+        A restriction of a plane embedding embeds each of its components
+        in the sphere, so Euler's count alone tells whether it is plane
+        (see _is_plane)."""
         keep = set(vertices)
         graph = self.graph.subgraph(keep)
         lost = set()
@@ -507,7 +521,6 @@ class PlaneEmbedding:
                 lost.update(self._faces_at(v))
         new = PlaneEmbedding.__new__(PlaneEmbedding)
         new.graph = graph
-        new._plane = None
         rot = {}
         for v in graph.vertices:
             order = self.rotation[v]
@@ -519,21 +532,26 @@ class PlaneEmbedding:
             if idx not in lost:
                 faces.append(face)
             else:
-                starts.extend(d for d in face if d[0] in keep and d[1] in keep)
+                starts.extend(d for d in _darts(face) if d[0] in keep and d[1] in keep)
         starts.sort()
-        faces.extend(new._trace(starts))
-        faces.sort(key=itemgetter(0))
+        faces.extend(new._trace(starts)[0])
+        # a walk starts at its least dart, and no two walks share a dart
+        faces.sort()
         new.faces = tuple(faces)
-        new._index()
+        new._index(dict(zip(itertools.chain.from_iterable(map(_darts, faces)),
+                            itertools.count())))
+        new._plane = (graph.m > 0 and graph.n - graph.m + len(faces) == 2
+                      if self._plane else None)
         new.outer_face = pick_outer(new.faces)
         return new
 
     def _trace(self, starts):
         """The face walks through the darts of starts, each begun at its
-        first dart in starts; with starts increasing, each walk begins at
+        first dart in starts, and a dict that numbers their darts walk by
+        walk, in walk order; with starts increasing, each walk begins at
         its least dart and the walks come ordered by it."""
         rot = self.rotation
-        used = set()
+        used = {}
         faces = []
         for start in starts:
             if start in used:
@@ -541,62 +559,75 @@ class PlaneEmbedding:
             walk = []
             cur = start
             while cur not in used:
-                used.add(cur)
-                walk.append(cur)
-                # Arriving at v from u, leave toward the next clockwise neighbor.
+                used[cur] = len(used)
                 u, v = cur
+                walk.append(u)
+                # Arriving at v from u, leave toward the next clockwise neighbor.
                 order = rot[v]
                 i = order.index(u) + 1
                 cur = (v, order[i] if i < len(order) else order[0])
             if cur != start:
                 raise EmbeddingError("face walk from %r does not close" % (start,))
             faces.append(tuple(walk))
-        return faces
+        return faces, used
 
-    def _index(self):
-        """The edge incidences of the faces (see the class docstring)."""
-        edge_faces = {}
-        for idx, face in enumerate(self.faces):
-            for d in face:
-                if d[0] < d[1]:
-                    edge_faces[d] = idx
-        for idx, face in enumerate(self.faces):
-            for u, v in face:
-                if u > v:
-                    e = (v, u)
-                    other = edge_faces[e]
-                    edge_faces[e] = (other, idx) if other <= idx else (idx, other)
-        self._edge_faces = edge_faces
-        self._vertex_face_map = None
+    def _index(self, numbers):
+        """Fill the arrays of the class docstring, given the dict that
+        numbers each dart (u, v) walk by walk."""
+        faces = self.faces
+        face_of = [f for f, face in enumerate(faces) for _ in face]
+        self._face_base = array("i", itertools.accumulate(map(len, faces), initial=0))
+        self._twin = array("i", [numbers[v, u] for u, v in numbers])
+        self._across = array("i", [face_of[t] for t in self._twin])
+        self._vertex_dart = array("i", [numbers[v, order[0]] if order else -1
+                                        for v, order in self.rotation.items()])
 
-    @property
-    def _vertex_faces(self):
-        """Each vertex's faces as a sorted tuple, built on first read.  A
-        face through v leaves v along one of its darts, so the tails of the
-        darts name every vertex of a face."""
-        if self._vertex_face_map is None:
-            vertex_faces = {v: [] for v in self.graph.vertices}
-            for idx, face in enumerate(self.faces):
-                for u, _ in face:
-                    fs = vertex_faces[u]
-                    if not fs or fs[-1] != idx:
-                        fs.append(idx)
-            self._vertex_face_map = {v: tuple(fs) for v, fs in vertex_faces.items()}
-        return self._vertex_face_map
+    def _around(self, v):
+        """The darts leaving v, toward rotation[v][0] and on in rotation
+        order, and their faces, as two lists.  The dart after the twin of
+        the one toward w leaves v toward the neighbour after w."""
+        darts, faces = [], []
+        if self.rotation[v]:
+            d = self._vertex_dart[bisect.bisect_left(self.graph.vertices, v)]
+            face_base, twin, across = self._face_base, self._twin, self._across
+            f = bisect.bisect_right(face_base, d) - 1
+            for _ in self.rotation[v]:
+                darts.append(d)
+                faces.append(f)
+                d, f = twin[d] + 1, across[d]
+                if d == face_base[f + 1]:
+                    d = face_base[f]
+        return darts, faces
 
     def _faces_at(self, v):
-        """The faces through v, with repeats: those of v's incident edges,
-        since a face through v leaves it along an edge."""
-        ef = self._edge_faces
-        return [f for w in self.graph.neighbors(v) for f in ef[(v, w) if v < w else (w, v)]]
+        """The faces through v, with repeats: those of the darts leaving
+        v, since a face through v leaves it along a dart."""
+        return self._around(v)[1]
+
+    def _steps(self, f):
+        """The darts (u, v) of face f in walk order, each with the face
+        across it, as triples."""
+        face, base = self.faces[f], self._face_base
+        return zip(face, face[1:] + face[:1], self._across[base[f]:base[f + 1]])
 
     def _is_plane(self):
         """Whether the graph is connected with V - E + F = 2, i.e. the
-        rotation embeds it in the sphere; computed once."""
+        rotation embeds it in the sphere; computed once.
+
+        A restriction of a plane embedding is decided by the count alone
+        (restrict sets it): each of its components with an edge is plane
+        and counts 2, and an isolated vertex counts 1, so with an edge the
+        count is 2 exactly when the graph is connected, and with none the
+        graph is not plane (Mohar and Thomassen, Graphs on Surfaces)."""
         if self._plane is None:
             g = self.graph
             self._plane = g.is_connected() and g.n - g.m + len(self.faces) == 2
         return self._plane
+
+
+def _darts(face):
+    """The darts of a face walk, in walk order from its first vertex."""
+    return zip(face, face[1:] + face[:1])
 
 
 def planar_rotation(g):
@@ -853,13 +884,12 @@ class DiskRegion:
     """A closed disk of an embedding: a set of interior faces plus the cycle
     bounding them.  Membership is face arithmetic and nothing else.
 
-    The interior faces and the boundary cycle are fixed at construction.
-    The closed and open vertex and edge sets are each built on first read
-    (an open one from its closed one), so vertices() builds no edge set
-    and edges() no vertex set; has_vertex asks only the faces at a vertex.
-    Only the interior faces' darts are scanned, and an edge is kept as a
-    face's own (low, high) dart where one exists, so regions share their
-    edge tuples with the embedding."""
+    The interior faces and the boundary cycle are fixed at construction;
+    a disk of a NestedCycles family is a NestedDisk, which reads its faces
+    off the family's depths instead of holding a set.  The closed and open
+    vertex and edge sets are each built on first read (an open one from
+    its closed one), so vertices() builds no edge set and edges() no
+    vertex set; has_vertex asks only the faces at a vertex."""
 
     __slots__ = ("embedding", "interior_faces", "boundary_cycle", "_closed_v", "_open_v",
                  "_closed_e", "_open_e")
@@ -881,18 +911,39 @@ class DiskRegion:
         interior = set(range(len(embedding.faces))) - outside
         return cls(embedding, interior, cyc)
 
+    def _faces(self):
+        """The interior faces, as an iterable."""
+        return self.interior_faces
+
+    def _exterior(self):
+        """The faces of the embedding that are not interior, as an iterable."""
+        return itertools.filterfalse(self.interior_faces.__contains__,
+                                     range(len(self.embedding.faces)))
+
+    def _contains(self, f):
+        """Whether face f is interior."""
+        return f in self.interior_faces
+
+    def _holds(self, faces):
+        """Whether every face of faces is interior."""
+        return self.interior_faces.issuperset(faces)
+
+    def _meets(self, faces):
+        """Whether some face of faces is interior."""
+        return not self.interior_faces.isdisjoint(faces)
+
     def vertices(self, mode="closed"):
         """Closed: the boundary and the vertices of interior faces; open:
-        the closed ones off the boundary with every face interior."""
+        the closed ones off the boundary and on no face outside."""
         emb = self.embedding
         if _is_open(mode):
             if self._open_v is None:
-                off, vertex_faces = set(self.boundary_cycle), emb._vertex_faces
-                self._open_v = frozenset(v for v in self.vertices() if v not in off and
-                                         self.interior_faces.issuperset(vertex_faces[v]))
+                self._open_v = self.vertices().difference(
+                    self.boundary_cycle, *map(emb.faces.__getitem__, self._exterior()))
             return self._open_v
         if self._closed_v is None:
-            closed = {u for f in self.interior_faces for u, _ in emb.faces[f]}
+            closed = set(itertools.chain.from_iterable(map(emb.faces.__getitem__,
+                                                           self._faces())))
             closed.update(v for v in self.boundary_cycle if v in emb.graph)
             self._closed_v = frozenset(closed)
         return self._closed_v
@@ -903,14 +954,14 @@ class DiskRegion:
         emb = self.embedding
         if _is_open(mode):
             if self._open_e is None:
-                self._open_e = frozenset(e for e in self.edges() if
-                                         self.interior_faces.issuperset(emb._edge_faces[e]))
+                steps = itertools.chain.from_iterable(map(emb._steps, self._faces()))
+                self._open_e = frozenset((u, v) if u < v else (v, u)
+                                         for u, v, g in steps if self._contains(g))
             return self._open_e
         if self._closed_e is None:
-            darts = [d for f in self.interior_faces for d in emb.faces[f]]
-            closed = {d for d in darts if d[0] < d[1]}
-            closed.update((v, u) for u, v in darts if u > v)
-            self._closed_e = frozenset(closed)
+            faces = emb.faces
+            self._closed_e = frozenset((u, v) if u < v else (v, u) for f in self._faces()
+                                       for u, v in _darts(faces[f]))
         return self._closed_e
 
     def has_vertex(self, v, mode="closed"):
@@ -920,11 +971,13 @@ class DiskRegion:
         known = self._open_v if is_open else self._closed_v
         if known is not None or v not in self.embedding.graph:
             return known is not None and v in known
-        faces = self.embedding._faces_at(v)
+        return self._at(v, is_open, self.embedding._faces_at(v))
+
+    def _at(self, v, is_open, faces):
+        """has_vertex(v) read from faces, the faces at v."""
         if is_open:
-            return (bool(faces) and self.interior_faces.issuperset(faces)
-                    and v not in self.boundary_cycle)
-        return not self.interior_faces.isdisjoint(faces) or v in self.boundary_cycle
+            return bool(faces) and self._holds(faces) and v not in self.boundary_cycle
+        return self._meets(faces) or v in self.boundary_cycle
 
     def subgraph(self, mode="closed"):
         """The graph on the vertices of the given mode.  An open edge may
@@ -935,6 +988,45 @@ class DiskRegion:
         if mode == "open":
             es = [e for e in es if e[0] in vs and e[1] in vs]
         return self.embedding.graph.restrict(vs, es)
+
+
+class NestedDisk(DiskRegion):
+    """Disk i of a NestedCycles family, a view (the family's depths, i):
+    its interior faces are those of depth at least i, and interior_faces
+    is built on each read."""
+
+    __slots__ = ("_depth", "_level")
+
+    def __init__(self, embedding, boundary_cycle, depth, level):
+        self.embedding = embedding
+        self.boundary_cycle = tuple(boundary_cycle)
+        self._depth = depth
+        self._level = level
+        self._closed_v = self._open_v = self._closed_e = self._open_e = None
+
+    @property
+    def interior_faces(self):
+        return frozenset(self._faces())
+
+    def _contains(self, f):
+        return self._depth[f] >= self._level
+
+    def _inside(self, faces):
+        return map(self._level.__le__, map(self._depth.__getitem__, faces))
+
+    def _faces(self):
+        return itertools.compress(range(len(self._depth)),
+                                  map(self._level.__le__, self._depth))
+
+    def _exterior(self):
+        return itertools.compress(range(len(self._depth)),
+                                  map(self._level.__gt__, self._depth))
+
+    def _holds(self, faces):
+        return all(self._inside(faces))
+
+    def _meets(self, faces):
+        return any(self._inside(faces))
 
 
 def _is_open(mode):
@@ -959,64 +1051,83 @@ def _cycle_edges(embedding, cyc):
     return cycle_edges
 
 
-def _flood(embedding, outside, seeds, cut):
+def _flood(embedding, outside, seeds, cut, blocked=None):
     """Add to the face set outside every face the seeds reach in the dual
-    graph without crossing an edge of cut; returns the faces added."""
-    edge_faces = embedding._edge_faces
+    graph without crossing an edge of cut; returns the faces added.  A
+    list blocked receives the face across each step along cut on the
+    way."""
     added = [f for f in dict.fromkeys(seeds) if f not in outside]
     outside.update(added)
     queue = deque(added)
     while queue:
-        f = queue.popleft()
-        for (u, v) in embedding.faces[f]:
-            e = (u, v) if u < v else (v, u)
-            if e in cut:
+        for u, v, g in embedding._steps(queue.popleft()):
+            if ((u, v) if u < v else (v, u)) in cut:
+                if blocked is not None:
+                    blocked.append(g)
                 continue
-            for g in edge_faces[e]:
-                if g not in outside:
-                    outside.add(g)
-                    added.append(g)
-                    queue.append(g)
+            if g not in outside:
+                outside.add(g)
+                added.append(g)
+                queue.append(g)
     return added
 
 
+def _check_disjoint(cycles):
+    """Refuse cycles that share a vertex."""
+    seen = set()
+    for c in cycles:
+        cs = set(c)
+        if cs & seen:
+            raise EmbeddingError("nested cycles must be pairwise vertex-disjoint")
+        seen |= cs
+
+
 def _nested_disks(embedding, cycles):
-    """The disks of cycles given outermost first, each equal to
-    DiskRegion.of_cycle's, for about one flood of the dual per family.
+    """The disks of pairwise disjoint cycles given outermost first, each
+    with DiskRegion.of_cycle's faces, as NestedDisk views of one depth per
+    face, for about one flood of the dual per family.  Refused, in this
+    order, if two cycles meet, if of_cycle refuses a cycle (each in
+    order), or if a disk does not lie in the one before.
 
     In a connected plane graph (V - E + F = 2) the edges of a simple
     cycle form a minimal edge cut of the dual graph (Whitney; Mohar and
     Thomassen, Graphs on Surfaces, 2001), so the dual minus them has two
     sides.  The faces outside C_{i-1}, plus the faces across C_{i-1}'s
-    edges, flooded without crossing C_i, form a set closed in the dual
-    minus C_i that holds the outer face: exactly the outside of C_i, or
-    every face, which happens only when C_i's disk does not lie in
-    C_{i-1}'s.  A cycle whose
-    interior comes out empty, or that repeats a vertex, takes of_cycle,
-    and so does every cycle of an embedding that is not connected or not
-    plane.  Each cycle is checked as of_cycle checks it, in order."""
+    edges (which the flood of C_{i-1} meets; after of_cycle, the faces at
+    C_{i-1}'s vertices, which lie outside C_i if the disks nest), flooded
+    without crossing C_i, form a set closed in the dual minus C_i that
+    holds the outer face: exactly the outside of C_i, or every face,
+    which happens only when C_i's disk does not lie in C_{i-1}'s.  So the
+    faces each flood adds have depth i - 1, and the disks nest by
+    construction.  A cycle
+    whose interior comes out empty, or that repeats a vertex, takes
+    of_cycle, and so does every cycle of an embedding that is not
+    connected or not plane; only such a disk is checked to lie in the one
+    before."""
+    cycles = [tuple(c) for c in cycles]
+    _check_disjoint(cycles)
+    cuts = [_cycle_edges(embedding, c) for c in cycles]
     n_faces = len(embedding.faces)
-    if not embedding._is_plane():
-        return [DiskRegion.of_cycle(embedding, c) for c in cycles]
-    regions = []
+    depth = array("I", [len(cycles)]) * n_faces
+    plane = embedding._is_plane()
     outside, inside = set(), set(range(n_faces))
     seeds = [embedding.outer_face]
-    for c in cycles:
-        cyc = list(c)
-        cut = _cycle_edges(embedding, cyc)
-        if len(set(cyc)) == len(cyc):
-            inside.difference_update(_flood(embedding, outside, seeds, cut))
-        else:
-            inside = set()
-        if inside:
-            region = DiskRegion(embedding, inside, cyc)
-        else:
-            region = DiskRegion.of_cycle(embedding, cyc)
-            inside = set(region.interior_faces)
-            outside = set(range(n_faces)) - inside
-        regions.append(region)
-        seeds = [f for e in cut for f in embedding._edge_faces[e]]
-    return regions
+    for level, (c, cut) in enumerate(zip(cycles, cuts)):
+        across = []
+        gone = (_flood(embedding, outside, seeds, cut, across)
+                if plane and len(set(c)) == len(c) else None)
+        if gone is None or len(gone) == len(inside):
+            disk = DiskRegion.of_cycle(embedding, c).interior_faces
+            if not inside.issuperset(disk):
+                raise EmbeddingError("cycle disks do not nest")
+            gone = inside - disk
+            outside = set(range(n_faces)) - disk
+            across = [f for v in c for f in embedding._faces_at(v)]
+        inside.difference_update(gone)
+        for f in gone:
+            depth[f] = level
+        seeds = across
+    return [NestedDisk(embedding, c, depth, i) for i, c in enumerate(cycles, 1)]
 
 
 class NestedCycles:
@@ -1025,36 +1136,39 @@ class NestedCycles:
 
     The constructor floods the dual graph about once for the whole family
     (see _nested_disks), with the disks and refusals of one
-    DiskRegion.of_cycle per cycle."""
+    DiskRegion.of_cycle per cycle.  The family keeps one depth per face,
+    the number of its disks that hold the face, and its region i is the
+    NestedDisk view of the faces of depth at least i; a slice (_slice)
+    keeps those views."""
 
     __slots__ = ("embedding", "cycles", "regions")
 
     def __init__(self, embedding, cycles):
-        self._build(embedding, [tuple(c) for c in cycles], None)
+        self._set(embedding, [tuple(c) for c in cycles], None)
 
     @classmethod
     def _of_regions(cls, embedding, regions):
         """The family bounded by disks already computed in this embedding,
-        outermost first, checked as the constructor checks it."""
-        self = cls.__new__(cls)
-        self._build(embedding, [d.boundary_cycle for d in regions], list(regions))
-        return self
+        outermost first: refused unless their cycles are disjoint and each
+        disk lies in the one before."""
+        cycles = [d.boundary_cycle for d in regions]
+        _check_disjoint(cycles)
+        for a, b in itertools.pairwise(regions):
+            if not a._holds(b._faces()):
+                raise EmbeddingError("cycle disks do not nest")
+        return cls.__new__(cls)._set(embedding, cycles, list(regions))
 
-    def _build(self, embedding, cycles, regions):
+    def _slice(self, lo, hi):
+        """The family of levels lo..hi (1-based) on this family's own
+        disks, which nest, so nothing is checked again."""
+        return NestedCycles.__new__(NestedCycles)._set(
+            self.embedding, self.cycles[lo - 1:hi], self.regions[lo - 1:hi])
+
+    def _set(self, embedding, cycles, regions):
         self.embedding = embedding
         self.cycles = cycles
-        seen = set()
-        for c in self.cycles:
-            cs = set(c)
-            if cs & seen:
-                raise EmbeddingError("nested cycles must be pairwise vertex-disjoint")
-            seen |= cs
-        if regions is None:
-            regions = _nested_disks(embedding, self.cycles)
-        self.regions = regions
-        for a, b in itertools.pairwise(self.regions):
-            if not (b.interior_faces <= a.interior_faces):
-                raise EmbeddingError("cycle disks do not nest")
+        self.regions = _nested_disks(embedding, cycles) if regions is None else regions
+        return self
 
     @property
     def r(self):
@@ -1092,7 +1206,12 @@ class AnnulusBand:
         return self.outer.edges("closed") - self.inner.edges("open")
 
     def has_vertex(self, v):
-        return self.outer.has_vertex(v, "closed") and not self.inner.has_vertex(v, "open")
+        outer, inner = self.outer, self.inner
+        if outer._closed_v is None and inner._open_v is None and v in outer.embedding.graph:
+            # neither disk holds its set, so both read the faces at v, once
+            faces = outer.embedding._faces_at(v)
+            return outer._at(v, False, faces) and not inner._at(v, True, faces)
+        return outer.has_vertex(v, "closed") and not inner.has_vertex(v, "open")
 
     def subgraph_of(self, g):
         vs = self.vertices & set(g.vertices)
@@ -1130,8 +1249,3 @@ class PartiallyDiskEmbedded:
                     if v not in self.compass:
                         raise TmhError("edge %r-%r crosses the disk boundary away "
                                        "from it" % (min(u, v), max(u, v)))
-
-    def separation_halves(self):
-        a = set(self.compass.vertices)
-        b = (set(self.graph.vertices) - a) | set(self.boundary_cycle)
-        return a, b

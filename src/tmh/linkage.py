@@ -19,6 +19,8 @@ construction cannot be completed the entry points raise TameFailed instead
 of returning an unverified object.
 """
 
+import functools
+
 from .graphs import (DiskRegion, Graph, NestedCycles, TmhError, _augment, _flood,
                      _nested_disks, _normalize_edge, _path_edges)
 from .annulus import _check_simple_path, rail_geometry
@@ -361,8 +363,10 @@ def classify_terrain(g, cycles, d, l):
     cyc_of = {v: i for i, c in enumerate(cycles.cycles, start=1) for v in c}
     cyc_edge_sets = [set(_path_edges(c, closed=True)) for c in cycles.cycles]
     all_faces = set(range(len(emb.faces)))
-    inner_seed = regions[r - 1].interior_faces
-    outer_seed = all_faces - regions[0].interior_faces
+    # a family's disk builds its face set on each read, so each is read once
+    interior = functools.cache(lambda i: regions[i - 1].interior_faces)
+    inner_seed = interior(r)
+    outer_seed = all_faces - interior(1)
     d_faces = d.interior_faces if d is not None else frozenset()
     d_closed = d.vertices("closed") if d is not None else frozenset()
 
@@ -435,10 +439,10 @@ def classify_terrain(g, cycles, d, l):
                     # the pocket is what a flood from the far side of
                     # the base cycle leaves unreached
                     if kind == "mountain":
-                        walled = all_faces - reg.interior_faces
+                        walled = all_faces - interior(base_i)
                         seeds = inner_seed
                     else:
-                        walled = set(reg.interior_faces)
+                        walled = set(interior(base_i))
                         seeds = outer_seed
                     _flood(emb, walled, seeds, pe)
                     pocket_faces = all_faces - walled

@@ -601,9 +601,6 @@ class BoundariedGraph:
         self._canon = (g.n, lab_set, len(inner), best)
         return self._canon
 
-    def label_isomorphic(self, other):
-        return self.canonical_form() == other.canonical_form()
-
     def __repr__(self):
         return "BoundariedGraph(n=%d, labels=%s)" % (
             self.graph.n, sorted(self.labels.values()))

@@ -2,7 +2,10 @@
 MutableAdjacency's current state, a graph relabelled onto 0..n-1, a report
 without its volatile section, Euler's formula on an embedding, the face
 incidences of an embedding and the refusing membership query of a disk,
-and a graph kept as an explicit edge set to check Graph against."""
+the darts of a face and a reference tracer of face walks as darts, the
+separation of a partially disk-embedded graph, label-respecting
+isomorphism of boundaried graphs, and a graph kept as an explicit edge set
+to check Graph against."""
 
 import json
 
@@ -52,18 +55,82 @@ def check_euler(emb):
 
 
 def faces_of_vertex(emb, v):
-    """The faces through v, read from the embedding's vertex index."""
-    if v not in emb._vertex_faces:
+    """The faces through v, read from the faces of its darts."""
+    if v not in emb.graph:
         raise EmbeddingError("vertex %r is not embedded" % (v,))
-    return frozenset(emb._vertex_faces[v])
+    return frozenset(emb._faces_at(v))
 
 
 def faces_of_edge(emb, u, v):
     """The faces on the two sides of edge u-v, in increasing order."""
-    e = _normalize_edge(u, v)
-    if e not in emb._edge_faces:
-        raise EmbeddingError("edge %r is not embedded" % (e,))
-    return emb._edge_faces[e]
+    if not emb.graph.has_edge(u, v):
+        raise EmbeddingError("edge %r is not embedded" % (_normalize_edge(u, v),))
+    return tuple(sorted(dart_sides(emb, u, v)))
+
+
+def dart_sides(emb, u, v):
+    """The faces of the darts from u to v and from v to u, read from the
+    darts around u in the face store."""
+    darts, faces = emb._around(u)
+    k = emb.rotation[u].index(v)
+    return faces[k], emb._across[darts[k]]
+
+
+def face_darts(face):
+    """The darts (u, v) of a face walk given as the tuple of its tails."""
+    return list(zip(face, face[1:] + face[:1]))
+
+
+def traced_dart_walks(graph, rotation):
+    """The face walks of a rotation system as tuples of darts, traced on
+    their own: from each dart in sorted order not yet on a walk, leave v,
+    reached from u, toward the neighbour after u in v's clockwise order.
+    Each walk starts at its least dart, and the walks come ordered by it,
+    the order PlaneEmbedding numbers its faces in."""
+    used = set()
+    walks = []
+    for start in sorted((u, v) for u in graph.vertices for v in graph.neighbors(u)):
+        if start in used:
+            continue
+        walk = []
+        dart = start
+        while dart not in used:
+            used.add(dart)
+            walk.append(dart)
+            u, v = dart
+            order = list(rotation[v])
+            dart = (v, order[(order.index(u) + 1) % len(order)])
+        assert dart == start
+        walks.append(tuple(walk))
+    return walks
+
+
+def assert_store_matches_dart_walks(emb):
+    """Face i of emb is the tails of the i-th walk of traced_dart_walks,
+    and the face store, one integer per dart in each array, gives each
+    dart of that walk face i and its reverse the walk that holds it."""
+    walks = traced_dart_walks(emb.graph, emb.rotation)
+    assert emb.faces == tuple(tuple(d[0] for d in walk) for walk in walks)
+    darts = 2 * emb.graph.m
+    assert len(emb._across) == len(emb._twin) == emb._face_base[-1] == darts
+    assert all(emb._twin[emb._twin[d]] == d for d in range(darts))
+    walk_of = {dart: i for i, walk in enumerate(walks) for dart in walk}
+    for i, walk in enumerate(walks):
+        assert all(dart_sides(emb, u, v) == (i, walk_of[v, u]) for u, v in walk)
+
+
+def separation_halves(pde):
+    """The two sides of a PartiallyDiskEmbedded graph: the compass, and the
+    rest of the graph plus the disk boundary."""
+    a = set(pde.compass.vertices)
+    b = (set(pde.graph.vertices) - a) | set(pde.boundary_cycle)
+    return a, b
+
+
+def label_isomorphic(a, b):
+    """Whether two boundaried graphs are isomorphic by a map that keeps
+    every boundary label, read off their canonical forms."""
+    return a.canonical_form() == b.canonical_form()
 
 
 def contains_vertex(region, v, mode="closed"):

@@ -11,7 +11,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import check_euler, faces_of_edge, faces_of_vertex
+from helpers import (assert_store_matches_dart_walks, check_euler, face_darts,
+                     faces_of_edge, faces_of_vertex)
 import tmh.annulus
 from tmh.annulus import (
     AnnulusFamily,
@@ -42,10 +43,12 @@ from tmh.graphs import (
     DiskRegion,
     Graph,
     NestedCycles,
+    NestedDisk,
     PartiallyDiskEmbedded,
     PlaneEmbedding,
     TmhError,
 )
+from tmh.io import emit_embedding
 from tmh.linkage import ca_cycles
 from tmh.tm import TmPair
 
@@ -440,7 +443,7 @@ class TestConfinement:
         }
         ring0 = frozenset(range(6))
         emb = PlaneEmbedding(g, rotation, lambda faces: next(
-            i for i, f in enumerate(faces) if {u for u, _ in f} == ring0))
+            i for i, f in enumerate(faces) if set(f) == ring0))
         a = RailedAnnulus(emb, cycles, rails)
         pair = TmPair(Graph([6, 8], [chord]), [6, 8])
         assert a.confines(Graph([6], []), 1, [1]) is True
@@ -646,13 +649,18 @@ class TestRailGeometry:
 class TestDiskMembership:
     def test_every_built_region_matches_a_full_scan(self, monkeypatch):
         built = []
-        init = DiskRegion.__init__
 
-        def recording(self, *args):
-            init(self, *args)
-            built.append(self)
+        def recording(cls):
+            init = cls.__init__
 
-        monkeypatch.setattr(DiskRegion, "__init__", recording)
+            def record(self, *args):
+                init(self, *args)
+                built.append(self)
+            return record
+
+        # a nested family's disks are NestedDisk views, any other disk a face set
+        for cls in (DiskRegion, NestedDisk):
+            monkeypatch.setattr(cls, "__init__", recording(cls))
         for a in (synthetic_annulus(5, 8),
                   synthetic_annulus(7, 6, girth=24, seed=3, noise=4, core=True)):
             geo = rail_geometry(a)
@@ -799,7 +807,7 @@ def _ring_face(cycle):
 
     def pick(faces):
         for idx, face in enumerate(faces):
-            if len(face) == len(cycle) and {u for u, _ in face} == ring:
+            if len(face) == len(cycle) and set(face) == ring:
                 return idx
         raise AssertionError("no face walks the cycle")
     return pick
@@ -899,7 +907,7 @@ class TestOnePassAnnuli:
         ref = _two_trace_embedding(g, rotation, _longest_face)
         _same_embedding(emb, ref)
         _same_embedding(w.embedding, ref)
-        assert walk == w.perimeter == tuple(de[0] for de in ref.faces[ref.outer_face])
+        assert walk == w.perimeter == ref.faces[ref.outer_face]
 
     def test_wall_embedding_refuses_a_tie_for_the_outer_face(self):
         # the cube drawn as a square inside a square: six 4-faces
@@ -941,14 +949,12 @@ class TestOnePassAnnuli:
                 emb = a.embedding.restrict(keep, _ring_face(a.cycles.cycles[lo - 1]))
                 ref = _reference_window_embedding(a, lo)
                 _same_embedding(emb, ref)
-                assert emb._vertex_faces == ref._vertex_faces
-                assert emb._edge_faces == ref._edge_faces
+                assert (emb._face_base, emb._across, emb._twin, emb._vertex_dart) \
+                    == (ref._face_base, ref._across, ref._twin, ref._vertex_dart)
                 assert emb.rotation == ref.rotation
                 kept = {id(f) for f in emb.faces}
                 assert all(id(f) in kept for f in a.embedding.faces
-                           if all(u in keep for u, _ in f))
-                darts = {id(d) for f in emb.faces for d in f}
-                assert all(id(e) in darts for e in emb._edge_faces)
+                           if all(u in keep for u in f))
 
     def test_taming_matrix_regions_equal_per_cycle_disks(self):
         for q in range(5, 12):
@@ -1273,13 +1279,13 @@ def _four_sets(region):
     interior = region.interior_faces
     touched_v, touched_e = set(), set()
     for f in interior:
-        for u, v in emb.faces[f]:
+        for u, v in face_darts(emb.faces[f]):
             touched_v.add(u)
             touched_e.add((u, v) if u < v else (v, u))
     boundary = {v for v in region.boundary_cycle if v in emb.graph}
     open_v = {v for v in touched_v - boundary
-              if interior.issuperset(emb._vertex_faces[v])}
-    open_e = {e for e in touched_e if interior.issuperset(emb._edge_faces[e])}
+              if interior.issuperset(faces_of_vertex(emb, v))}
+    open_e = {e for e in touched_e if interior.issuperset(faces_of_edge(emb, *e))}
     return touched_v | boundary, open_v, touched_e, open_e
 
 
@@ -1369,14 +1375,12 @@ class TestPointMembership:
         fresh.edges("closed")
         assert (fresh._open_v, fresh._open_e) == (None, None)
 
-    def test_building_an_annulus_builds_no_sets_and_no_face_index(self):
+    def test_building_an_annulus_builds_no_sets(self):
         full = synthetic_annulus(13, 11, girth=50, noise=2)
         band = sub_annulus(full, 2, 12)
         for region in band.cycles.regions:
             assert (region._closed_v, region._open_v, region._closed_e,
                     region._open_e) == (None,) * 4
-        assert full.embedding._vertex_face_map is None
-        assert band.embedding._vertex_face_map is None
 
 
 def _band_and_host():
@@ -1484,3 +1488,108 @@ class TestWindowsInheritRails:
                 with pytest.raises(TmhError, match="^need an odd number of "
                                    "cycles, at least 3, got %d$" % (hi - lo + 1)):
                     cut(lo, hi)
+
+
+class TestFaceStore:
+    """Faces are vertex tuples and the face store is integers: the same
+    faces, in the same order, as a trace of darts; embedding files as
+    before; and an annulus with its window held in a bounded number of
+    bytes."""
+
+    # sha256 of emit_embedding, read before faces were stored as vertex
+    # tuples: the forced host, then (full, band on cycles 2..R-1) for three
+    # rows (R, q, girth, noise) of the taming matrix
+    EMITTED = {
+        "forced": "b073171953c45eb52732fdfd06ecacc52cf5b79919f09544dade100501ffd6a2",
+        (13, 5, 20, 0): ("1283e795c47cf841227b6073c6396785b865f59a47230b27775455423c1ae748",
+                         "19884cd867941a6555eb53a75d96ae769ecc3683b5343d5c8118823b637d94e8"),
+        (13, 7, 34, 3): ("0296842095acefaaa0f3064458d6c97e705b45a4922a132be67160065e5eef74",
+                         "66592d579f9739a4506c6470e2fbaedf514e2fbdc5a31d2019a4e0705926394c"),
+        (11, 7, 28, 2): ("1fc3978bb24408ddb0e17672c5d4cc2e1eccf4dc103616ede52b0c1fa5bbdedf",
+                         "05f6f905fd66fff340ded9bf8b68a0b405fa7e0ccdefaa70597f0d15312767b1"),
+    }
+
+    # bytes that synthetic_annulus(13, 7, girth=28, seed=51, noise=2) and
+    # its sub_annulus on cycles 2..12 hold under tracemalloc (Python
+    # 3.11.7); with faces of dart tuples, an edge-to-faces map and a face
+    # set per disk, the same reading was 381,712; it is 191,720 now
+    HELD_BYTES = 300_000
+
+    def test_faces_are_the_tails_of_traced_dart_walks(self):
+        count = 0
+        for full, band in _matrix_annuli():
+            for a in (full, band):
+                assert_store_matches_dart_walks(a.embedding)
+                count += 1
+        _, host = synthetic_disk_host(25, 3, seed=1, noise=2)
+        for a in (host, sub_annulus(host, 1, 3), sub_annulus(host, 7, 25)):
+            assert_store_matches_dart_walks(a.embedding)
+            count += 1
+        assert count == 103
+
+    def test_emitted_embeddings_are_unchanged(self):
+        def digest(emb, disk=None):
+            return hashlib.sha256(emit_embedding(emb, disk=disk).encode()).hexdigest()
+
+        gr, _ = synthetic_disk_host(25, 3, seed=1, noise=2)
+        assert digest(gr.embedding, gr.boundary_cycle) == self.EMITTED["forced"]
+        for key, pinned in self.EMITTED.items():
+            if key == "forced":
+                continue
+            R, q, girth, noise = key
+            full = synthetic_annulus(R, q, girth=girth, seed=7 * q + noise, noise=noise)
+            band = sub_annulus(full, 2, R - 1)
+            assert (digest(full.embedding), digest(band.embedding)) == pinned
+
+    def test_memory_of_an_annulus_and_its_window(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            full = synthetic_annulus(13, 7, girth=28, seed=51, noise=2)
+            kept = (full, sub_annulus(full, 2, 12))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept[1].r == 11
+        assert held <= self.HELD_BYTES
+
+    def test_restrictions_are_plane_by_euler_count(self):
+        """A restriction of a plane embedding is decided by V - E + F = 2
+        alone, as the connectivity search decides it, with and without
+        edges."""
+        def searched(emb):
+            g = emb.graph
+            return g.is_connected() and g.n - g.m + len(emb.faces) == 2
+
+        rng = random.Random(21)
+        count = 0
+        for full, _ in itertools.islice(_matrix_annuli(), 0, None, 7):
+            emb = full.embedding
+            assert emb._is_plane()
+            vs = emb.graph.vertices
+            u = vs[0]
+            far = next(w for w in vs if w != u and not emb.graph.has_edge(u, w))
+            keeps = [set(), {u}, {u, far}, {u, emb.graph.neighbors(u)[0]},
+                     full.cycles.closed_disk(3), set(vs)]
+            keeps += [{v for v in vs if rng.random() < share}
+                      for share in (0.99, 0.95, 0.8, 0.5)]
+            for keep in keeps:
+                got = emb.restrict(keep, lambda faces: 0)
+                assert got._plane is not None
+                assert got._is_plane() == searched(got)
+                count += got._is_plane()
+        assert count > 0
+
+    def test_every_odd_window_has_the_disks_of_of_cycle(self):
+        count = 0
+        for _, band in _matrix_annuli():
+            emb = band.embedding
+            fresh = [DiskRegion.of_cycle(emb, c).interior_faces for c in band.cycles.cycles]
+            for lo in range(1, band.r - 1):
+                for hi in range(lo + 2, band.r + 1, 2):
+                    win = band.window(lo, hi)
+                    for k, region in enumerate(win.cycles.regions):
+                        assert region.interior_faces == fresh[lo - 1 + k]
+                    count += 1
+        assert count == 42 * 25 + 8 * 16

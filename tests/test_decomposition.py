@@ -698,7 +698,7 @@ def _reference_peel(g):
         probe = graphs.PlaneEmbedding(current, graphs.planar_rotation(current),
                                       lambda faces: 0)
         _, i = max((len(f), i) for i, f in enumerate(probe.faces))
-        walk = tuple(d[0] for d in probe.faces[i])
+        walk = probe.faces[i]
         layers.append(walk)
         current = current.delete_vertices(walk)
         while True:

@@ -8,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     EdgeSetGraph,
     adjacency_graph,
+    assert_store_matches_dart_walks,
     check_euler,
     contains_vertex,
+    face_darts,
     faces_of_edge,
     faces_of_vertex,
+    separation_halves,
 )
 from tmh.graphs import (
     AnnulusBand,
@@ -129,13 +132,14 @@ class TestGraphBasics:
             assert [h.neighbors(v) is g.neighbors(v) for v in h.vertices] == \
                 [False, True, True, False]
         # a disk's subgraph holds the edges the disk hands over, and an open
-        # edge is its interior face's own low-to-high dart
+        # edge has an interior face on both sides
         emb = concentric_triangles()
-        darts = {id(d) for face in emb.faces for d in face}
         for cyc in ([0, 1, 2], [3, 4, 5], [6, 7, 8]):
             region = DiskRegion.of_cycle(emb, cyc)
             assert region.subgraph("closed").edges == region.edges("closed")
-            assert {id(e) for e in region.edges("open")} <= darts
+            inside = region.interior_faces
+            assert region.edges("open") == {
+                e for e in region.edges("closed") if set(faces_of_edge(emb, *e)) <= inside}
 
     def test_relabel_refuses_a_mapping_that_misses_a_vertex(self):
         with pytest.raises(TmhError, match="relabel mapping misses vertex 2"):
@@ -335,7 +339,7 @@ class TestFaces:
 
     def test_every_directed_edge_once(self):
         emb = concentric_triangles()
-        seen = [de for face in emb.faces for de in face]
+        seen = [de for face in emb.faces for de in face_darts(face)]
         assert len(seen) == len(set(seen)) == 2 * emb.graph.m
         assert len(emb.faces) == 8
 
@@ -699,7 +703,7 @@ class TestPartiallyDiskEmbedded:
         emb = concentric_triangles()
         g = emb.graph.union(Graph.from_edges([(0, 9), (1, 9)]))
         pde = PartiallyDiskEmbedded(g, emb, [0, 1, 2])
-        a, b = pde.separation_halves()
+        a, b = separation_halves(pde)
         assert is_separation(g, a, b)
 
     def test_crossing_edge_rejected(self):
@@ -719,7 +723,7 @@ def _reference_interior(emb, cyc):
     queue = [emb.outer_face]
     while queue:
         f = queue.pop()
-        for u, v in emb.faces[f]:
+        for u, v in face_darts(emb.faces[f]):
             e = (u, v) if u < v else (v, u)
             if e in cycle_edges:
                 continue
@@ -798,7 +802,7 @@ class TestNestedFlood:
     def test_rings_fixture_is_plane_with_ring_zero_outside(self):
         emb, rings = _rings(4, 6)
         assert check_euler(emb) and emb._is_plane()
-        assert {u for u, _ in emb.faces[emb.outer_face]} == set(rings[0])
+        assert set(emb.faces[emb.outer_face]) == set(rings[0])
 
     def test_of_cycle_matches_the_reference_flood(self):
         emb = concentric_triangles()
@@ -865,9 +869,11 @@ class TestNestedFlood:
         emb = concentric_triangles()
         walk = [3, 4, 5, 3, 4, 5]
         calls = _count_of_cycle(monkeypatch)
-        nc = NestedCycles(emb, [[0, 1, 2], walk])
+        # the flood after the walk starts from the faces at the walk's vertices
+        nc = NestedCycles(emb, [[0, 1, 2], walk, [6, 7, 8]])
         assert calls == [tuple(walk)]
         assert nc.regions[1].interior_faces == _reference_interior(emb, walk)
+        assert nc.regions[2].interior_faces == _reference_interior(emb, [6, 7, 8])
 
     def test_one_trace_embedding_equals_two_constructions(self):
         emb = concentric_triangles()
@@ -912,7 +918,7 @@ def _reference_incidences(emb):
     vertex_faces = {v: set() for v in emb.graph.vertices}
     edge_faces = {}
     for idx, face in enumerate(emb.faces):
-        for u, v in face:
+        for u, v in face_darts(face):
             vertex_faces[u].add(idx)
             vertex_faces[v].add(idx)
             edge_faces.setdefault((min(u, v), max(u, v)), []).append(idx)
@@ -934,21 +940,15 @@ def _assert_same_restriction(got, ref):
 def _assert_shares_with(got, parent):
     """Every face of parent whose vertices all survive is a face of got as
     the same tuple, every rotation that lost no neighbour is the parent's
-    tuple, and every incidence key of got is a dart of its faces."""
+    tuple, and got's face store matches a trace of its own."""
     got_faces = {id(f) for f in got.faces}
     for face in parent.faces:
-        if all(u in got.graph for u, _ in face):
+        if all(u in got.graph for u in face):
             assert id(face) in got_faces
     for v, order in got.rotation.items():
         if len(order) == len(parent.rotation[v]):
             assert order is parent.rotation[v]
-    _assert_keys_are_darts(got)
-
-
-def _assert_keys_are_darts(emb):
-    darts = {id(d) for face in emb.faces for d in face}
-    assert all(id(e) in darts for e in emb._edge_faces)
-    assert len(emb._edge_faces) == emb.graph.m
+    assert_store_matches_dart_walks(got)
 
 
 def _longest(faces):
@@ -965,7 +965,7 @@ def chorded_square():
            4: (3, 0, 1, 2), 5: (1, 0)}
     outer = frozenset({0, 2, 3})
     return PlaneEmbedding(g, rot, lambda faces: next(
-        i for i, f in enumerate(faces) if {u for u, _ in f} == outer))
+        i for i, f in enumerate(faces) if set(f) == outer))
 
 
 class TestRestrict:
@@ -1006,7 +1006,7 @@ class TestRestrict:
     def test_random_planar_hosts_on_random_subsets(self, seed):
         g = random_planar_graph(seed, 20 + seed)
         emb = _embed(g)
-        _assert_keys_are_darts(emb)
+        assert_store_matches_dart_walks(emb)
         rng = random.Random(seed)
         for share in (0.95, 0.8, 0.6, 0.4):
             keep = {v for v in g.vertices if rng.random() < share}

@@ -573,7 +573,7 @@ class TestOrdering:
         shifted = [band.rails[j] for j in (1, 3, 5)]
         corner = {vid(i, k, M7) for i in (5, 6) for k in (12, 13, 0)}
         face = next(i for i, f in enumerate(emb.faces)
-                    if {u for u, _ in f} == corner)
+                    if set(f) == corner)
         d2 = DiskRegion(emb, frozenset([face]), ())
         out = d_ordering(band.cycles, [shifted[2], shifted[0], shifted[1]], d2)
         assert out == [tuple(t) for t in shifted]
