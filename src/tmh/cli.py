@@ -24,6 +24,7 @@ from .decomposition import (
     TreeDecomposition,
     exact_treewidth,
     find_wall,
+    greedy_treewidth,
 )
 from .solver import derive_params, reduce_solution_space, solve_tm_deletion
 from .synth import random_planar_graph
@@ -123,10 +124,11 @@ def _solve_header(bundle, args):
             "force": args.force, "seed": args.seed}
 
 
-# how the solver's decomposition widths are built, named in the trace
-# header; a trace without the field comes from the exact rule (see
-# _legacy_widths)
-TRACE_WIDTHS = "min-fill"
+# which of the solver's decomposition exits record a width, named in the
+# trace header: only the wall search's width-bound exit does.  Traces
+# written under "min-fill", or without the field, recorded a width at
+# every exit (see _replay_widths)
+TRACE_WIDTHS = "width-bound"
 
 
 def cmd_solve(args):
@@ -295,10 +297,13 @@ def cmd_reduce(args):
     return report, EXIT_YES
 
 
-def _legacy_widths(g, records):
-    """Replayed records as a solver recorded them before traces named
-    their widths: a decomposition exit on a working graph of at most
-    DEFAULT_EXACT_TW_CAP vertices recorded the exact treewidth.  The
+def _replay_widths(g, records, widths):
+    """Replayed records as a solver that wrote the widths header value
+    recorded them: a width at every decomposition exit.  Under "min-fill"
+    an exit that records none gets the min-fill width of its working
+    graph.  Without the field (None) every exit on a working graph of at
+    most DEFAULT_EXACT_TW_CAP vertices gets the exact treewidth, and an
+    exit above the cap that records none gets the min-fill width.  The
     working graph is the input less the vertices deleted so far."""
     out = []
     deleted = []
@@ -306,10 +311,14 @@ def _legacy_widths(g, records):
         if rec["kind"] == "delete_vertex":
             deleted.append(rec["payload"]["vertex"])
         elif (rec["kind"] == "wall"
-              and rec["payload"]["branch"] == "decomposition"
-              and g.n - len(deleted) <= DEFAULT_EXACT_TW_CAP):
-            width, _ = exact_treewidth(g.delete_vertices(deleted))
-            rec = {**rec, "payload": {**rec["payload"], "width": width}}
+              and rec["payload"]["branch"] == "decomposition"):
+            work = g.delete_vertices(deleted)
+            payload = rec["payload"]
+            if widths is None and work.n <= DEFAULT_EXACT_TW_CAP:
+                payload = {**payload, "width": exact_treewidth(work)[0]}
+            elif "width" not in payload:
+                payload = {**payload, "width": greedy_treewidth(work).width}
+            rec = {**rec, "payload": payload}
         out.append(rec)
     return out
 
@@ -317,7 +326,7 @@ def _legacy_widths(g, records):
 def cmd_verify(args):
     header, steps = parse_trace(read_text(args.trace))
     widths = header.get("widths")
-    if widths not in (None, TRACE_WIDTHS):
+    if widths not in (None, "min-fill", TRACE_WIDTHS):
         raise ParseError("trace header names unknown widths %r" % (widths,))
     bundle = InstanceBundle(graph_path=args.graph,
                             pattern_spec=header["patterns"],
@@ -334,8 +343,8 @@ def cmd_verify(args):
                             force=bool(header.get("force")))
     elapsed = time.perf_counter() - t0
     replayed = out.trace.as_records()
-    if widths is None:
-        replayed = _legacy_widths(g, replayed)
+    if widths != TRACE_WIDTHS:
+        replayed = _replay_widths(g, replayed, widths)
     matches = replayed == steps
     all_verified = bool(steps) and all(s["status"] == "verified"
                                        for s in steps)

@@ -3,12 +3,12 @@ their layers, and the wall-or-width entry point.
 
 Treewidth is represented by tree decompositions throughout (every consumer
 here wants bags, not k-trees).  A min-fill elimination order gives the
-certified upper bound that the solver uses wherever it decomposes: its
-decomposition only ranks the endgame's branching candidates and names the
-width it records, and neither needs an optimal one.  Exact widths come
-from a dynamic program over elimination prefixes, capped by instance
-size; it serves find_wall's own decomposition branch below the cap, the
-legacy-width replay of `tmh verify` (cli._legacy_widths) and the tests.
+certified upper bound that the solver's wall search uses, to decide its
+width-bound branch and to certify a compass; the solver's fallback exit
+builds none.  Exact widths come from a dynamic program over elimination
+prefixes, capped by instance size; it serves find_wall's own
+decomposition branch below the cap, the replay of traces without a
+widths header in `tmh verify` (cli._replay_widths) and the tests.
 
 Brambles certify lower bounds.  Besides direct validation and exact order
 computation, the module can search for a maximum-order bramble through the
@@ -741,8 +741,8 @@ def find_wall(g, q, c=DEFAULT_WIDTH_FACTOR):
     host that is itself a wall gets the wall branch even when its width is
     below the bound.  The decomposition comes from the exact treewidth DP
     on at most DEFAULT_EXACT_TW_CAP vertices and from min-fill above that;
-    the exact DP's other users are the legacy-width replay of `tmh verify`
-    and the tests.  The compass certificate is min-fill: the compass is a
+    the exact DP's other users are the replay of traces without a widths
+    header in `tmh verify` and the tests.  The compass certificate is min-fill: the compass is a
     q-subwall, whose 2q^2 - 2 >= 16 vertices are above the cap anyway.
 
     A non-planar graph is refused with EmbeddingError, after the height
@@ -750,7 +750,7 @@ def find_wall(g, q, c=DEFAULT_WIDTH_FACTOR):
     coordinates its recognition as a wall gives it; the solver's passes,
     which know their graph is planar, run the same search without the
     planarity test, and take the min-fill decomposition whatever the
-    size, since theirs only ranks the endgame's candidates."""
+    size, since its width only decides the branch."""
     if q % 2 == 0 or q < 3:
         raise TmhError("wall height must be odd and at least 3, got %d" % q)
     if not is_planar(g):

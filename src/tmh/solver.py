@@ -453,27 +453,11 @@ def find_irrelevant_area(h, g, b, gr, a, budget=None, force=False):
     return region
 
 
-def _validated(g, td, message):
-    check = validate_decomposition(g, td)
-    if not isinstance(check, int):
-        raise TmhError("%s: %r" % (message, check))
-    return td
-
-
-def _decomposition_exit(g):
-    # min-fill: the endgame needs a valid decomposition, not an optimal one
-    return _validated(g, greedy_treewidth(g),
-                      "decomposition exit failed validation")
-
-
-def _fall_back(g, trace, reason):
-    # the wall branch could not run honestly; a validated decomposition
-    # keeps the endgame exact whatever its width, so nothing is trusted
-    # that was not checked
-    td = _decomposition_exit(g)
-    trace.add("wall", {"branch": "decomposition", "width": td.width,
-                       "reason": reason}, "verified")
-    return td
+def _fall_back(trace, reason):
+    # the wall branch could not run honestly; the endgame is exact on any
+    # graph, so the pass exits to it and trusts nothing it did not check
+    trace.add("wall", {"branch": "decomposition", "reason": reason},
+              "verified")
 
 
 def _oracle_feasible(n, k, cap):
@@ -495,8 +479,8 @@ def find_irrelevant_vertex(k, h, g, budget=None, force=False, params=None,
                            annuli=None, b=2, family=None, mode="safe",
                            trace=None, oracle_cap=DEFAULT_ORACLE_SWEEP_CAP):
     """One pipeline pass over a planar graph: either a vertex whose
-    deletion keeps the k-deletion answer unchanged, or a validated tree
-    decomposition certifying the bounded-width exit.
+    deletion keeps the k-deletion answer unchanged, or None when the pass
+    exits to the bounded-width endgame, the exit recorded in the trace.
 
     A non-planar graph is refused with EmbeddingError, after the mode and
     parameter checks.  solve_tm_deletion tests planarity once, at entry,
@@ -528,7 +512,7 @@ def _irrelevant_vertex_pass(k, h, g, params, force, annuli, b, family, mode,
         try:
             wq = params.wall_q
         except TmhError as err:
-            return _fall_back(g, trace, str(err))
+            return _fall_back(trace, str(err))
         # odd, and at least 5 by annuli_capacity: a height find_wall accepts
         wq_geom = _odd_up(wq)
         try:
@@ -537,14 +521,17 @@ def _irrelevant_vertex_pass(k, h, g, params, force, annuli, b, family, mode,
         except BudgetExceeded:
             raise
         except TmhError as err:
-            return _fall_back(g, trace, str(err))
+            return _fall_back(trace, str(err))
         if isinstance(found, TreeDecomposition):
-            _validated(g, found, "tree decomposition fails validation")
+            check = validate_decomposition(g, found)
+            if not isinstance(check, int):
+                raise TmhError("tree decomposition fails validation: %r"
+                               % (check,))
             trace.add("wall", {"branch": "decomposition",
                                "width": found.width,
                                "width_bound": DEFAULT_WIDTH_FACTOR * wq_geom},
                       "verified")
-            return found
+            return None
         gr = found.compass
         trace.add("wall", {"branch": "wall", "height": found.wall.r,
                            "compass_width": found.compass_tw_certificate.width},
@@ -556,7 +543,7 @@ def _irrelevant_vertex_pass(k, h, g, params, force, annuli, b, family, mode,
         except BudgetExceeded:
             raise
         except TmhError as err:
-            return _fall_back(g, trace, str(err))
+            return _fall_back(trace, str(err))
         trace.add("annuli", {"outer": [fam.outer.r, fam.outer.q],
                              "inner": len(fam.inner)}, "verified")
     else:
@@ -662,23 +649,15 @@ def _minimal_obstruction(adj, f, budget):
     return kept
 
 
-def bounded_tw_solve(g, f, k, td, budget=None):
-    """Exact decision on a graph with a tree decomposition, by a bounded
-    search tree over minimal obstructions.
-
-    The decomposition is validated first and an invalid one is refused;
-    the solve loop validates its decomposition when the pass builds it
-    and runs the same search without a second check.
+def bounded_tw_solve(g, f, k, budget=None):
+    """Exact decision by a bounded search tree over minimal obstructions.
 
     An obstruction is a vertex set whose induced subgraph still holds a
     model of some pattern (see _minimal_obstruction).  Every deletion set
     that rids the graph of the family must hit a minimal one, or the
     set's induced subgraph would survive with its pattern, so branching
-    on deleting each of its vertices is exhaustive; candidate order
-    follows the first bag holding the vertex.  The decomposition only
-    orders the candidates, so any valid one gives the exact answer: the
-    solve loop hands over its pass's min-fill decomposition, whose width
-    is an upper bound and not always the treewidth.
+    on deleting each of its vertices, in sorted order, is exhaustive and
+    the answer is exact whatever the width of g.
 
     The search builds no graph per deletion: it runs on one
     MutableAdjacency of g, deleting a vertex before its branch and
@@ -688,17 +667,7 @@ def bounded_tw_solve(g, f, k, td, budget=None):
     BudgetExceeded rather than answering no.  The witness, when the
     answer is yes, is re-verified on g.delete_vertices before
     returning."""
-    _validated(g, td, "tree decomposition fails validation")
-    return _bounded_tw_solve(g, f, k, td, budget=budget)
-
-
-def _bounded_tw_solve(g, f, k, td, budget=None):
-    # bounded_tw_solve on a decomposition already validated against g
     budget = budget if budget is not None else default_budget()
-    rank = {}
-    for node in sorted(td.bags):
-        for v in sorted(td.bags[node]):
-            rank.setdefault(v, node)
     adj = MutableAdjacency(g)
 
     def search(used, left):
@@ -706,9 +675,7 @@ def _bounded_tw_solve(g, f, k, td, budget=None):
             return tuple(used)
         if left == 0:
             return None
-        order = sorted(_minimal_obstruction(adj, f, budget),
-                       key=lambda v: (rank.get(v, -1), v))
-        for v in order:
+        for v in _minimal_obstruction(adj, f, budget):
             adj.delete(v)
             hit = search(used + [v], left - 1)
             adj.restore()
@@ -737,8 +704,8 @@ def solve_tm_deletion(g, f, k, budget=None, mode="safe", force=False,
     for the family's planar patterns, and a family with none is answered
     yes with the empty witness.  The derived parameters still come from
     the whole family.  The loop strips one irrelevant vertex at a time,
-    each deletion oracle-verified in safe mode, until the pipeline
-    certifies bounded width; the remainder is decided exactly and the
+    each deletion oracle-verified in safe mode, until a pass exits to
+    the bounded-width endgame, which decides the remainder exactly; the
     witness is lifted back to the original graph.  Injected annuli apply
     to the first pass only.  The outcome carries the full trace.
     """
@@ -762,8 +729,8 @@ def solve_tm_deletion(g, f, k, budget=None, mode="safe", force=False,
             force=force, annuli=inject, b=2, family=f, mode=mode, trace=trace,
             oracle_cap=DEFAULT_ORACLE_SWEEP_CAP)
         inject = None
-        if isinstance(out, TreeDecomposition):
-            tail = _bounded_tw_solve(cur, f, k, out)
+        if out is None:
+            tail = bounded_tw_solve(cur, f, k)
             answer, witness = tail.answer, tail.witness
             break
         status = trace.steps[-1].status

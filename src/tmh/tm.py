@@ -743,44 +743,3 @@ def compute_folio(bg, t, h, budget=None):
         if btm_contains(bg, cand, budget=budget):
             members.append(cand)
     return Folio(t, h, members)
-
-
-def folio_via_model_enumeration(bg, t, h):
-    """Independent folio route: enumerate subgraphs of the host directly,
-    dissolve every valid branch-vertex choice, and collect the resulting
-    representations.  Exponential in the host size; used to cross-check
-    compute_folio on small hosts."""
-    g = bg.graph
-    if g.n > 8 or g.m > 14:
-        raise TmhError("model enumeration route only runs on tiny hosts")
-    reps = {}
-    edge_list = g.sorted_edges()
-    for keep_bits in range(1 << len(edge_list)):
-        kept = [edge_list[i] for i in range(len(edge_list)) if keep_bits >> i & 1]
-        used = set(v for e in kept for v in e)
-        for extra_iso in _subsets(sorted(set(g.vertices) - used)):
-            mvs = used | set(extra_iso)
-            model = Graph(mvs, kept)
-            forced = frozenset(v for v in mvs if v in bg.labels)
-            optional = sorted(v for v in mvs if v not in forced)
-            for t_extra in _subsets(optional):
-                branches = forced | set(t_extra)
-                if len(branches) > h:
-                    continue
-                if any(model.degree(v) != 2 for v in mvs - branches):
-                    continue
-                try:
-                    pair = TmPair(model, branches)
-                    dg = dissolve(pair)
-                except TmhError:
-                    continue
-                if dg.n > h:
-                    continue
-                rep = BoundariedGraph(dg, {v: bg.labels[v] for v in forced})
-                reps.setdefault(rep.canonical_form(), rep)
-    return Folio(t, h, [reps[k] for k in sorted(reps)])
-
-
-def _subsets(items):
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)

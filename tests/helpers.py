@@ -4,12 +4,15 @@ without its volatile section, Euler's formula on an embedding, the face
 incidences of an embedding and the refusing membership query of a disk,
 the darts of a face and a reference tracer of face walks as darts, the
 separation of a partially disk-embedded graph, label-respecting
-isomorphism of boundaried graphs, and a graph kept as an explicit edge set
+isomorphism of boundaried graphs, a folio found by enumerating models
+instead of by containment tests, and a graph kept as an explicit edge set
 to check Graph against."""
 
+import itertools
 import json
 
-from tmh.graphs import EmbeddingError, Graph, _normalize_edge
+from tmh.graphs import EmbeddingError, Graph, TmhError, _normalize_edge
+from tmh.tm import BoundariedGraph, Folio, TmPair, dissolve
 
 
 def adjacency_graph(adj):
@@ -131,6 +134,48 @@ def label_isomorphic(a, b):
     """Whether two boundaried graphs are isomorphic by a map that keeps
     every boundary label, read off their canonical forms."""
     return a.canonical_form() == b.canonical_form()
+
+
+def folio_via_model_enumeration(bg, t, h):
+    """The folio of a boundaried graph by a route independent of
+    compute_folio: enumerate subgraphs of the host directly, dissolve
+    every valid branch-vertex choice, and collect the resulting
+    representations.  Exponential in the host size, so only tiny hosts
+    are accepted."""
+    g = bg.graph
+    if g.n > 8 or g.m > 14:
+        raise TmhError("model enumeration route only runs on tiny hosts")
+    reps = {}
+    edge_list = g.sorted_edges()
+    for keep_bits in range(1 << len(edge_list)):
+        kept = [edge_list[i] for i in range(len(edge_list)) if keep_bits >> i & 1]
+        used = set(v for e in kept for v in e)
+        for extra_iso in _subsets(sorted(set(g.vertices) - used)):
+            mvs = used | set(extra_iso)
+            model = Graph(mvs, kept)
+            forced = frozenset(v for v in mvs if v in bg.labels)
+            optional = sorted(v for v in mvs if v not in forced)
+            for t_extra in _subsets(optional):
+                branches = forced | set(t_extra)
+                if len(branches) > h:
+                    continue
+                if any(model.degree(v) != 2 for v in mvs - branches):
+                    continue
+                try:
+                    pair = TmPair(model, branches)
+                    dg = dissolve(pair)
+                except TmhError:
+                    continue
+                if dg.n > h:
+                    continue
+                rep = BoundariedGraph(dg, {v: bg.labels[v] for v in forced})
+                reps.setdefault(rep.canonical_form(), rep)
+    return Folio(t, h, [reps[k] for k in sorted(reps)])
+
+
+def _subsets(items):
+    for r in range(len(items) + 1):
+        yield from itertools.combinations(items, r)
 
 
 def contains_vertex(region, v, mode="closed"):

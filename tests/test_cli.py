@@ -10,7 +10,7 @@ import pytest
 
 from helpers import normalize_graph, report_core
 from tmh import tm
-from tmh.cli import _build_parser, _legacy_widths, main
+from tmh.cli import _build_parser, _replay_widths, main
 from tmh.graphs import Graph, parse_graph
 from tmh.annulus import synthetic_annulus
 from tmh.linkage import Linkage
@@ -152,7 +152,10 @@ class TestTraceAndVerify:
         run(capsys, "solve", "--graph", files["k4"], "--patterns", "K4",
             "--k", "1", "--trace", str(trace))
         lines = trace.read_text().splitlines()
-        lines[1] = lines[1].replace('"width": 3', '"width": 2')
+        tampered = lines[1].replace('"branch": "decomposition"',
+                                    '"branch": "wall"')
+        assert tampered != lines[1]
+        lines[1] = tampered
         trace.write_text("\n".join(lines))
         code, rep, err = run(capsys, "verify", "--trace", str(trace),
                              "--graph", files["k4"])
@@ -187,9 +190,11 @@ class TestTraceAndVerify:
 
 
 class TestTraceWidths:
-    """Traces name how the solver built its decomposition widths.  On this
-    series-parallel host min-fill finds width 3, above the treewidth 2
-    that the exact rule of traces without the header field recorded."""
+    """Traces name which decomposition exits record a width.  Today only
+    the wall search's width-bound exit does; traces under "min-fill"
+    recorded the min-fill width at every exit, and traces without the
+    header field the exact treewidth on at most 15 vertices.  On this
+    series-parallel host min-fill finds width 3, above the treewidth 2."""
 
     REASON = ("boundaried-graph census for t=9 h=12 exceeds 2000000 "
               "graphs; parameters infeasible at desk scale")
@@ -200,66 +205,104 @@ class TestTraceWidths:
         path.write_text(emit_graph(random_planar_graph(182, 10, tries=10)))
         return str(path)
 
-    def _legacy_trace(self, host, path, width):
-        header = {"graph": file_digest(host), "patterns": "K3", "k": 2,
+    def _old_trace(self, host, path, width, widths=None, patterns="K3", k=2,
+                   reason=REASON):
+        # a fallback exit as a solver that wrote the widths header value
+        # recorded it, with a width
+        header = {"graph": file_digest(host), "patterns": patterns, "k": k,
                   "mode": "safe", "budget_f1": "default", "force": False,
                   "seed": None}
+        if widths is not None:
+            header["widths"] = widths
         step = {"kind": "wall", "status": "verified",
                 "payload": {"branch": "decomposition", "width": width,
-                            "reason": self.REASON}}
+                            "reason": reason}}
         path.write_text(trace_records(header, [step]))
         return str(path)
 
+    def _verify(self, capsys, trace, host):
+        code, rep, _ = run(capsys, "verify", "--trace", trace, "--graph", host)
+        return code, rep["verification"]["replay"]
+
     def test_legacy_trace_replays_under_the_exact_rule(self, host, capsys,
                                                        tmp_path):
-        trace = self._legacy_trace(host, tmp_path / "old.json", 2)
-        code, rep, _ = run(capsys, "verify", "--trace", trace, "--graph", host)
-        assert code == 0
-        assert rep["verification"]["replay"] == "identical"
+        trace = self._old_trace(host, tmp_path / "old.json", 2)
+        assert self._verify(capsys, trace, host) == (0, "identical")
 
     def test_legacy_trace_with_the_min_fill_width_diverges(self, host, capsys,
                                                            tmp_path):
-        trace = self._legacy_trace(host, tmp_path / "old.json", 3)
-        code, rep, _ = run(capsys, "verify", "--trace", trace, "--graph", host)
-        assert code == 2
-        assert rep["verification"]["replay"] == "diverged"
+        trace = self._old_trace(host, tmp_path / "old.json", 3)
+        assert self._verify(capsys, trace, host) == (2, "diverged")
 
-    def test_fresh_trace_records_min_fill_and_verifies(self, host, capsys,
-                                                       tmp_path):
+    def test_min_fill_trace_replays_under_the_min_fill_rule(self, host, capsys,
+                                                            tmp_path):
+        trace = self._old_trace(host, tmp_path / "old.json", 3, "min-fill")
+        assert self._verify(capsys, trace, host) == (0, "identical")
+
+    def test_min_fill_trace_with_the_exact_width_diverges(self, host, capsys,
+                                                          tmp_path):
+        trace = self._old_trace(host, tmp_path / "old.json", 2, "min-fill")
+        assert self._verify(capsys, trace, host) == (2, "diverged")
+
+    @pytest.mark.parametrize("seed,n,patterns,t,h", [
+        (0, 12, "K3", 9, 12), (3, 15, "C4", 15, 19)],
+        ids=["seed0-K3", "seed3-C4"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_min_fill_records_of_the_stable_traces_replay(
+            self, seed, n, patterns, t, h, k, capsys, tmp_path):
+        # the records min-fill traces held for the cases of
+        # test_decomposition_exit_trace_is_stable: one exit of width 4
+        path = tmp_path / "host.txt"
+        path.write_text(emit_graph(random_planar_graph(seed, n)))
+        reason = ("boundaried-graph census for t=%d h=%d exceeds 2000000 "
+                  "graphs; parameters infeasible at desk scale" % (t, h))
+        trace = self._old_trace(str(path), tmp_path / "old.json", 4,
+                                "min-fill", patterns, k, reason)
+        assert self._verify(capsys, trace, str(path)) == (0, "identical")
+
+    def test_fresh_trace_records_no_fallback_width_and_verifies(
+            self, host, capsys, tmp_path):
         trace = tmp_path / "new.json"
         code, _, _ = run(capsys, "solve", "--graph", host, "--patterns", "K3",
                          "--k", "2", "--trace", str(trace))
         assert code == 0
         header, steps = parse_trace(trace.read_text())
-        assert header["widths"] == "min-fill"
+        assert header["widths"] == "width-bound"
         assert [s["payload"] for s in steps] == [
-            {"branch": "decomposition", "width": 3, "reason": self.REASON}]
-        code, rep, _ = run(capsys, "verify", "--trace", str(trace),
-                           "--graph", host)
-        assert code == 0
-        assert rep["verification"]["replay"] == "identical"
+            {"branch": "decomposition", "reason": self.REASON}]
+        assert self._verify(capsys, str(trace), host) == (0, "identical")
 
-    def test_exact_rule_counts_the_deleted_vertices(self):
-        # 16 vertices: a pendant path on the host above; the first exit
-        # is past the cap and keeps its width, the one after a deletion
-        # is on 15 vertices and gets the exact width
+    def test_replay_rules_count_the_deleted_vertices(self):
+        # 16 vertices: a pendant path on the host above.  The first exit
+        # is past the cap and gets the min-fill width under both rules;
+        # the one after a deletion is on 15 vertices and gets the exact
+        # width under the rule of traces without the field.  An exit that
+        # recorded its width keeps it past the cap
         sp = random_planar_graph(182, 10, tries=10)
         g = Graph(range(16), sorted(sp.edges) + [(0, 10)]
                   + [(v, v + 1) for v in range(10, 15)])
         exit_step = {"kind": "wall", "status": "verified",
-                     "payload": {"branch": "decomposition", "width": 3,
+                     "payload": {"branch": "decomposition",
                                  "reason": self.REASON}}
+        bound = {"kind": "wall", "status": "verified",
+                 "payload": {"branch": "decomposition", "width": 7,
+                             "width_bound": 124}}
         deletion = {"kind": "delete_vertex", "status": "verified",
                     "payload": {"vertex": 15, "remaining": 15}}
-        got = _legacy_widths(g, [exit_step, deletion, exit_step])
-        assert [r["payload"].get("width") for r in got] == [3, None, 2]
-        assert exit_step["payload"]["width"] == 3
+        records = [bound, exit_step, deletion, exit_step]
+        widths = {rule: [r["payload"].get("width")
+                         for r in _replay_widths(g, records, rule)]
+                  for rule in (None, "min-fill")}
+        assert widths == {None: [7, 3, None, 2], "min-fill": [7, 3, None, 3]}
+        assert "width" not in exit_step["payload"]
 
     def test_unknown_widths_are_a_parse_error(self, host, capsys, tmp_path):
         trace = tmp_path / "new.json"
         run(capsys, "solve", "--graph", host, "--patterns", "K3", "--k", "2",
             "--trace", str(trace))
-        trace.write_text(trace.read_text().replace('"min-fill"', '"exact"', 1))
+        text = trace.read_text()
+        assert '"width-bound"' in text
+        trace.write_text(text.replace('"width-bound"', '"exact"', 1))
         code, rep, err = run(capsys, "verify", "--trace", str(trace),
                              "--graph", host)
         assert code == 65 and rep is None

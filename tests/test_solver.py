@@ -40,7 +40,6 @@ from tmh.decomposition import (
     DEFAULT_WIDTH_FACTOR,
     TreeDecomposition,
     build_elementary_wall,
-    exact_treewidth,
     greedy_treewidth,
     validate_decomposition,
 )
@@ -366,11 +365,12 @@ class TestFindIrrelevantVertex:
         tr = ReductionTrace()
         out = find_irrelevant_vertex(1, 5, g, trace=tr,
                                      family=PatternFamily([K4]))
-        assert isinstance(out, TreeDecomposition)
+        assert out is None
         step = tr.steps[0]
         assert step.kind == "wall" and step.status == "verified"
         assert step.payload["branch"] == "decomposition"
         assert "infeasible" in step.payload["reason"]
+        assert "width" not in step.payload
 
     def test_missing_wall_exits_with_width_bound(self):
         g = random_planar_graph(4, 16)
@@ -378,9 +378,10 @@ class TestFindIrrelevantVertex:
         tr = ReductionTrace()
         out = find_irrelevant_vertex(0, 1, g, budget=ZERO, trace=tr,
                                      family=PatternFamily([K3]), params=p)
-        assert isinstance(out, TreeDecomposition)
+        assert out is None
         payload = tr.steps[0].payload
         assert payload["branch"] == "decomposition"
+        assert payload["width"] == greedy_treewidth(g).width
         assert payload["width_bound"] == DEFAULT_WIDTH_FACTOR * _odd(p.wall_q)
 
     def test_wall_branch_carves_the_annuli_and_reduces(self):
@@ -451,24 +452,19 @@ class TestFindIrrelevantVertex:
 
 class TestBoundedWidthEndgame:
     def test_no_budget_no_hope(self):
-        out = bounded_tw_solve(K4, PatternFamily([K4]), 0,
-                               greedy_treewidth(K4))
+        out = bounded_tw_solve(K4, PatternFamily([K4]), 0)
         assert out.answer is False and out.witness is None
 
     def test_single_deletion_breaks_the_clique(self):
         fam = PatternFamily([K4])
-        out = bounded_tw_solve(K4, fam, 1, greedy_treewidth(K4))
+        out = bounded_tw_solve(K4, fam, 1)
         assert out.answer is True
         assert len(out.witness) == 1
         assert is_F_free(K4.delete_vertices(out.witness), fam)
-        again = bounded_tw_solve(K4, fam, 1, greedy_treewidth(K4))
+        again = bounded_tw_solve(K4, fam, 1)
         assert again.witness == out.witness
 
     def test_foreign_decomposition_is_rejected(self):
-        other = Graph.from_edges([(10, 11), (11, 12)])
-        with pytest.raises(TmhError, match="fails validation"):
-            bounded_tw_solve(other, PatternFamily([K3]), 1,
-                             greedy_treewidth(K4))
         # a decomposition of K4 with one vertex taken out of one bag
         td = greedy_treewidth(K4)
         node = min(td.bags)
@@ -476,15 +472,13 @@ class TestBoundedWidthEndgame:
         bags[node] = bags[node] - {min(bags[node])}
         bad = TreeDecomposition(td.tree, bags, width=td.width)
         assert not isinstance(validate_decomposition(K4, bad), int)
-        with pytest.raises(TmhError, match="fails validation"):
-            bounded_tw_solve(K4, PatternFamily([K3]), 1, bad)
 
     def test_matches_oracle_on_seeded_hosts(self):
         fam = PatternFamily([K3, C4])
         for seed in range(4):
             g = random_planar_graph(seed, 12)
             for k in (0, 1, 2):
-                out = bounded_tw_solve(g, fam, k, greedy_treewidth(g))
+                out = bounded_tw_solve(g, fam, k)
                 assert out.answer == (pF_oracle(g, fam, k) is not None)
                 if out.answer:
                     assert is_F_free(g.delete_vertices(out.witness), fam)
@@ -496,7 +490,7 @@ class TestBoundedWidthEndgame:
         # branched on whole models found by the generic search
         fam = PatternFamily([K23, C4])
         g = random_planar_graph(seed, 17)
-        out = bounded_tw_solve(g, fam, k, greedy_treewidth(g))
+        out = bounded_tw_solve(g, fam, k)
         assert out.answer == (pF_oracle(g, fam, k) is not None)
         if out.answer:
             assert len(out.witness) <= k
@@ -511,7 +505,7 @@ class TestBoundedWidthEndgame:
         for seed in range(4):
             g = _dense_graph(seed, 8, 0.7)
             for k in (0, 1, 2):
-                out = bounded_tw_solve(g, fam, k, greedy_treewidth(g))
+                out = bounded_tw_solve(g, fam, k)
                 assert out.answer == (pF_oracle(g, fam, k) is not None), \
                     "seed=%d k=%d" % (seed, k)
                 answers.add(out.answer)
@@ -526,10 +520,9 @@ class TestBoundedWidthEndgame:
         k6 = Graph(range(6), [(u, v) for u in range(6)
                               for v in range(u + 1, 6)])
         fam = PatternFamily([K5])
-        td = greedy_treewidth(k6)
-        assert bounded_tw_solve(k6, fam, 1, td).answer is False
+        assert bounded_tw_solve(k6, fam, 1).answer is False
         with pytest.raises(BudgetExceeded):
-            bounded_tw_solve(k6, fam, 1, td, budget=SearchBudget(5))
+            bounded_tw_solve(k6, fam, 1, budget=SearchBudget(5))
 
 
 def _reference_minimal_obstruction(cur, f, budget):
@@ -616,7 +609,7 @@ class TestMinimalObstruction:
         for ng in graph_atlas_g()[::5]:
             g = Graph(ng.nodes(), ng.edges())
             for k in (0, 1, 2):
-                bounded_tw_solve(g, fam, k, greedy_treewidth(g))
+                bounded_tw_solve(g, fam, k)
         assert built
         for adj, state in built:
             assert _adjacency_state(adj) == state
@@ -625,7 +618,8 @@ class TestMinimalObstruction:
 def test_larger_hosts_are_frozen():
     # random_planar_graph(s, n, tries=n // 6) for s = 0..3, n in {48, 64, 96}
     # and the families {K3}, {C4}, {K2,3}: fast mode finds the frozen
-    # witness at kmin and answers no at kmin - 1
+    # witness at kmin, a deletion set of at most kmin vertices that leaves
+    # the host pattern-free, and answers no at kmin - 1
     frozen = json.loads(
         Path(__file__).with_name("larger_hosts.json").read_text())
     assert len(frozen) == 36
@@ -634,6 +628,8 @@ def test_larger_hosts_are_frozen():
         fam = PatternFamily([BUILTIN_PATTERNS[row["family"]]()])
         yes = solve_tm_deletion(g, fam, row["kmin"], mode="fast")
         assert (yes.answer, list(yes.witness)) == (True, row["witness"]), row
+        assert len(yes.witness) <= row["kmin"], row
+        assert is_F_free(g.delete_vertices(yes.witness), fam), row
         no = solve_tm_deletion(g, fam, row["kmin"] - 1, mode="fast")
         assert (no.answer, no.witness) == (False, None), row
 
@@ -742,37 +738,31 @@ class TestSolve:
     ], ids=["seed0-K3", "seed3-C4"])
     @pytest.mark.parametrize("k", [0, 1])
     def test_decomposition_exit_trace_is_stable(self, seed, n, fam, t, h, k):
-        # tmh verify replays stored traces, so the fallback's recorded
-        # width (the min-fill one) and the records around it must not move
+        # tmh verify replays stored traces, so the fallback's record, which
+        # names no width, and the records around it must not move
         g = random_planar_graph(seed, n)
         out = solve_tm_deletion(g, fam, k)
         assert (out.answer, out.witness) == (False, None)
-        assert out.trace.steps[0].payload["width"] == greedy_treewidth(g).width
         reason = ("boundaried-graph census for t=%d h=%d exceeds 2000000 "
                   "graphs; parameters infeasible at desk scale" % (t, h))
         assert out.trace.as_records() == [
             {"kind": "wall", "status": "verified",
-             "payload": {"branch": "decomposition", "width": 4,
-                         "reason": reason}}]
+             "payload": {"branch": "decomposition", "reason": reason}}]
 
-    def test_no_exact_treewidth_on_the_solve_path(self, monkeypatch):
-        # check 1's 204 instances; the exits on at most 15 vertices are
-        # the ones that ran the exact DP before
-        exact_calls = []
-        exits = []
+    def test_fallback_builds_no_decomposition(self, monkeypatch):
+        # check 1's 204 instances all take the fallback, whose endgame
+        # needs no decomposition: neither width routine nor the validator
+        # may run on the solve path
+        def refusing(name):
+            def refuse(*args, **kwargs):
+                raise AssertionError("%s on the solve path" % name)
+            return refuse
 
-        def counting_exact(g, cap=15):
-            exact_calls.append(g.n)
-            return exact_treewidth(g, cap)
-
-        def counting_greedy(g):
-            exits.append(g.n)
-            return greedy_treewidth(g)
-
-        monkeypatch.setattr(decomposition, "exact_treewidth", counting_exact)
-        monkeypatch.setattr(solver, "exact_treewidth", counting_exact,
-                            raising=False)
-        monkeypatch.setattr(solver, "greedy_treewidth", counting_greedy)
+        for name in ("greedy_treewidth", "exact_treewidth",
+                     "validate_decomposition"):
+            for module in (decomposition, solver):
+                monkeypatch.setattr(module, name, refusing(name),
+                                    raising=False)
         families = [PatternFamily(f) for f in (
             [K3], [K4], [K23], [C4], [K3, K4], [K23, C4], [K3, K4, K23, C4])]
         large = [PatternFamily(f) for f in ([K3], [K3, K4, K23, C4], [K3, K4])]
@@ -780,11 +770,14 @@ class TestSolve:
                      for s in range(56)]
         instances += [(random_planar_graph(s, 19 + s % 4), large[i % 3])
                       for i, s in enumerate(range(100, 112))]
+        exits = 0
         for g, fam in instances:
             for k in (0, 1, 2):
-                solve_tm_deletion(g, fam, k)
-        assert exact_calls == []
-        assert sum(n <= 15 for n in exits) > 0
+                steps = solve_tm_deletion(g, fam, k).trace.steps
+                assert all(step.kind == "wall" and "reason" in step.payload
+                           for step in steps)
+                exits += len(steps)
+        assert exits > 0
 
     @pytest.mark.parametrize("patterns", [[K5], [K3]], ids=["K5", "K3"])
     def test_non_planar_input_is_refused_at_entry(self, patterns):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx import graph_atlas_g
 
-from helpers import label_isomorphic
+from helpers import folio_via_model_enumeration, label_isomorphic
 from tmh import synth, tm
 from tmh.annulus import boundaried_at_cycle, sub_annulus, synthetic_disk_host
 from tmh.graphs import Graph, MutableAdjacency, TmhError
@@ -28,7 +28,6 @@ from tmh.tm import (
     enumerate_boundaried_graphs,
     f3,
     find_tm_model,
-    folio_via_model_enumeration,
     is_F_free,
     pF_oracle,
     _isomorphic_small,
