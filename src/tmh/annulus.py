@@ -20,6 +20,7 @@ import bisect
 import itertools
 import math
 
+from .decomposition import extract_subwall_at, wall_layers
 from .graphs import (
     DiskRegion,
     Graph,
@@ -232,7 +233,6 @@ def annulus_from_wall(w, p):
     path order."""
     if p % 2 == 0 or p < 3:
         raise TmhError("annulus depth must be odd and at least 3, got %d" % p)
-    from .decomposition import wall_layers
     layers = wall_layers(w)
     if len(layers) < p:
         raise TmhError(
@@ -363,7 +363,6 @@ def find_collection_of_annuli(x, y, z, g, w):
     if z == 0:
         return AnnulusFamily(outer, [])
 
-    from .decomposition import extract_subwall_at
     s = wall_height_needed(y)
     hole_xy = {w.coordinates[v] for v in outer.cycles.open_disk(x)}
     cols = sorted(c for c, _ in hole_xy)
@@ -633,7 +632,9 @@ def sub_annulus(a, lo, hi):
     and hi, so the rails a was checked against stay valid in it."""
     _check_window(a, lo, hi)
     cycles = a.cycles.cycles[lo - 1:hi]
-    emb = a.embedding.restrict(a.cycles.closed_disk(lo), lambda faces: _cycle_face(
+    # a fresh view, so the parent's disk keeps no vertex set of this call
+    keep = a.cycles.regions[lo - 1]._fresh().vertices()
+    emb = a.embedding.restrict(keep, lambda faces: _cycle_face(
         faces, cycles[0], "restricted embedding lost the boundary face"))
     return a._cut(lo, hi, NestedCycles(emb, cycles))
 

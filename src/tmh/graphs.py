@@ -19,9 +19,11 @@ three substrates defined here:
     cycle of an embedded graph bounds the set of faces that cannot reach the
     outer face without crossing the cycle, and every region predicate
     (open/closed membership, annulus bands, nesting) reduces to face-set
-    arithmetic on that representation.  A nested family keeps one depth
-    per face, the number of its disks that hold it, instead of a set per
-    disk.
+    arithmetic on that representation.  Every disk is stored one way: a
+    depth per face and a level, its faces being those of depth at least
+    the level.  A lone disk holds its own 0/1 depths; the disks of a
+    nested family share the family's depths, the number of its disks
+    that hold each face, and only _nested_disks builds such a family.
 """
 
 from __future__ import annotations
@@ -881,24 +883,38 @@ def _lr_planar(adj):
 
 
 class DiskRegion:
-    """A closed disk of an embedding: a set of interior faces plus the cycle
+    """A closed disk of an embedding: its interior faces plus the cycle
     bounding them.  Membership is face arithmetic and nothing else.
 
-    The interior faces and the boundary cycle are fixed at construction;
-    a disk of a NestedCycles family is a NestedDisk, which reads its faces
-    off the family's depths instead of holding a set.  The closed and open
-    vertex and edge sets are each built on first read (an open one from
-    its closed one), so vertices() builds no edge set and edges() no
-    vertex set; has_vertex asks only the faces at a vertex."""
+    A disk is a view (depth, level) of an array with one entry per face
+    of the embedding: its interior faces are those of depth at least
+    level.  A disk built from a face set, or by of_cycle, holds its own
+    0/1 depths at level 1; the disks of a NestedCycles family share the
+    family's depths, each at its own level (see _nested_disks).  Every
+    disk is set up by _set.  interior_faces builds a frozenset on each
+    read.  The closed and open vertex and edge sets are each built on
+    first read (an open one from its closed one), so vertices() builds no
+    edge set and edges() no vertex set; has_vertex asks only the faces at
+    a vertex."""
 
-    __slots__ = ("embedding", "interior_faces", "boundary_cycle", "_closed_v", "_open_v",
+    __slots__ = ("embedding", "boundary_cycle", "_depth", "_level", "_closed_v", "_open_v",
                  "_closed_e", "_open_e")
 
     def __init__(self, embedding, interior_faces, boundary_cycle):
+        depth = array("I", [0]) * len(embedding.faces)
+        for f in interior_faces:
+            depth[f] = 1
+        self._set(embedding, boundary_cycle, depth, 1)
+
+    def _set(self, embedding, boundary_cycle, depth, level):
+        """Make this the disk of the faces of depth at least level, with
+        no vertex or edge set built yet."""
         self.embedding = embedding
-        self.interior_faces = frozenset(interior_faces)
         self.boundary_cycle = tuple(boundary_cycle)
+        self._depth = depth
+        self._level = level
         self._closed_v = self._open_v = self._closed_e = self._open_e = None
+        return self
 
     @classmethod
     def of_cycle(cls, embedding, cycle_vertices):
@@ -908,29 +924,41 @@ class DiskRegion:
         outside = set()
         _flood(embedding, outside, [embedding.outer_face],
                _cycle_edges(embedding, cyc))
-        interior = set(range(len(embedding.faces))) - outside
-        return cls(embedding, interior, cyc)
+        depth = array("I", [1]) * len(embedding.faces)
+        for f in outside:
+            depth[f] = 0
+        return cls.__new__(cls)._set(embedding, cyc, depth, 1)
+
+    @property
+    def interior_faces(self):
+        return frozenset(self._faces())
+
+    def _fresh(self):
+        """A view of the same faces that holds no vertex or edge set."""
+        return DiskRegion.__new__(DiskRegion)._set(self.embedding, self.boundary_cycle,
+                                                   self._depth, self._level)
 
     def _faces(self):
         """The interior faces, as an iterable."""
-        return self.interior_faces
+        return itertools.compress(range(len(self._depth)),
+                                  map(self._level.__le__, self._depth))
 
     def _exterior(self):
         """The faces of the embedding that are not interior, as an iterable."""
-        return itertools.filterfalse(self.interior_faces.__contains__,
-                                     range(len(self.embedding.faces)))
+        return itertools.compress(range(len(self._depth)),
+                                  map(self._level.__gt__, self._depth))
 
-    def _contains(self, f):
-        """Whether face f is interior."""
-        return f in self.interior_faces
+    def _inside(self, faces):
+        """Whether each face of faces is interior, as an iterable."""
+        return map(self._level.__le__, map(self._depth.__getitem__, faces))
 
     def _holds(self, faces):
         """Whether every face of faces is interior."""
-        return self.interior_faces.issuperset(faces)
+        return all(self._inside(faces))
 
     def _meets(self, faces):
         """Whether some face of faces is interior."""
-        return not self.interior_faces.isdisjoint(faces)
+        return any(self._inside(faces))
 
     def vertices(self, mode="closed"):
         """Closed: the boundary and the vertices of interior faces; open:
@@ -954,9 +982,10 @@ class DiskRegion:
         emb = self.embedding
         if _is_open(mode):
             if self._open_e is None:
+                depth, level = self._depth, self._level
                 steps = itertools.chain.from_iterable(map(emb._steps, self._faces()))
                 self._open_e = frozenset((u, v) if u < v else (v, u)
-                                         for u, v, g in steps if self._contains(g))
+                                         for u, v, g in steps if depth[g] >= level)
             return self._open_e
         if self._closed_e is None:
             faces = emb.faces
@@ -988,45 +1017,6 @@ class DiskRegion:
         if mode == "open":
             es = [e for e in es if e[0] in vs and e[1] in vs]
         return self.embedding.graph.restrict(vs, es)
-
-
-class NestedDisk(DiskRegion):
-    """Disk i of a NestedCycles family, a view (the family's depths, i):
-    its interior faces are those of depth at least i, and interior_faces
-    is built on each read."""
-
-    __slots__ = ("_depth", "_level")
-
-    def __init__(self, embedding, boundary_cycle, depth, level):
-        self.embedding = embedding
-        self.boundary_cycle = tuple(boundary_cycle)
-        self._depth = depth
-        self._level = level
-        self._closed_v = self._open_v = self._closed_e = self._open_e = None
-
-    @property
-    def interior_faces(self):
-        return frozenset(self._faces())
-
-    def _contains(self, f):
-        return self._depth[f] >= self._level
-
-    def _inside(self, faces):
-        return map(self._level.__le__, map(self._depth.__getitem__, faces))
-
-    def _faces(self):
-        return itertools.compress(range(len(self._depth)),
-                                  map(self._level.__le__, self._depth))
-
-    def _exterior(self):
-        return itertools.compress(range(len(self._depth)),
-                                  map(self._level.__gt__, self._depth))
-
-    def _holds(self, faces):
-        return all(self._inside(faces))
-
-    def _meets(self, faces):
-        return any(self._inside(faces))
 
 
 def _is_open(mode):
@@ -1072,22 +1062,13 @@ def _flood(embedding, outside, seeds, cut, blocked=None):
     return added
 
 
-def _check_disjoint(cycles):
-    """Refuse cycles that share a vertex."""
-    seen = set()
-    for c in cycles:
-        cs = set(c)
-        if cs & seen:
-            raise EmbeddingError("nested cycles must be pairwise vertex-disjoint")
-        seen |= cs
-
-
 def _nested_disks(embedding, cycles):
     """The disks of pairwise disjoint cycles given outermost first, each
-    with DiskRegion.of_cycle's faces, as NestedDisk views of one depth per
-    face, for about one flood of the dual per family.  Refused, in this
-    order, if two cycles meet, if of_cycle refuses a cycle (each in
-    order), or if a disk does not lie in the one before.
+    with DiskRegion.of_cycle's faces, as views of one depth per face, disk
+    i at level i, for about one flood of the dual per family.  The one
+    place a nested family is built: refused, in this order, if two cycles
+    meet, if of_cycle refuses a cycle (each in order), or if a disk does
+    not lie in the one before.
 
     In a connected plane graph (V - E + F = 2) the edges of a simple
     cycle form a minimal edge cut of the dual graph (Whitney; Mohar and
@@ -1104,8 +1085,11 @@ def _nested_disks(embedding, cycles):
     of_cycle, and so does every cycle of an embedding that is not
     connected or not plane; only such a disk is checked to lie in the one
     before."""
-    cycles = [tuple(c) for c in cycles]
-    _check_disjoint(cycles)
+    seen = set()
+    for c in cycles:
+        if not seen.isdisjoint(c):
+            raise EmbeddingError("nested cycles must be pairwise vertex-disjoint")
+        seen.update(c)
     cuts = [_cycle_edges(embedding, c) for c in cycles]
     n_faces = len(embedding.faces)
     depth = array("I", [len(cycles)]) * n_faces
@@ -1127,7 +1111,8 @@ def _nested_disks(embedding, cycles):
         for f in gone:
             depth[f] = level
         seeds = across
-    return [NestedDisk(embedding, c, depth, i) for i, c in enumerate(cycles, 1)]
+    return [DiskRegion.__new__(DiskRegion)._set(embedding, c, depth, i)
+            for i, c in enumerate(cycles, 1)]
 
 
 class NestedCycles:
@@ -1138,37 +1123,24 @@ class NestedCycles:
     (see _nested_disks), with the disks and refusals of one
     DiskRegion.of_cycle per cycle.  The family keeps one depth per face,
     the number of its disks that hold the face, and its region i is the
-    NestedDisk view of the faces of depth at least i; a slice (_slice)
-    keeps those views."""
+    view of the faces of depth at least i; a slice (_slice) keeps those
+    views."""
 
     __slots__ = ("embedding", "cycles", "regions")
 
     def __init__(self, embedding, cycles):
-        self._set(embedding, [tuple(c) for c in cycles], None)
-
-    @classmethod
-    def _of_regions(cls, embedding, regions):
-        """The family bounded by disks already computed in this embedding,
-        outermost first: refused unless their cycles are disjoint and each
-        disk lies in the one before."""
-        cycles = [d.boundary_cycle for d in regions]
-        _check_disjoint(cycles)
-        for a, b in itertools.pairwise(regions):
-            if not a._holds(b._faces()):
-                raise EmbeddingError("cycle disks do not nest")
-        return cls.__new__(cls)._set(embedding, cycles, list(regions))
+        self.embedding = embedding
+        self.cycles = [tuple(c) for c in cycles]
+        self.regions = _nested_disks(embedding, self.cycles)
 
     def _slice(self, lo, hi):
         """The family of levels lo..hi (1-based) on this family's own
         disks, which nest, so nothing is checked again."""
-        return NestedCycles.__new__(NestedCycles)._set(
-            self.embedding, self.cycles[lo - 1:hi], self.regions[lo - 1:hi])
-
-    def _set(self, embedding, cycles, regions):
-        self.embedding = embedding
-        self.cycles = cycles
-        self.regions = _nested_disks(embedding, cycles) if regions is None else regions
-        return self
+        part = NestedCycles.__new__(NestedCycles)
+        part.embedding = self.embedding
+        part.cycles = self.cycles[lo - 1:hi]
+        part.regions = self.regions[lo - 1:hi]
+        return part
 
     @property
     def r(self):

@@ -22,7 +22,7 @@ of returning an unverified object.
 import functools
 
 from .graphs import (DiskRegion, Graph, NestedCycles, TmhError, _augment, _flood,
-                     _nested_disks, _normalize_edge, _path_edges)
+                     _normalize_edge, _path_edges)
 from .annulus import _check_simple_path, rail_geometry
 from .tm import TmPair, arcs, default_budget, dissolve
 
@@ -108,7 +108,7 @@ class Linkage:
         return Graph(self.vertices, self.edges)
 
     def canonical_key(self):
-        return tuple(sorted(min(t, tuple(reversed(t))) for t in self.paths))
+        return _canonical_paths_key(self.paths)
 
     def __len__(self):
         return len(self.paths)
@@ -363,7 +363,7 @@ def classify_terrain(g, cycles, d, l):
     cyc_of = {v: i for i, c in enumerate(cycles.cycles, start=1) for v in c}
     cyc_edge_sets = [set(_path_edges(c, closed=True)) for c in cycles.cycles]
     all_faces = set(range(len(emb.faces)))
-    # a family's disk builds its face set on each read, so each is read once
+    # a disk builds its face set on each read, so each is read once
     interior = functools.cache(lambda i: regions[i - 1].interior_faces)
     inner_seed = interior(r)
     outer_seed = all_faces - interior(1)
@@ -668,18 +668,18 @@ def ca_cycles(a, geo=None):
     min(r, q) // 2; both dimensions must be at least 5.
 
     The i-th cycle bounds geo.delta_disk(i, r-i+1, i, q-i+1).  Those disks
-    are flooded together, outermost first (see NestedCycles), and kept in
-    geo.delta_disks under the same keys."""
+    are flooded together, outermost first (see NestedCycles), and each is
+    kept in geo.delta_disks under its key unless a disk is there already."""
     if a.r < 5 or a.q < 5:
         raise TmhError("composite cycles need r, q >= 5, got (%d, %d)" % (a.r, a.q))
     if geo is None:
         geo = rail_geometry(a)
     z = min(a.r, a.q) // 2
     keys = [(i, a.r - i + 1, i, a.q - i + 1) for i in range(1, z + 1)]
-    frames = [geo._frame_cycle(key) for key in keys]
-    for key, disk in zip(keys, _nested_disks(a.embedding, frames)):
+    nested = NestedCycles(a.embedding, [geo._frame_cycle(key) for key in keys])
+    for key, disk in zip(keys, nested.regions):
         geo.delta_disks.setdefault(key, disk)
-    return NestedCycles._of_regions(a.embedding, [geo.delta_disks[key] for key in keys])
+    return nested
 
 
 # -- confined crossing families along rails ----------------------------------
@@ -835,9 +835,8 @@ def rail_linkage(a, s, b, d, i_set):
 
 
 def _outside_parts(l, band):
-    ev = frozenset(v for v in l.vertices if v not in band.vertices)
-    ee = frozenset(e for e in l.edges if e not in band.edges)
-    return ev, ee
+    """The vertices and the edges of l (a Linkage or a Graph) off the band."""
+    return frozenset(l.vertices) - band.vertices, frozenset(l.edges) - band.edges
 
 
 def _check_hypotheses(names, force):
@@ -1037,8 +1036,8 @@ def tame_linkage(g, a, l, s, i_set, budget=None, force=False, node_budget=None):
     lv, le = _outside_parts(l, band)
     if not (ov <= lv and oe <= le):
         raise TameFailed("verification", "new material appeared outside the annulus")
-    if not a.confines(ltilde, s, rails):
-        off_v, off_e = a.confinement_offenders(ltilde, s, rails)
+    off_v, off_e = a.confinement_offenders(ltilde, s, rails)
+    if off_v or off_e:
         witness = sorted(off_v)[:3] or sorted(off_e)[:3]
         raise TameFailed("verification", "not confined, offenders %r" % (witness,))
     return ltilde
@@ -1095,14 +1094,12 @@ def tame_tm_model(g, a, m, s, i_set, budget=None):
         raise TameFailed("verification", "branch set changed")
     if dissolve(rebuilt) != dissolve(m):
         raise TameFailed("verification", "dissolved shape changed")
-    mv = {v for v in m.model.vertices if v not in band.vertices}
-    me = {e for e in m.model.edges if e not in band.edges}
-    rv = {v for v in rebuilt.model.vertices if v not in band.vertices}
-    re = {e for e in rebuilt.model.edges if e not in band.edges}
+    rv, re = _outside_parts(rebuilt.model, band)
+    mv, me = _outside_parts(m.model, band)
     if not (rv <= mv and re <= me):
         raise TameFailed("verification", "new material appeared outside the annulus")
-    if not a.confines(rebuilt.model, s, sorted(set(i_set))):
-        off_v, off_e = a.confinement_offenders(rebuilt.model, s, sorted(set(i_set)))
+    off_v, off_e = a.confinement_offenders(rebuilt.model, s, sorted(set(i_set)))
+    if off_v or off_e:
         witness = sorted(off_v)[:3] or sorted(off_e)[:3]
         raise TameFailed("verification", "model not confined, offenders %r"
                          % (witness,))

@@ -721,13 +721,13 @@ def solve_tm_deletion(g, f, k, budget=None, mode="safe", force=False,
     if f is None or is_F_free(g, f, budget=default_budget()):
         return SolveOutcome(True, (), trace)
 
+    params = _pass_params(k, h, budget, force, params, mode)
     cur = g
     inject = annuli
     while True:
         out = _irrelevant_vertex_pass(
-            k, h, cur, _pass_params(k, h, budget, force, params, mode),
-            force=force, annuli=inject, b=2, family=f, mode=mode, trace=trace,
-            oracle_cap=DEFAULT_ORACLE_SWEEP_CAP)
+            k, h, cur, params, force=force, annuli=inject, b=2, family=f, mode=mode,
+            trace=trace, oracle_cap=DEFAULT_ORACLE_SWEEP_CAP)
         inject = None
         if out is None:
             tail = bounded_tw_solve(cur, f, k)

@@ -1,7 +1,8 @@
 """Conversions and checks that only the tests read: the Graph of a
 MutableAdjacency's current state, a graph relabelled onto 0..n-1, a report
 without its volatile section, Euler's formula on an embedding, the face
-incidences of an embedding and the refusing membership query of a disk,
+incidences of an embedding, a nested family built with one flood per
+cycle and the refusing membership query of a disk,
 the darts of a face and a reference tracer of face walks as darts, the
 separation of a partially disk-embedded graph, label-respecting
 isomorphism of boundaried graphs, a folio found by enumerating models
@@ -11,7 +12,7 @@ to check Graph against."""
 import itertools
 import json
 
-from tmh.graphs import EmbeddingError, Graph, TmhError, _normalize_edge
+from tmh.graphs import DiskRegion, EmbeddingError, Graph, TmhError, _normalize_edge
 from tmh.tm import BoundariedGraph, Folio, TmPair, dissolve
 
 
@@ -176,6 +177,21 @@ def folio_via_model_enumeration(bg, t, h):
 def _subsets(items):
     for r in range(len(items) + 1):
         yield from itertools.combinations(items, r)
+
+
+def reference_family(emb, cycles):
+    """NestedCycles as it was built with one DiskRegion.of_cycle flood per
+    cycle: disjointness, then each disk in order, then nesting."""
+    seen = set()
+    for c in cycles:
+        if set(c) & seen:
+            raise EmbeddingError("nested cycles must be pairwise vertex-disjoint")
+        seen |= set(c)
+    regions = [DiskRegion.of_cycle(emb, c) for c in cycles]
+    for a, b in zip(regions, regions[1:]):
+        if not b.interior_faces <= a.interior_faces:
+            raise EmbeddingError("cycle disks do not nest")
+    return regions
 
 
 def contains_vertex(region, v, mode="closed"):

@@ -7,12 +7,13 @@ import itertools
 import json
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (assert_store_matches_dart_walks, check_euler, face_darts,
-                     faces_of_edge, faces_of_vertex)
+                     faces_of_edge, faces_of_vertex, reference_family)
 import tmh.annulus
 from tmh.annulus import (
     AnnulusFamily,
@@ -43,7 +44,6 @@ from tmh.graphs import (
     DiskRegion,
     Graph,
     NestedCycles,
-    NestedDisk,
     PartiallyDiskEmbedded,
     PlaneEmbedding,
     TmhError,
@@ -649,18 +649,14 @@ class TestRailGeometry:
 class TestDiskMembership:
     def test_every_built_region_matches_a_full_scan(self, monkeypatch):
         built = []
+        set_up = DiskRegion._set
 
-        def recording(cls):
-            init = cls.__init__
+        def recording(self, *args):
+            built.append(self)
+            return set_up(self, *args)
 
-            def record(self, *args):
-                init(self, *args)
-                built.append(self)
-            return record
-
-        # a nested family's disks are NestedDisk views, any other disk a face set
-        for cls in (DiskRegion, NestedDisk):
-            monkeypatch.setattr(cls, "__init__", recording(cls))
+        # every disk, lone or of a nested family, is set up by _set
+        monkeypatch.setattr(DiskRegion, "_set", recording)
         for a in (synthetic_annulus(5, 8),
                   synthetic_annulus(7, 6, girth=24, seed=3, noise=4, core=True)):
             geo = rail_geometry(a)
@@ -677,6 +673,28 @@ class TestDiskMembership:
         assert len(built) > 600
         for region in built:
             assert _membership(region) == _scanned_membership(region)
+
+    def test_every_disk_is_a_depth_view(self):
+        a = synthetic_annulus(7, 6, girth=24, seed=3, noise=4, core=True)
+        emb = a.embedding
+        geo = rail_geometry(a)
+        composite = ca_cycles(a, geo=geo)
+        walled = NestedCycles(emb, a.cycles.cycles[1:])
+        lone = [DiskRegion(emb, [0, 2], ()), DiskRegion.of_cycle(emb, a.cycles.cycles[2]),
+                geo.delta_disk(1, 3, 1, 2)]
+        for disk in lone:
+            assert disk._level == 1 and set(disk._depth) <= {0, 1}
+        for nc in (a.cycles, composite, walled):
+            depth = nc.regions[0]._depth
+            assert all(d._depth is depth for d in nc.regions)
+            assert [d._level for d in nc.regions] == list(range(1, nc.r + 1))
+        for disk in lone + a.cycles.regions + composite.regions + walled.regions:
+            assert type(disk) is DiskRegion and not hasattr(disk, "__dict__")
+            assert type(disk._depth) is array and len(disk._depth) == len(emb.faces)
+            # the face set is built on each read, never held
+            assert disk.interior_faces is not disk.interior_faces
+            assert disk.interior_faces == {f for f, d in enumerate(disk._depth)
+                                           if d >= disk._level}
 
     def test_arbitrary_face_sets_match_a_full_scan(self):
         # pockets are built from bare face sets, with no boundary cycle
@@ -830,11 +848,12 @@ def _reference_window_embedding(a, lo):
 
 
 def _reference_ca_cycles(a):
-    """ca_cycles with one DiskRegion.of_cycle flood per composite frame."""
+    """The disks of ca_cycles with one DiskRegion.of_cycle flood per
+    composite frame, refused as a nested family is refused."""
     geo = rail_geometry(a)
     z = min(a.r, a.q) // 2
-    disks = [geo.delta_disk(i, a.r - i + 1, i, a.q - i + 1) for i in range(1, z + 1)]
-    return NestedCycles._of_regions(a.embedding, disks)
+    return reference_family(a.embedding, [geo._frame_cycle((i, a.r - i + 1, i, a.q - i + 1))
+                                          for i in range(1, z + 1)])
 
 
 def _assert_per_cycle_disks(nc, membership=False):
@@ -877,6 +896,15 @@ class TestOnePassAnnuli:
         sub_annulus(full, 2, 12)
         assert len(traces) == 2
         assert floods == []
+
+    def test_sub_annulus_leaves_no_vertex_set_on_its_parent(self):
+        full = synthetic_annulus(13, 8, girth=32, seed=58, noise=2)
+        for lo, hi in ((2, 12), (1, 3), (5, 9)):
+            disk = full.cycles.regions[lo - 1]
+            assert disk._closed_v is None
+            win = sub_annulus(full, lo, hi)
+            assert disk._closed_v is None
+            assert set(win.embedding.graph.vertices) == disk.vertices("closed")
 
     @pytest.mark.parametrize("kw", [
         dict(r=5, q=8),
@@ -981,8 +1009,8 @@ class TestOnePassAnnuli:
             nc = ca_cycles(a, geo=geo)
             _assert_per_cycle_disks(nc, membership=True)
             ref = _reference_ca_cycles(a)
-            assert nc.cycles == ref.cycles
-            for region, ref_region in zip(nc.regions, ref.regions):
+            assert nc.cycles == [d.boundary_cycle for d in ref]
+            for region, ref_region in zip(nc.regions, ref):
                 assert region.interior_faces == ref_region.interior_faces
             z = min(a.r, a.q) // 2
             for i in range(1, z + 1):
@@ -992,7 +1020,9 @@ class TestOnePassAnnuli:
                 # the taming sector lookup reads the family's disk
                 assert geo.delta_disk(b + 1, a.r - b, b + 1, a.q - b) \
                     is nc.regions[b]
-            assert ca_cycles(a, geo=geo).regions == nc.regions
+            again = ca_cycles(a, geo=geo)
+            assert [d.interior_faces for d in again.regions] \
+                == [d.interior_faces for d in nc.regions]
 
     @pytest.mark.parametrize("r,q,order,message", [
         (5, 5, (0, 1, 2, 4, 3), "no lateral path from rail 2 to 4 on cycle 2"),

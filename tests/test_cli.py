@@ -12,6 +12,7 @@ from helpers import normalize_graph, report_core
 from tmh import tm
 from tmh.cli import _build_parser, _replay_widths, main
 from tmh.graphs import Graph, parse_graph
+from tmh.decomposition import TreeDecomposition
 from tmh.annulus import synthetic_annulus
 from tmh.linkage import Linkage
 from tmh.tm import BUILTIN_PATTERNS
@@ -380,6 +381,19 @@ class TestFindWall:
         assert code == 0
         assert rep["outcome"]["branch"] == "decomposition"
         assert rep["outcome"]["width"] == 3
+        assert rep["verification"] == {"decomposition": "validated"}
+
+    def test_broken_decomposition_is_a_stage_failure(self, files, capsys,
+                                                     monkeypatch):
+        # one bag on K4's vertices but vertex 3: vertex 3 is uncovered
+        broken = TreeDecomposition(Graph([0]), {0: {0, 1, 2}})
+        monkeypatch.setattr("tmh.cli.find_wall", lambda g, q, c: broken)
+        code, rep, err = run(capsys, "find-wall", "--graph", files["k4"],
+                             "--height", "3")
+        assert code == 2
+        assert rep is None
+        assert "failure in find-wall" in err
+        assert "vertex-uncovered" in err
 
 
 class TestTame:

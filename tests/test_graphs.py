@@ -14,6 +14,7 @@ from helpers import (
     face_darts,
     faces_of_edge,
     faces_of_vertex,
+    reference_family,
     separation_halves,
 )
 from tmh.graphs import (
@@ -734,21 +735,6 @@ def _reference_interior(emb, cyc):
     return frozenset(range(len(emb.faces))) - outside
 
 
-def _reference_family(emb, cycles):
-    """NestedCycles as it was built with one DiskRegion.of_cycle flood per
-    cycle: disjointness, then each disk in order, then nesting."""
-    seen = set()
-    for c in cycles:
-        if set(c) & seen:
-            raise EmbeddingError("nested cycles must be pairwise vertex-disjoint")
-        seen |= set(c)
-    regions = [DiskRegion.of_cycle(emb, c) for c in cycles]
-    for a, b in zip(regions, regions[1:]):
-        if not b.interior_faces <= a.interior_faces:
-            raise EmbeddingError("cycle disks do not nest")
-    return regions
-
-
 def _two_trace_embedding(graph, rotation, pick):
     """An embedding built the way the annulus and wall code built them
     before one trace sufficed: a probe embedding to read the faces from,
@@ -823,7 +809,7 @@ class TestNestedFlood:
         assert calls == []
         monkeypatch.undo()
         for nc, cycles in zip(built, families):
-            for region, ref in zip(nc.regions, _reference_family(emb, cycles)):
+            for region, ref in zip(nc.regions, reference_family(emb, cycles)):
                 assert region.interior_faces == ref.interior_faces \
                     == _reference_interior(emb, list(ref.boundary_cycle))
                 assert region.boundary_cycle == ref.boundary_cycle
@@ -847,7 +833,7 @@ class TestNestedFlood:
     def test_refusals_keep_message_and_order(self, cycles, message):
         emb = concentric_triangles()
         with pytest.raises(EmbeddingError) as ref:
-            _reference_family(emb, cycles)
+            reference_family(emb, cycles)
         with pytest.raises(EmbeddingError) as got:
             NestedCycles(emb, cycles)
         assert str(got.value) == str(ref.value) == message

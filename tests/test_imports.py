@@ -1,5 +1,7 @@
-"""Source hygiene: every name a module of the package imports is used, and
-networkx is imported in one place only."""
+"""Source hygiene: every name a module of the package imports is used,
+networkx is imported in one place only, no function imports a module of
+the package, every private definition is referenced, and the count of
+optional parameters is pinned."""
 
 import ast
 from pathlib import Path
@@ -9,6 +11,14 @@ import pytest
 import tmh
 
 MODULES = sorted(Path(tmh.__file__).resolve().parent.glob("*.py"))
+# parameters with a default over every function of the package, lambdas
+# aside: a change that adds or drops a knob moves this number with it
+OPTIONAL_PARAMETERS = 85
+
+
+def _functions(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -50,6 +60,28 @@ def test_only_planar_rotation_imports_networkx():
         _networkx_imports(ast.parse(path.read_text(), filename=str(path)),
                           (path.stem,), found)
     assert found == [("graphs", "planar_rotation")]
+
+
+def test_no_function_imports_a_package_module():
+    found = []
+    for path in MODULES:
+        for fn in _functions(ast.parse(path.read_text(), filename=str(path))):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] if node.level == 0 else ["tmh"]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(name.split(".")[0] == "tmh" for name in names):
+                    found.append("%s.%s (line %d)" % (path.stem, fn.name, node.lineno))
+    assert not found, "functions that import a tmh module: %r" % found
+
+
+def test_optional_parameter_count_is_pinned():
+    count = sum(len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+                for path in MODULES for fn in _functions(ast.parse(path.read_text())))
+    assert count == OPTIONAL_PARAMETERS
 
 
 def _private_definitions_and_references():

@@ -804,6 +804,24 @@ class TestSolve:
             "wall"]
         assert calls == [gr.graph.n]
 
+    def test_parameters_are_derived_once_per_solve(self, monkeypatch, injected):
+        calls = []
+        derive = solver.derive_params
+
+        def counting(k, h, budget=None):
+            calls.append((k, h))
+            return derive(k, h, budget)
+
+        monkeypatch.setattr(solver, "derive_params", counting)
+        gr, fam = injected
+        out = solve_tm_deletion(gr.graph, TestForcedPipeline.FAM, 0,
+                                budget=ZERO, force=True, annuli=(gr, fam))
+        # two passes share the one derivation
+        assert [s.kind for s in out.trace.steps] == [
+            "annuli", "reduce_space", "irrelevant_area", "delete_vertex",
+            "wall"]
+        assert calls == [(0, 2)]
+
     def test_large_sparse_instance_in_fast_mode(self):
         # series-parallel hosts never contain the 4-clique, so the
         # pattern-free shortcut answers without touching the pipeline
