@@ -161,20 +161,56 @@ def _canonical_paths_key(paths):
     return tuple(sorted(min(tuple(p), tuple(reversed(tuple(p)))) for p in paths))
 
 
+def _fold_runs(steps, terminals):
+    """A copy of the step table with every non-terminal vertex of degree
+    two folded into the rows at its two ends: the two rows through it
+    become one row whose run passes the vertex, at the sum of their
+    costs.  A fold whose two ends meet is a loop no simple path can use,
+    so it is dropped, and its end may in turn become foldable."""
+    rows = {x: list(ws) for x, ws in steps.items()}
+    todo = [x for x, ws in rows.items() if len(ws) == 2 and x not in terminals]
+    while todo:
+        x = todo.pop()
+        ws = rows.get(x)
+        if ws is None or len(ws) != 2:
+            continue
+        del rows[x]
+        (a, ca, ra), (b, cb, rb) = ws
+        back_a, back_b = (x, ca, ra[::-1]), (x, cb, rb[::-1])
+        if a == b:
+            rows[a].remove(back_a)
+            rows[a].remove(back_b)
+            if len(rows[a]) == 2 and a not in terminals:
+                todo.append(a)
+            continue
+        run = back_a[2] + (x,) + rb
+        rows[a][rows[a].index(back_a)] = (b, ca + cb, run)
+        rows[b][rows[b].index(back_b)] = (a, ca + cb, run[::-1])
+    return rows
+
+
 def _search_linkages(steps, pairs, node_budget, better_than=None):
     """Exhaustive backtracking over vertex-disjoint path systems realizing
     the given terminal pairs along steps: a map from each vertex to its
-    (neighbour, step cost) pairs in increasing neighbour order, symmetric
-    in the two ends of a step.
+    rows (neighbour, cost, run), symmetric in the two ends of a row.  A
+    row steps to the neighbour through the vertices of run, in order, at
+    the given cost; each run vertex lies on that row and its reverse and
+    nowhere else in the table, and is never a terminal.
 
-    The cost of a system is the sum of its step costs.  Returns (cost,
+    Every non-terminal vertex of degree two is first folded into the rows
+    at its ends (_fold_runs), so the search steps over whole runs of
+    pass-through vertices and checks disjointness at their ends only.
+    Folding maps the simple paths of the two tables one to one.
+
+    The cost of a system is the sum of its row costs.  Returns (cost,
     paths) for the cheapest system, ties broken toward the
-    lexicographically least canonical form, or None when no system
-    exists.  better_than admits only strictly cheaper systems.
+    lexicographically least canonical form of the expanded paths, or None
+    when no system exists.  better_than admits only strictly cheaper
+    systems.  Every system whose cost ties the best is visited, so the
+    result does not depend on the order of the rows.
 
-    Partial paths grow in place, each step pushed before its recursion
-    and popped after it, so nodes are visited as if each step copied the
-    path.
+    Partial paths grow in place, each row pushed before its recursion
+    and popped after it.
     """
     pairs = sorted((min(u, v), max(u, v)) for u, v in pairs)
     if len(set(pairs)) != len(pairs):
@@ -185,6 +221,9 @@ def _search_linkages(steps, pairs, node_budget, better_than=None):
             raise TmhError("a pattern pair needs two distinct terminals")
         terminals.add(u)
         terminals.add(v)
+    if not pairs:
+        return (0, [])
+    steps = _fold_runs(steps, terminals)
     best = [None]
 
     def place(idx, used, acc, cost):
@@ -206,7 +245,7 @@ def _search_linkages(steps, pairs, node_budget, better_than=None):
                 place(idx + 1, used | on_path, acc, cost + pcost)
                 acc.pop()
                 return
-            for w, step in steps[last]:
+            for w, step, run in steps[last]:
                 if w in used or w in on_path or w in blocked:
                     continue
                 ncost = pcost + step
@@ -214,17 +253,16 @@ def _search_linkages(steps, pairs, node_budget, better_than=None):
                     continue
                 if best[0] is not None and cost + ncost > best[0][0]:
                     continue
+                path.extend(run)
                 path.append(w)
                 on_path.add(w)
                 extend(ncost)
-                path.pop()
+                del path[-1 - len(run):]
                 on_path.discard(w)
 
         if u in steps and v in steps:
             extend(0)
 
-    if not pairs:
-        return (0, [])
     place(0, frozenset(), [], 0)
     if best[0] is None:
         return None
@@ -243,7 +281,7 @@ def improve_linkage(lb):
     """
     host = lb.linkage.union_graph().union(lb.base)
     base = lb.base.edges
-    steps = {x: [(w, 0 if _normalize_edge(x, w) in base else 1)
+    steps = {x: [(w, 0 if _normalize_edge(x, w) in base else 1, ())
                  for w in host.neighbors(x)] for x in host.vertices}
     pairs = [tuple(sorted(pair)) for pair in lb.linkage.pattern]
     found = _search_linkages(steps, pairs, default_budget(), better_than=lb.cae)
@@ -265,10 +303,15 @@ def minimal_linkage(g, cycles, d, l, node_budget=None):
     result is a global minimum; rerunning improve_linkage on it finds
     nothing by construction.
 
-    The search steps along the cycles' own vertex orders and l's paths:
-    a cycle step with neither end in d costs 0, any other step of l
-    costs 1.  The terminals are checked against the band one by one
-    (AnnulusBand.has_vertex), so no disk's sets are built for them.
+    The search host is the cycles minus d plus l's paths, with the cycle
+    edges at cost 0 and l's other edges at cost 1.  Off l, a cycle vertex
+    can only be passed through, so the step table is built folded: on
+    each cycle meeting l at least twice, the arc between two consecutive
+    vertices of l is one cost-0 row whose run is the arc's inner
+    vertices, and an arc meeting d is dropped; every edge of l that is
+    not an arc of one step is a cost-1 row.  The terminals are checked
+    against the band one by one (AnnulusBand.has_vertex), so no disk's
+    sets are built for them.
     """
     _require_in_graph(g, l)
     node_budget = node_budget if node_budget is not None else default_budget()
@@ -283,19 +326,31 @@ def minimal_linkage(g, cycles, d, l, node_budget=None):
         if hit:
             raise TmhError("linkage meets the forbidden region at %r"
                            % (sorted(hit)[0],))
-    steps = {}
+    lv = l.vertices
+    steps = {x: [] for x in lv}
+    adjacent = set()
     for c in cycles.cycles:
-        for x, y in zip(c, c[1:] + c[:1]):
-            if x not in banned and y not in banned:
-                steps.setdefault(x, {})[y] = 0
-                steps.setdefault(y, {})[x] = 0
+        stops = [i for i, x in enumerate(c) if x in lv]
+        if len(stops) < 2:
+            continue
+        ring = c + c
+        for i, j in zip(stops, stops[1:] + [stops[0] + len(c)]):
+            run = ring[i + 1:j]
+            if not banned.isdisjoint(run):
+                continue
+            x, y = c[i], ring[j]
+            steps[x].append((y, 0, run))
+            steps[y].append((x, 0, run[::-1]))
+            if not run:
+                adjacent.add((x, y))
+                adjacent.add((y, x))
     for p in l.paths:
         for x, y in zip(p, p[1:]):
-            steps.setdefault(x, {}).setdefault(y, 1)
-            steps.setdefault(y, {}).setdefault(x, 1)
+            if (x, y) not in adjacent:
+                steps[x].append((y, 1, ()))
+                steps[y].append((x, 1, ()))
     pairs = [tuple(sorted(pair)) for pair in l.pattern]
-    found = _search_linkages({x: sorted(ws.items()) for x, ws in steps.items()},
-                             pairs, node_budget)
+    found = _search_linkages(steps, pairs, node_budget)
     if found is None:
         raise TmhError("the linkage itself vanished from its own search space")
     _, paths = found
@@ -361,7 +416,7 @@ def classify_terrain(g, cycles, d, l):
     band = cycles.annulus(1, r)
     cyc_sets = [set(c) for c in cycles.cycles]
     cyc_of = {v: i for i, c in enumerate(cycles.cycles, start=1) for v in c}
-    cyc_edge_sets = [set(_path_edges(c, closed=True)) for c in cycles.cycles]
+    cyc_pos = {v: t for c in cycles.cycles for t, v in enumerate(c)}
     all_faces = set(range(len(emb.faces)))
     # a disk builds its face set on each read, so each is read once
     interior = functools.cache(lambda i: regions[i - 1].interior_faces)
@@ -407,12 +462,16 @@ def classify_terrain(g, cycles, d, l):
             if base_i is None:
                 continue
             reg = regions[base_i - 1]
-            cyc_edges = cyc_edge_sets[base_i - 1]
+            size = len(cycles.cycles[base_i - 1])
             contact_runs = 1
             for b in range(a + 1, n):
                 if cyc_of.get(pi[b]) != base_i:
                     continue
-                if _normalize_edge(pi[b - 1], pi[b]) not in cyc_edges:
+                # a step along the base cycle joins two neighbours on it
+                prev = pi[b - 1]
+                if (cyc_of.get(prev) != base_i
+                        or (cyc_pos[prev] - cyc_pos[pi[b]]) % size
+                        not in (1, size - 1)):
                     contact_runs += 1
                     if contact_runs > 2:
                         break

@@ -202,12 +202,24 @@ def find_tm_model(g, h, budget=None, candidates=None, forbidden_interior=()):
         # interior vertex, never forbidden, or the image of a pattern
         # neighbour reached over a direct edge; images short of such
         # neighbours root subtrees without a model, so dropping them keeps
-        # the first model found
+        # the first model found.  A candidate next to no forbidden vertex
+        # can use each of its neighbours, so only the others are counted
         need = h.degree(p)
-        ends = set().union(*(cands.get(q, host_vs) for q in h.neighbors(p)))
-        return [c for c in sorted(cands.get(p, host_vs)) if c in g
-                and sum(w not in forbidden_interior or w in ends
-                        for w in g.neighbors(c)) >= need]
+        ends = None
+        kept = []
+        for c in sorted(cands.get(p, host_vs)):
+            if c not in g or g.degree(c) < need:
+                continue
+            nbrs = g.neighbors(c)
+            if not forbidden_interior.isdisjoint(nbrs):
+                if ends is None:
+                    ends = set().union(*(cands.get(q, host_vs)
+                                         for q in h.neighbors(p)))
+                if sum(w not in forbidden_interior or w in ends
+                       for w in nbrs) < need:
+                    continue
+            kept.append(c)
+        return kept
 
     allowed_at = {p: allowed(p) for p in pattern_vs}
     pattern_edges = h.sorted_edges()

@@ -3,9 +3,11 @@ linkages, terrain classification with tightness, stream orderings, grid and
 rail rerouting, composite boundary cycles, and the two taming entry points."""
 
 import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -893,7 +895,7 @@ class TestTamingIdentity:
             # taming reads the host and the band by their rows only
             assert (g._edges, band.embedding.graph._edges) == (None, None)
         assert len(outs) == 92
-        assert spent.used == 57814
+        assert spent.used == 2494
         assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == \
             "b01a65a88c3d7753d4ff6171c9515f2ed3ac81b1ad95c5633cbb0a68db434ea4"
 
@@ -916,8 +918,9 @@ class TestTamingIdentity:
 def _reference_search_linkages(host, pairs, node_budget, better_than=None,
                                base_edges=None, exclude_key=None,
                                stop_on_first=False):
-    """_search_linkages with a fresh copy of the path and its vertex set at
-    every step."""
+    """_search_linkages on a host graph, one vertex per step, with a fresh
+    copy of the path and its vertex set at every step; base_edges cost 0
+    and every other host edge 1."""
     pairs = sorted((min(u, v), max(u, v)) for u, v in pairs)
     if len(set(pairs)) != len(pairs):
         raise TmhError("pattern pairs must be distinct")
@@ -981,56 +984,122 @@ def _reference_search_linkages(host, pairs, node_budget, better_than=None,
     return (best[0][0], best[0][2])
 
 
-def _record_searches(monkeypatch):
-    """Record every _search_linkages call: its step table, pairs and
-    keywords, its result and the search nodes it spent."""
-    real = tmh.linkage._search_linkages
+def _record_calls(monkeypatch, name):
+    """Record every call of tmh.linkage's function name: its positional
+    arguments, its result and the search nodes it spent, with every
+    search charged to one budget that default_budget hands out."""
+    spent = SearchBudget(DEFAULT_BUDGET_NODES)
+    monkeypatch.setattr(tmh.linkage, "default_budget", lambda: spent)
+    real = getattr(tmh.linkage, name)
     calls = []
 
-    def recording(steps, pairs, node_budget, **kw):
-        before = node_budget.used
-        out = real(steps, pairs, node_budget, **kw)
-        calls.append((steps, pairs, kw, out, node_budget.used - before))
+    def recording(*args, **kw):
+        before = spent.used
+        out = real(*args, **kw)
+        calls.append((args, out, spent.used - before))
         return out
 
-    monkeypatch.setattr(tmh.linkage, "_search_linkages", recording)
+    monkeypatch.setattr(tmh.linkage, name, recording)
     return calls
 
 
-def _steps_host(steps):
-    """The host graph a step table describes and its cost-0 edges, after
-    checking that each row lists its neighbours in increasing order and
-    that every step is listed from both ends at the same cost."""
-    costs = {}
-    for x, row in steps.items():
-        ws = [w for w, _ in row]
-        assert ws == sorted(set(ws))
-        for w, c in row:
-            assert c in (0, 1) and (x, c) in steps[w]
-            costs[_normalize_edge(x, w)] = c
-    return Graph(steps, costs), {e for e, c in costs.items() if c == 0}
+def _pairs(l):
+    return [tuple(sorted(pair)) for pair in l.pattern]
 
 
-def _assert_searches_match(calls):
-    """Every recorded search gives the copying reference's result for the
-    same number of search nodes, on the host its step table describes with
-    the cost-0 steps as the base edges."""
-    for steps, pairs, kw, out, spent in calls:
-        host, base = _steps_host(steps)
-        budget = SearchBudget(DEFAULT_BUDGET_NODES)
-        assert _reference_search_linkages(host, pairs, budget, base_edges=base,
-                                          **kw) == out
-        assert budget.used == spent
+def _reference_result(host, pairs, base, better_than=None):
+    return _reference_search_linkages(host, pairs, SearchBudget(DEFAULT_BUDGET_NODES),
+                                      better_than=better_than, base_edges=base)
 
 
-class TestInPlaceSearch:
-    """The rerouting search extends its path in place; its results and
-    search node counts stay those of the search that copied the path."""
+def _reference_paths(host, pairs, base, better_than=None):
+    found = _reference_result(host, pairs, base, better_than)
+    return None if found is None else found[1]
+
+
+def _paths(l):
+    return None if l is None else list(l.paths)
+
+
+def _minimal_host(cycles, d, l):
+    """The host minimal_linkage searches, unfolded: the cycles minus the
+    closed region d, plus the linkage's edges, and the cycle edges left
+    as the base."""
+    banned = d.vertices("closed") if d is not None else frozenset()
+    base = {e for c in cycles.cycles for e in _path_edges(c, closed=True)
+            if banned.isdisjoint(e)}
+    return Graph(set(l.vertices).union(*base), base | l.edges), base
+
+
+def _unfolded_steps(host, base):
+    """One row per host edge, cost 0 on the base, with empty runs."""
+    return {x: [(w, 0 if _normalize_edge(x, w) in base else 1, ())
+                for w in host.neighbors(x)] for x in host.vertices}
+
+
+class _Family:
+    """What minimal_linkage reads of a NestedCycles: the cycles and the
+    band's membership test."""
+
+    def __init__(self, cycles):
+        self.cycles = cycles
+        self.r = len(cycles)
+
+    def annulus(self, x, y):
+        on = {v for c in self.cycles[x - 1:y] for v in c}
+        return SimpleNamespace(has_vertex=on.__contains__)
+
+
+def _cycle_family_case(seed):
+    """A random linkage over disjoint cycles and a forbidden region, as
+    minimal_linkage takes them.  The linkage meets the first cycle once
+    and the second twice, so two arcs join the same two vertices, and the
+    later cycles at random, sometimes along a cycle edge; it also passes
+    through vertices off the cycles.  The region bans at least one vertex
+    off the linkage on each later cycle, cutting arcs."""
+    rng = random.Random(seed)
+    cycles = []
+    ids = itertools.count()
+    for _ in range(rng.randint(3, 5)):
+        cycles.append(tuple(next(ids) for _ in range(rng.randint(3, 8))))
+    blocks = []
+    for i, c in enumerate(cycles):
+        k = i + 1 if i < 2 else rng.randint(0, len(c) - 1)
+        picked = sorted(rng.sample(range(len(c)), k))
+        if rng.random() < 0.5:
+            rng.shuffle(picked)
+        blocks.append([c[t] for t in picked])
+    rng.shuffle(blocks)
+    seq = [v for b in blocks for v in b]
+    cuts = sorted(rng.sample(range(1, len(seq)), rng.randint(0, 2)))
+    paths = []
+    for lo, hi in zip([0] + cuts, cuts + [len(seq)]):
+        path = [next(ids)]
+        for v in seq[lo:hi]:
+            if rng.random() < 0.3:
+                path.append(next(ids))
+            path.append(v)
+        path.append(next(ids))
+        paths.append(path)
+    l = Linkage(paths)
+    banned = set()
+    for c in cycles[2:]:
+        spare = [v for v in c if v not in l.vertices]
+        banned.add(rng.choice(spare))
+        banned.update(v for v in spare if rng.random() < 0.2)
+    edges = {e for c in cycles for e in _path_edges(c, closed=True)} | l.edges
+    d = SimpleNamespace(vertices=lambda kind: frozenset(banned))
+    return Graph(set().union(*edges), edges), _Family(cycles), d, l
+
+
+class TestFoldedSearch:
+    """The rerouting search steps over runs of pass-through vertices; its
+    results stay those of the copying search on the unfolded host."""
 
     def test_one_taming_round_searches_like_the_copying_reference(self, monkeypatch):
         # the 92 calls of the benchmark's taming part at seed 0: every
         # linkage, and the model of every annulus deeper than 11
-        searches = _record_searches(monkeypatch)
+        calls = _record_calls(monkeypatch, "minimal_linkage")
         tamed = []
         for idx, (R, *_) in enumerate(_matrix_rows()):
             g, band, mid, l, m = _matrix_case(idx)
@@ -1040,13 +1109,15 @@ class TestInPlaceSearch:
                                            budget=zero_budget()))
         monkeypatch.undo()
         assert len(tamed) == 92
-        assert len(searches) == 168
-        _assert_searches_match(searches)
-        # the round's search node count, as the copying search spent it
-        assert sum(spent for *_, spent in searches) == 57814
+        assert len(calls) == 168
+        for (g, cycles, d, l), out, _ in calls:
+            host, base = _minimal_host(cycles, d, l)
+            assert _paths(out) == _reference_paths(host, _pairs(l), base)
+        # the round's search nodes over the folded step tables
+        assert sum(spent for *_, spent in calls) == 2494
 
     def test_vitality_and_improvement_match_the_reference(self, monkeypatch):
-        searches = _record_searches(monkeypatch)
+        calls = _record_calls(monkeypatch, "improve_linkage")
         verdicts = [
             is_vital(Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)]),
                      Linkage([(1, 2, 3, 4)])),
@@ -1054,15 +1125,54 @@ class TestInPlaceSearch:
             is_vital(Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)]),
                      Linkage([(2, 1, 3, 4)])),
         ]
-        improve_linkage(LBPair(Linkage([(1, 2, 3)]), Graph([1, 3], [(1, 3)])))
+        improve = tmh.linkage.improve_linkage
+        improve(LBPair(Linkage([(1, 2, 3)]), Graph([1, 3], [(1, 3)])))
         for seed in range(12):
             _, cur = seeded_lb_pair(seed)
-            while (nxt := improve_linkage(cur)) is not None:
+            while (nxt := improve(cur)) is not None:
                 cur = LBPair(nxt, cur.base)
         monkeypatch.undo()
         assert verdicts == [True, False, False]
-        # is_vital runs the reference search itself, so every recorded
-        # search is an improvement
-        assert searches and all("better_than" in kw for _, _, kw, _, _ in searches)
-        _assert_searches_match(searches)
+        for (lb,), out, _ in calls:
+            host = lb.linkage.union_graph().union(lb.base)
+            assert _paths(out) == _reference_paths(
+                host, _pairs(lb.linkage), lb.base.edges, better_than=lb.cae)
+        assert len(calls) == 22
+        # their search nodes over the folded step tables
+        assert sum(spent for *_, spent in calls) == 102
 
+    def test_folding_matches_the_reference_on_random_families(self):
+        # every case has a cycle met once, two arcs between the same two
+        # vertices, arcs cut by the region and linkage vertices off the
+        # cycles; each is searched three ways against the unfolded host
+        seen = set()
+        for seed in range(80):
+            g, family, d, l = _cycle_family_case(seed)
+            host, base = _minimal_host(family, d, l)
+            steps = _unfolded_steps(host, base)
+            want = _reference_result(host, _pairs(l), base)
+            assert list(minimal_linkage(g, family, d, l).paths) == want[1]
+            assert tmh.linkage._search_linkages(
+                steps, _pairs(l), SearchBudget(DEFAULT_BUDGET_NODES)) == want
+            # the linkage itself ties the bound, so improvement must turn
+            # ties away as the copying search does
+            lb = LBPair(l, Graph(set().union(*base), base))
+            got = improve_linkage(lb)
+            assert _paths(got) == _reference_paths(host, _pairs(l), base,
+                                                   better_than=lb.cae)
+            seen.add(("improved", got is not None))
+            # terminals on cycle vertices off the linkage, which would
+            # otherwise fold into a run, under bounds that cut ties
+            rng = random.Random(seed)
+            on_runs = sorted(v for c in family.cycles for v in c
+                             if v in host and v not in l.vertices)
+            ends = rng.sample(on_runs, 1) + rng.sample(sorted(host.vertices), 3)
+            ends = list(dict.fromkeys(ends))[:2 * rng.randint(1, 2)]
+            pairs = list(zip(ends[::2], ends[1::2]))
+            better_than = rng.choice([None, 0, 1, 2, 3])
+            want = _reference_result(host, pairs, base, better_than)
+            assert tmh.linkage._search_linkages(
+                steps, pairs, SearchBudget(DEFAULT_BUDGET_NODES),
+                better_than=better_than) == want
+            seen.add(("routed", want is not None))
+        assert len(seen) == 4
