@@ -187,20 +187,22 @@ class RailedAnnulus:
     def confinement_offenders(self, model, s, rail_indices):
         """Vertices and edges of the model (any object with vertices and
         edges: a Graph, a Linkage) inside the middle s-band that are not
-        covered by the rails indexed by rail_indices (1-based)."""
+        covered by the rails indexed by rail_indices (1-based).  Each
+        element is tested on its own (AnnulusBand.inside), and an edge is
+        covered when its ends are consecutive on one rail."""
         band = self.middle_band(s)
-        allowed_v = set()
-        allowed_e = set()
+        on_rail = {}
         for j in rail_indices:
             if not (1 <= j <= self.q):
                 raise TmhError("rail index %r out of range [1, %d]" % (j, self.q))
-            rail = self.rails[j - 1]
-            allowed_v.update(rail)
-            allowed_e.update(_path_edges(rail))
-        bad_v = frozenset(v for v in model.vertices
-                          if v in band.vertices and v not in allowed_v)
-        bad_e = frozenset(e for e in model.edges
-                          if e in band.edges and e not in allowed_e)
+            for k, v in enumerate(self.rails[j - 1]):
+                on_rail[v] = (j, k)
+        vs, es = band.inside(model.vertices, model.edges)
+        bad_v = frozenset(v for v in vs if v not in on_rail)
+        bad_e = frozenset(e for e in es
+                          if e[0] not in on_rail or e[1] not in on_rail
+                          or on_rail[e[0]][0] != on_rail[e[1]][0]
+                          or abs(on_rail[e[0]][1] - on_rail[e[1]][1]) != 1)
         return bad_v, bad_e
 
     def confines(self, model, s, rail_indices):
@@ -415,30 +417,44 @@ class RailGeometry:
     cycle, radial connector paths along a rail, and the disks enclosed by
     four-sided frames of those pieces.
 
-    The per-cycle reference edge set is the arc between the last and the
-    first rail crossing that avoids the second rail; removing it turns the
-    cycle into a linear order of the rails, which is what makes lateral
-    shortest paths well defined.  Cycles where both arcs avoid the second
-    rail are recorded in ambiguous_cycles (the shorter arc is used).
+    The per-cycle reference edges are the arc between the last and the
+    first rail crossing that avoids the second rail; removing them turns
+    the cycle into a linear order of the rails, which is what makes
+    lateral shortest paths well defined.  Cycles where both arcs avoid the
+    second rail are recorded in ambiguous_cycles (the shorter arc is
+    used).
 
-    Only the reference edges are computed up front.  Lateral and radial
-    paths and frame disks are computed on first request and kept in
-    l_paths, r_paths and delta_disks, so a caller pays for the pieces it
-    reads.  A lateral path that does not exist is refused with TmhError
-    when it is first requested.
+    Only the arcs are computed up front, each as an index range of its
+    cycle: arcs[i] is (start, length), the arc's length vertices from
+    cycle i's vertex start on, forward.  reference_edges builds the edge
+    sets from them on each read.  Lateral and radial paths and frame
+    disks are computed on first request and kept in l_paths, r_paths and
+    delta_disks, so a caller pays for the pieces it reads.  A lateral path
+    that does not exist is refused with TmhError when it is first
+    requested.
     """
 
-    __slots__ = ("annulus", "reference_edges", "l_paths", "r_paths",
+    __slots__ = ("annulus", "arcs", "l_paths", "r_paths",
                  "delta_disks", "ambiguous_cycles", "_lateral_orders")
 
-    def __init__(self, annulus, reference_edges, ambiguous_cycles):
+    def __init__(self, annulus, arcs, ambiguous_cycles):
         self.annulus = annulus
-        self.reference_edges = reference_edges
+        self.arcs = arcs
         self.ambiguous_cycles = tuple(ambiguous_cycles)
         self.l_paths = {}
         self.r_paths = {}
         self.delta_disks = {}
         self._lateral_orders = {}
+
+    @property
+    def reference_edges(self):
+        """Cycle index -> the frozenset of its reference edges, each low to
+        high, built from arcs on each read."""
+        out = {}
+        for i, (start, length) in self.arcs.items():
+            cyc = self.annulus.cycles.cycles[i - 1]
+            out[i] = frozenset(_path_edges((cyc + cyc)[start:start + length]))
+        return out
 
     def l_path(self, i, j, jp):
         """Shortest path on cycle i from a crossing of rail j to one of
@@ -481,41 +497,34 @@ class RailGeometry:
         """Cycle i minus its reference edges, as a vertex order and an index
         map.  The reference arc joins two disjoint crossings, so it has at
         least one edge and misses at least one: what is left is a path,
-        which starts where the arc ends.  The arc's inner vertices lie on
-        no remaining edge and are left out."""
+        the slice of the cycle from the arc's last vertex round to its
+        first.  The arc's inner vertices lie on no remaining edge and are
+        left out."""
         if i not in self._lateral_orders:
-            cyc = tuple(self.annulus.cycles.cycles[i - 1])
-            n = len(cyc)
-            ref = self.reference_edges[i]
-            # on_ref[k]: the step into cyc[k] is a reference edge
-            on_ref = [_normalize_edge(cyc[k - 1], cyc[k]) in ref for k in range(n)]
-            start = next(k for k in range(n)
-                         if on_ref[k] and not on_ref[(k + 1) % n])
-            order = (cyc[start:] + cyc[:start])[:n - len(ref) + 1]
+            cyc = self.annulus.cycles.cycles[i - 1]
+            start, length = self.arcs[i]
+            end = start + length - 1
+            order = (cyc + cyc)[end:end + len(cyc) - length + 2]
             self._lateral_orders[i] = order, {v: k for k, v in enumerate(order)}
         return self._lateral_orders[i]
 
     def r_path(self, i, ip, j):
         """The segment of rail j from its crossing with cycle i to its
-        crossing with cycle ip, oriented from i."""
+        crossing with cycle ip, oriented from i.  A rail crosses the cycles
+        in inward order, each in a run of consecutive rail vertices, so
+        the segment runs from the last vertex of the outer cycle's run to
+        the first of the inner one's."""
         if i == ip:
             raise TmhError("radial path needs two distinct cycles, got %d" % i)
         key = (i, ip, j)
         if key in self.r_paths:
             return self.r_paths[key]
         a = self.annulus
-        runs = {c: a.crossings[(c, j)] for c in (i, ip)}
-        rail = list(a.rails[j - 1])
-        pos = {v: k for k, v in enumerate(rail)}
-        spans = {}
-        for c, run in runs.items():
-            ks = [pos[v] for v in run]
-            spans[c] = (min(ks), max(ks))
-        lo, hi = (i, ip) if spans[i][0] < spans[ip][0] else (ip, i)
-        seg = rail[spans[lo][1]:spans[hi][0] + 1]
-        if lo != i:
-            seg = list(reversed(seg))
-        self.r_paths[key] = tuple(seg)
+        rail = a.rails[j - 1]
+        lo, hi = min(i, ip), max(i, ip)
+        seg = rail[rail.index(a.crossings[(lo, j)][-1]):
+                   rail.index(a.crossings[(hi, j)][0]) + 1]
+        self.r_paths[key] = seg if lo == i else seg[::-1]
         return self.r_paths[key]
 
     def delta_disk(self, i, ip, j, jp):
@@ -530,67 +539,59 @@ class RailGeometry:
     def _frame_cycle(self, key):
         """The unique cycle, in order, of the frame that delta_disk(*key)
         bounds; refused when the indices do not increase or the frame does
-        not close into one cycle."""
+        not close into one cycle.
+
+        The frame is the two lateral and the two radial paths, each
+        joined to the next along the crossing where the first ends and the
+        second starts.  Each path meets the rest of the frame only in the
+        crossings at its ends, so the joined walk, when it repeats no
+        vertex, is the frame's unique cycle: what is left of each crossing
+        hangs off it.  A walk that cannot be joined or that repeats a
+        vertex is refused."""
         i, ip, j, jp = key
         if not (i < ip):
             raise TmhError("cycle indices must increase, got %d, %d" % (i, ip))
         if not (j < jp):
             raise TmhError("rail indices must increase, got %d, %d" % (j, jp))
         a = self.annulus
-        pieces = [
-            a.crossings[(i, j)], self.l_path(i, j, jp), a.crossings[(i, jp)],
-            self.r_path(i, ip, jp), a.crossings[(ip, jp)],
-            self.l_path(ip, jp, j), a.crossings[(ip, j)],
-            self.r_path(ip, i, j),
-        ]
-        adj = {v: set() for seq in pieces for v in seq}
-        for seq in pieces:
-            for u, v in zip(seq, seq[1:]):
-                adj[u].add(v)
-                adj[v].add(u)
-        stack = [v for v, nb in adj.items() if len(nb) <= 1]
-        while stack:
-            v = stack.pop()
-            if v not in adj:
-                continue
-            for u in adj.pop(v):
-                adj[u].discard(v)
-                if len(adj[u]) <= 1:
-                    stack.append(u)
-        order = _cycle_order(adj)
+        paths = [self.l_path(i, j, jp), self.r_path(i, ip, jp),
+                 self.l_path(ip, jp, j), self.r_path(ip, i, j)]
+        joints = [a.crossings[(i, jp)], a.crossings[(ip, jp)],
+                  a.crossings[(ip, j)], a.crossings[(i, j)]]
+        walk = []
+        for path, joint, nxt in zip(paths, joints, paths[1:] + paths[:1]):
+            if path[-1] not in joint or nxt[0] not in joint:
+                walk = None
+                break
+            x, y = joint.index(path[-1]), joint.index(nxt[0])
+            walk += path[:-1]
+            walk += joint[x:y] if x <= y else joint[x:y:-1]
+        order = _cycle_order(walk) if walk is not None else None
         if order is None:
             raise TmhError("frame %r does not close into a unique cycle" % (key,))
         return order
 
 
-def _cycle_arc(order, start, end, step):
-    """Vertices of the cycle arc from index start to index end, walking by
-    step (+1 or -1), endpoints included."""
-    n = len(order)
-    out = [order[start % n]]
-    k = start
-    while k % n != end % n:
-        k += step
-        out.append(order[k % n])
-    return out
-
-
 def rail_geometry(a):
-    """The rail geometry of an annulus: the reference edges now, and the
+    """The rail geometry of an annulus: the reference arcs now, and the
     lateral and radial paths and enclosed disks lazily, on first request
     (see RailGeometry).  A cycle on which no arc avoids the second rail is
     refused here with TmhError; a missing lateral path is refused only
-    when that path, or a disk framed by it, is first requested."""
-    ref = {}
+    when that path, or a disk framed by it, is first requested.
+
+    Each arc is read off the positions of the crossings on its cycle: the
+    forward arc from the end of rail q's crossing to the start of rail
+    1's, the backward one from the end of rail 1's to the start of rail
+    q's, and the second rail meets an arc exactly where its own crossing
+    of that cycle lies in the arc's range."""
+    arcs = {}
     ambiguous = []
-    rail2 = set(a.rails[1])
     for i in range(1, a.r + 1):
-        cyc = list(a.cycles.cycles[i - 1])
-        pos = {v: k for k, v in enumerate(cyc)}
+        cyc = a.cycles.cycles[i - 1]
         n = len(cyc)
 
         def run_bounds(verts):
-            ks = sorted(pos[v] for v in verts)
+            ks = sorted(map(cyc.index, verts))
             if len(ks) == n:
                 raise TmhError("a crossing swallows the whole cycle")
             # contiguous modulo n: find the gap and unwrap
@@ -603,18 +604,18 @@ def rail_geometry(a):
 
         sq, eq = run_bounds(a.crossings[(i, a.q)])
         so, eo = run_bounds(a.crossings[(i, 1)])
-        forward = _cycle_arc(cyc, eq, so, +1)
-        backward = _cycle_arc(cyc, sq, eo, -1)
-        choices = [arc for arc in (forward, backward)
-                   if not (set(arc) & rail2)]
+        second = [cyc.index(v) for v in a.crossings[(i, 2)]]
+        choices = [(start, length) for start, length in
+                   ((eq, (so - eq) % n + 1), (eo, (sq - eo) % n + 1))
+                   if all((k - start) % n >= length for k in second)]
         if not choices:
             raise TmhError("no reference arc avoids the second rail on cycle %d" % i)
         if len(choices) == 2:
             ambiguous.append(i)
-            choices.sort(key=len)
-        ref[i] = frozenset(_path_edges(choices[0]))
+            choices.sort(key=lambda arc: arc[1])
+        arcs[i] = choices[0]
 
-    return RailGeometry(a, ref, ambiguous)
+    return RailGeometry(a, arcs, ambiguous)
 
 
 def sub_annulus(a, lo, hi):

@@ -24,6 +24,7 @@ needed.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 
@@ -269,31 +270,45 @@ def greedy_treewidth(g):
     A vertex of degree d whose neighbours span e edges has fill
     C(d, 2) - e, and 2e is the sum over its neighbours u of
     |N(u) & N(v)|, read off the bitmask adjacency.  Each step eliminates
-    the least vertex of least fill, so the scan stops at the first
-    vertex of fill 0."""
+    the least vertex of least fill, popped from a heap of (fill, vertex).
+    Eliminating v changes the neighbourhoods of its neighbours and the
+    edges among the neighbours of their neighbours only, so only those
+    fills are computed again; an entry whose fill is stale is skipped."""
     adj = _bitmask_adjacency(g)
-    alive = list(range(g.n))
+
+    def fill(i):
+        nb = adj[i]
+        d = nb.bit_count()
+        twice = d * (d - 1)  # twice the fill, as is every term below
+        m = nb
+        while m:
+            b = m & -m
+            m ^= b
+            twice -= (adj[b.bit_length() - 1] & nb).bit_count()
+        return twice
+
+    fills = [fill(i) for i in range(g.n)]
+    heap = [(f, i) for i, f in enumerate(fills)]
+    heapq.heapify(heap)
+    gone = 0
     picks = []
     later = []
-    while alive:
-        pick = pick_fill = None
-        for i in alive:
-            nb = adj[i]
-            d = nb.bit_count()
-            fill = d * (d - 1)  # twice the fill, as is every term below
-            m = nb
-            while m:
-                b = m & -m
-                m ^= b
-                fill -= (adj[b.bit_length() - 1] & nb).bit_count()
-            if pick_fill is None or fill < pick_fill:
-                pick, pick_fill = i, fill
-                if not fill:
-                    break
+    while len(picks) < g.n:
+        f, pick = heapq.heappop(heap)
+        if gone >> pick & 1 or f != fills[pick]:
+            continue
         picks.append(pick)
         later.append(adj[pick])
-        alive.remove(pick)
+        gone |= 1 << pick
         _eliminate(adj, pick)
+        near = later[-1]
+        for j in _bits(later[-1]):
+            near |= adj[j]
+        for j in _bits(near & ~gone):
+            f = fill(j)
+            if f != fills[j]:
+                fills[j] = f
+                heapq.heappush(heap, (f, j))
     return _fill_in_decomposition(g, picks, later)
 
 

@@ -349,20 +349,18 @@ class MutableAdjacency:
             doomed.extend(w for w in ns if len(adj[w]) <= 1)
 
 
-def _cycle_order(adj):
-    """If the graph with adjacency map adj (vertex -> its neighbours) is a
-    single cycle, its vertices in cyclic order from the smallest vertex
-    toward its smaller neighbour, so the order is deterministic; else None."""
-    if len(adj) < 3 or any(len(nb) != 2 for nb in adj.values()):
+def _cycle_order(walk):
+    """The vertices of the closed walk (a list, its last vertex joined back
+    to its first) in cyclic order from the smallest vertex toward its
+    smaller neighbour, so the order is deterministic; None if the walk has
+    fewer than 3 vertices or repeats one, so that it is no cycle."""
+    n = len(walk)
+    if n < 3 or len(set(walk)) != n:
         return None
-    start = min(adj)
-    order = [start]
-    prev, cur = start, min(adj[start])
-    while cur != start:
-        order.append(cur)
-        a, b = adj[cur]
-        prev, cur = cur, (a if a != prev else b)
-    return order if len(order) == len(adj) else None
+    k = walk.index(min(walk))
+    if walk[(k + 1) % n] < walk[k - 1]:
+        return walk[k:] + walk[:k]
+    return walk[k::-1] + walk[:k:-1]
 
 
 def _augment(residual, source, sink, limit):
@@ -923,7 +921,7 @@ class DiskRegion:
         cyc = list(cycle_vertices)
         outside = set()
         _flood(embedding, outside, [embedding.outer_face],
-               _cycle_edges(embedding, cyc))
+               _cycle_darts(embedding, cyc))
         depth = array("I", [1]) * len(embedding.faces)
         for f in outside:
             depth[f] = 0
@@ -1026,39 +1024,79 @@ def _is_open(mode):
     return mode == "open"
 
 
-def _cycle_edges(embedding, cyc):
-    """The edge set of a bounding cycle, refused unless the cycle has at
-    least 3 vertices and every step is an edge."""
-    k = len(cyc)
-    if k < 3:
+def _cycle_darts(embedding, cyc):
+    """The darts of a bounding cycle, both ways (see _walk_darts), refused
+    unless the cycle has at least 3 vertices and every step is an edge."""
+    if len(cyc) < 3:
         raise EmbeddingError("a bounding cycle needs at least 3 vertices")
-    cycle_edges = set()
-    for i in range(k):
-        u, v = cyc[i], cyc[(i + 1) % k]
-        if not embedding.graph.has_edge(u, v):
+    return _walk_darts(embedding, list(cyc) + [cyc[0]])
+
+
+def _walk_darts(embedding, walk):
+    """The set of the darts of the steps of walk, each step both ways, as
+    dart ids.  A step's dart is found by turning about its tail through
+    the rotation from the reverse of the step before; the first step
+    turns from the dart toward rotation[tail][0], as if the walk had come
+    from there.  A step that is not an edge is refused with
+    EmbeddingError."""
+    rot = embedding.rotation
+    twin, across, base = embedding._twin, embedding._across, embedding._face_base
+    u, v = walk[0], walk[1]
+    if v not in rot.get(u, ()):
+        raise EmbeddingError("cycle step %r-%r is not an edge" % (u, v))
+    prev = rot[u][0]
+    d = twin[embedding._vertex_dart[bisect.bisect_left(embedding.graph.vertices, u)]]
+    darts = set()
+    add = darts.add
+    for u, v in zip(walk, walk[1:]):
+        order = rot.get(u, ())
+        if v not in order:
             raise EmbeddingError("cycle step %r-%r is not an edge" % (u, v))
-        cycle_edges.add(_normalize_edge(u, v))
-    return cycle_edges
+        # the dart after the twin of the one toward w leaves u toward the
+        # neighbour after w (see PlaneEmbedding._around); at a vertex of
+        # degree two that is the other neighbour
+        turns = ((order.index(v) - order.index(prev)) % len(order) if len(order) > 2
+                 else v != prev)
+        d = twin[d]
+        while turns:
+            f = across[d]
+            d = twin[d] + 1
+            if d == base[f + 1]:
+                d = base[f]
+            turns -= 1
+        add(d)
+        add(twin[d])
+        prev = u
+    return darts
 
 
 def _flood(embedding, outside, seeds, cut, blocked=None):
     """Add to the face set outside every face the seeds reach in the dual
-    graph without crossing an edge of cut; returns the faces added.  A
-    list blocked receives the face across each step along cut on the
-    way."""
+    graph without crossing a dart of cut, a set of dart ids that holds
+    both darts of each edge it cuts (_walk_darts); returns the faces
+    added, in no particular order.  A list blocked receives the face
+    across each step along cut on the way.  The faces across a face with
+    no dart in cut are taken as one slice of _across."""
     added = [f for f in dict.fromkeys(seeds) if f not in outside]
     outside.update(added)
     queue = deque(added)
+    base, across = embedding._face_base, embedding._across
     while queue:
-        for u, v, g in embedding._steps(queue.popleft()):
-            if ((u, v) if u < v else (v, u)) in cut:
-                if blocked is not None:
-                    blocked.append(g)
-                continue
-            if g not in outside:
-                outside.add(g)
-                added.append(g)
-                queue.append(g)
+        f = queue.popleft()
+        lo, hi = base[f], base[f + 1]
+        if cut.isdisjoint(range(lo, hi)):
+            fresh = set(across[lo:hi]).difference(outside)
+        else:
+            fresh = set()
+            for d in range(lo, hi):
+                if d in cut:
+                    if blocked is not None:
+                        blocked.append(across[d])
+                elif across[d] not in outside:
+                    fresh.add(across[d])
+        outside.update(fresh)
+        added.extend(fresh)
+        queue.extend(fresh)
     return added
 
 
@@ -1090,7 +1128,7 @@ def _nested_disks(embedding, cycles):
         if not seen.isdisjoint(c):
             raise EmbeddingError("nested cycles must be pairwise vertex-disjoint")
         seen.update(c)
-    cuts = [_cycle_edges(embedding, c) for c in cycles]
+    cuts = [_cycle_darts(embedding, c) for c in cycles]
     n_faces = len(embedding.faces)
     depth = array("I", [len(cycles)]) * n_faces
     plane = embedding._is_plane()
@@ -1164,7 +1202,7 @@ class NestedCycles:
 class AnnulusBand:
     """The band between nested cycles x <= y: the closed disk of the outer
     one minus the open disk of the inner one.  Its vertex and edge sets are
-    built on first read; has_vertex asks the two disks instead."""
+    built on first read; has_vertex and inside ask the two disks instead."""
 
     def __init__(self, outer, inner, x, y):
         self.outer, self.inner, self.x, self.y = outer, inner, x, y
@@ -1184,6 +1222,18 @@ class AnnulusBand:
             faces = outer.embedding._faces_at(v)
             return outer._at(v, False, faces) and not inner._at(v, True, faces)
         return outer.has_vertex(v, "closed") and not inner.has_vertex(v, "open")
+
+    def inside(self, vertices, edges):
+        """The given vertices and edges (a collection, maybe empty) that lie
+        in the band, as two sets, read off the two disks' own sets, so the
+        band builds no set of its own and no edge set is read for no
+        edges."""
+        vs = (self.outer.vertices("closed").intersection(vertices)
+              .difference(self.inner.vertices("open")))
+        if not edges:
+            return vs, set()
+        return vs, (self.outer.edges("closed").intersection(edges)
+                    .difference(self.inner.edges("open")))
 
     def subgraph_of(self, g):
         vs = self.vertices & set(g.vertices)

@@ -22,7 +22,7 @@ of returning an unverified object.
 import functools
 
 from .graphs import (DiskRegion, Graph, NestedCycles, TmhError, _augment, _flood,
-                     _normalize_edge, _path_edges)
+                     _normalize_edge, _path_edges, _walk_darts)
 from .annulus import _check_simple_path, rail_geometry
 from .tm import TmPair, arcs, default_budget, dissolve
 
@@ -78,31 +78,37 @@ class TamingBudget:
 
 
 class Linkage:
-    """Pairwise vertex-disjoint non-trivial paths, stored end to end."""
+    """Pairwise vertex-disjoint non-trivial paths, stored end to end.  The
+    edge set is built on its first read."""
 
-    __slots__ = ("paths", "pattern", "terminals", "vertices", "edges")
+    __slots__ = ("paths", "pattern", "terminals", "vertices", "_edges")
 
     def __init__(self, paths):
         clean = []
         seen = set()
-        edges = set()
         for p in paths:
             t = tuple(p)
             if len(t) < 2:
                 raise TmhError("a linkage path needs at least one edge, got %r" % (t,))
-            if len(set(t)) != len(t):
+            on = set(t)
+            if len(on) != len(t):
                 raise TmhError("linkage path revisits a vertex: %r" % (t,))
-            if seen & set(t):
-                clash = sorted(seen & set(t))[0]
-                raise TmhError("linkage paths share vertex %r" % (clash,))
-            seen |= set(t)
-            edges.update(_path_edges(t))
+            if not seen.isdisjoint(on):
+                raise TmhError("linkage paths share vertex %r" % (min(seen & on),))
+            seen |= on
             clean.append(t)
         self.paths = tuple(clean)
         self.pattern = frozenset(frozenset((t[0], t[-1])) for t in clean)
         self.terminals = frozenset(v for t in clean for v in (t[0], t[-1]))
         self.vertices = frozenset(seen)
-        self.edges = frozenset(edges)
+        self._edges = None
+
+    @property
+    def edges(self):
+        """The edges of the paths, each low to high."""
+        if self._edges is None:
+            self._edges = frozenset(e for t in self.paths for e in _path_edges(t))
+        return self._edges
 
     def union_graph(self):
         return Graph(self.vertices, self.edges)
@@ -131,9 +137,9 @@ def equivalent(l1, l2):
 
 def _require_in_graph(g, l, name="linkage"):
     for p in l.paths:
-        for u, v in zip(p, p[1:]):
-            if not g.has_edge(u, v):
-                raise TmhError("%s step %r-%r is not an edge of the host" % (name, u, v))
+        if not all(map(g.has_edge, p, p[1:])):
+            u, v = next((u, v) for u, v in zip(p, p[1:]) if not g.has_edge(u, v))
+            raise TmhError("%s step %r-%r is not an edge of the host" % (name, u, v))
 
 
 class LBPair:
@@ -328,22 +334,39 @@ def minimal_linkage(g, cycles, d, l, node_budget=None):
                            % (sorted(hit)[0],))
     lv = l.vertices
     steps = {x: [] for x in lv}
+    # each inner vertex of l -> its two neighbours on l
+    along = {p[k]: (p[k - 1], p[k + 1]) for p in l.paths for k in range(1, len(p) - 1)}
     adjacent = set()
     for c in cycles.cycles:
+        n = len(c)
         stops = [i for i, x in enumerate(c) if x in lv]
         if len(stops) < 2:
             continue
         ring = c + c
-        for i, j in zip(stops, stops[1:] + [stops[0] + len(c)]):
+        for i, j in zip(stops, stops[1:] + [stops[0] + n]):
+            if j == i + 1:
+                adjacent.add((c[i], ring[j]))
+                adjacent.add((ring[j], c[i]))
+        # l runs along the cycle through a vertex whose neighbours on l are
+        # its neighbours on the cycle: it is passed through, an inner
+        # vertex of the row joining the stops on its two sides
+        ends = [i for i in stops
+                if along.get(c[i]) not in ((c[i - 1], c[(i + 1) % n]),
+                                           (c[(i + 1) % n], c[i - 1]))]
+        fwd, bwd = {}, {}
+        for i, j in zip(ends, ends[1:] + [ends[0] + n]):
             run = ring[i + 1:j]
-            if not banned.isdisjoint(run):
+            if banned.isdisjoint(run):
+                fwd[c[i]] = (ring[j], 0, run)
+                bwd[ring[j]] = (c[i], 0, run[::-1])
+        for i in stops:
+            x = c[i]
+            if i not in ends:
+                del steps[x]
                 continue
-            x, y = c[i], ring[j]
-            steps[x].append((y, 0, run))
-            steps[y].append((x, 0, run[::-1]))
-            if not run:
-                adjacent.add((x, y))
-                adjacent.add((y, x))
+            # the rows in the order the arcs are met from the first stop on
+            rows = (fwd.get(x), bwd.get(x)) if i == stops[0] else (bwd.get(x), fwd.get(x))
+            steps[x].extend(row for row in rows if row is not None)
     for p in l.paths:
         for x, y in zip(p, p[1:]):
             if (x, y) not in adjacent:
@@ -408,22 +431,26 @@ def classify_terrain(g, cycles, d, l):
     terminals and the region d.  Rivers are the streams contained in no
     mountain or valley.  Features of height at most two are tight by
     definition; taller ones are checked for a witness chain.
+
+    Each path is scanned once: its maximal runs in the band, and its
+    contact runs with each cycle (a step along the cycle stays in a run).
+    A feature starts in one contact run of its base cycle and ends in the
+    next run of that cycle along the path.
     """
     _require_in_graph(g, l)
     emb = cycles.embedding
     r = cycles.r
     regions = cycles.regions
-    band = cycles.annulus(1, r)
-    cyc_sets = [set(c) for c in cycles.cycles]
     cyc_of = {v: i for i, c in enumerate(cycles.cycles, start=1) for v in c}
     cyc_pos = {v: t for c in cycles.cycles for t, v in enumerate(c)}
     all_faces = set(range(len(emb.faces)))
-    # a disk builds its face set on each read, so each is read once
-    interior = functools.cache(lambda i: regions[i - 1].interior_faces)
-    inner_seed = interior(r)
-    outer_seed = all_faces - interior(1)
-    d_faces = d.interior_faces if d is not None else frozenset()
-    d_closed = d.vertices("closed") if d is not None else frozenset()
+    # a disk builds its face set on each read, so each is read once, and
+    # only when a pocket is flooded; d's face set is interior(0)
+    interior = functools.cache(lambda i: regions[i - 1].interior_faces if i
+                               else d.interior_faces)
+    # the band of C_1..C_r, read off the two disks' sets
+    band_v = (regions[0].vertices("closed"), regions[r - 1].vertices("open"))
+    band_e = (regions[0].edges("closed"), regions[r - 1].edges("open"))
 
     streams = []
     mountains = []
@@ -435,12 +462,14 @@ def classify_terrain(g, cycles, d, l):
         runs = []
         idx = 0
         while idx < n:
-            if pi[idx] not in band.vertices:
+            if pi[idx] not in band_v[0] or pi[idx] in band_v[1]:
                 idx += 1
                 continue
             j = idx
-            while (j + 1 < n and pi[j + 1] in band.vertices
-                   and _normalize_edge(pi[j], pi[j + 1]) in band.edges):
+            while j + 1 < n and pi[j + 1] in band_v[0] and pi[j + 1] not in band_v[1]:
+                e = _normalize_edge(pi[j], pi[j + 1])
+                if e not in band_e[0] or e in band_e[1]:
+                    break
                 j += 1
             runs.append((idx, j))
             idx = j + 1
@@ -453,30 +482,38 @@ def classify_terrain(g, cycles, d, l):
                     p = pi[a:b + 1]
                     streams.append(p if cyc_of[p[0]] == 1 else tuple(reversed(p)))
 
-        # a feature has both ends on its base cycle (the cycles are
-        # disjoint, so the start fixes it) and meets that cycle in exactly
-        # two runs; the run count only grows with the subpath, so each
-        # start scans forward until a third run begins
-        for a in range(n):
-            base_i = cyc_of.get(pi[a])
+        # the contact runs of every cycle along the path: contact[t] is the
+        # run holding position t, after[k] the next run of run k's cycle
+        at = [cyc_of.get(v) for v in pi]
+        contact = [None] * n
+        bounds = []
+        after = {}
+        latest = {}
+        for t, base_i in enumerate(at):
             if base_i is None:
                 continue
-            reg = regions[base_i - 1]
             size = len(cycles.cycles[base_i - 1])
-            contact_runs = 1
-            for b in range(a + 1, n):
-                if cyc_of.get(pi[b]) != base_i:
-                    continue
-                # a step along the base cycle joins two neighbours on it
-                prev = pi[b - 1]
-                if (cyc_of.get(prev) != base_i
-                        or (cyc_pos[prev] - cyc_pos[pi[b]]) % size
-                        not in (1, size - 1)):
-                    contact_runs += 1
-                    if contact_runs > 2:
-                        break
-                if contact_runs < 2:
-                    continue
+            if (t and at[t - 1] == base_i
+                    and (cyc_pos[pi[t - 1]] - cyc_pos[pi[t]]) % size in (1, size - 1)):
+                contact[t] = contact[t - 1]
+                bounds[contact[t]][1] = t
+                continue
+            contact[t] = len(bounds)
+            if base_i in latest:
+                after[latest[base_i]] = len(bounds)
+            latest[base_i] = len(bounds)
+            bounds.append([t, t])
+
+        # a feature has both ends on its base cycle (the cycles are
+        # disjoint, so the start fixes it) and meets that cycle in exactly
+        # two contact runs, the start's and the next
+        for a in range(n):
+            if contact[a] not in after:
+                continue
+            base_i = at[a]
+            reg = regions[base_i - 1]
+            lo, hi = bounds[after[contact[a]]]
+            for b in range(lo, hi + 1):
                 p = pi[a:b + 1]
                 pv = set(p)
                 pe = set(_path_edges(p))
@@ -499,11 +536,11 @@ def classify_terrain(g, cycles, d, l):
                     # the base cycle leaves unreached
                     if kind == "mountain":
                         walled = all_faces - interior(base_i)
-                        seeds = inner_seed
+                        seeds = interior(r)
                     else:
                         walled = set(interior(base_i))
-                        seeds = outer_seed
-                    _flood(emb, walled, seeds, pe)
+                        seeds = all_faces - interior(1)
+                    _flood(emb, walled, seeds, _walk_darts(emb, p))
                     pocket_faces = all_faces - walled
                     if not pocket_faces:
                         continue
@@ -511,16 +548,16 @@ def classify_terrain(g, cycles, d, l):
                     pocket_v = pocket.vertices("closed")
                     if pocket_v & l.terminals:
                         continue
-                    if d is not None and (pocket_faces & d_faces
-                                          or pocket_v & d_closed):
+                    if d is not None and (pocket_faces & interior(0)
+                                          or pocket_v & d.vertices("closed")):
                         continue
                     if kind == "mountain":
                         deep = max(j for j in range(base_i, r + 1)
-                                   if pv & cyc_sets[j - 1])
+                                   if not pv.isdisjoint(cycles.cycles[j - 1]))
                         dehe = deep - base_i + 1
                     else:
                         shallow = min(j for j in range(1, base_i + 1)
-                                      if pv & cyc_sets[j - 1])
+                                      if not pv.isdisjoint(cycles.cycles[j - 1]))
                         dehe = base_i - shallow + 1
                     feature = TerrainFeature(kind, p, base_i, dehe, pocket)
                     if kind == "mountain":
@@ -645,19 +682,25 @@ def grid_reroute(dims, top, bottom):
     dims is (columns, rows) with rows <= columns; top and bottom are
     strictly increasing column lists of equal length, at most the row
     count.  Returns one path per pair as (row, column) tuples; the
-    left-to-right pairing is forced by planarity and verified.
+    left-to-right pairing is forced by planarity and verified.  The paths
+    of each request are routed once and kept (_grid_paths); every call
+    gets lists of its own.
     """
+    return [list(p) for p in _grid_paths(tuple(dims), tuple(top), tuple(bottom))]
+
+
+@functools.cache
+def _grid_paths(dims, top, bottom):
+    """grid_reroute's paths, as a tuple of tuples."""
     k, kp = dims
     if not (1 <= kp <= k):
         raise TmhError("grid dimensions need 1 <= rows <= columns, got %r" % (dims,))
-    top = list(top)
-    bottom = list(bottom)
     if len(top) != len(bottom):
         raise TmhError("top and bottom endpoint counts differ")
     rho = len(top)
     if rho == 0:
-        return []
-    for name, cols in (("top", top), ("bottom", bottom)):
+        return ()
+    for name, cols in (("top", list(top)), ("bottom", list(bottom))):
         if any(not (1 <= c <= k) for c in cols):
             raise TmhError("%s column out of range [1, %d]: %r" % (name, k, cols))
         if any(a >= b for a, b in zip(cols, cols[1:])):
@@ -696,7 +739,7 @@ def grid_reroute(dims, top, bottom):
     for c in bottom:
         arc(n_out(kp, c), sink)
     if _augment(residual, source, sink, rho) < rho:
-        raise TmhError("grid routing infeasible for %r -> %r" % (top, bottom))
+        raise TmhError("grid routing infeasible for %r -> %r" % (list(top), list(bottom)))
 
     # an arc carries a unit exactly when its residual is spent; one unit
     # enters each cell a path uses, so one arc of flow leaves it
@@ -713,8 +756,8 @@ def grid_reroute(dims, top, bottom):
             cur = nxt + 1
         if cells[-1] != (kp, bottom[h]):
             raise TmhError("disjoint routing violates the left-to-right pairing")
-        paths.append(cells)
-    return paths
+        paths.append(tuple(cells))
+    return tuple(paths)
 
 
 # -- composite annulus cycles ------------------------------------------------
@@ -877,10 +920,12 @@ def rail_linkage(a, s, b, d, i_set):
                                enter_vertex=mid[-1])
         walk = _stitch(_stitch(down, mid), up)
         _check_walk(g, walk, "crossing path %d" % h)
-        top_run = a.crossings[(1, b + h)]
-        bot_run = a.crossings[(a.r, b + h)]
-        for run, name in ((top_run, "outer"), (bot_run, "inner")):
-            if not set(_path_edges(run)) <= set(_path_edges(walk)):
+        # a run is covered when each of its steps is one of the walk's
+        at = {v: t for t, v in enumerate(walk)}
+        for c, name in ((1, "outer"), (a.r, "inner")):
+            run = a.crossings[(c, b + h)]
+            if not all(x in at and y in at and abs(at[x] - at[y]) == 1
+                       for x, y in zip(run, run[1:])):
                 raise TmhError(
                     "crossing path %d does not cover its %s terminal run" % (h, name))
         paths.append(walk)
@@ -895,7 +940,39 @@ def rail_linkage(a, s, b, d, i_set):
 
 def _outside_parts(l, band):
     """The vertices and the edges of l (a Linkage or a Graph) off the band."""
-    return frozenset(l.vertices) - band.vertices, frozenset(l.edges) - band.edges
+    inside_v, inside_e = band.inside(l.vertices, l.edges)
+    return (frozenset(l.vertices).difference(inside_v),
+            frozenset(l.edges).difference(inside_e))
+
+
+def _cycle_path(cyc, pos, source, targets, forbidden):
+    """Graph.shortest_path from source to the nearest of targets on the
+    cycle cyc alone (pos maps each vertex to its index), avoiding the
+    vertices of forbidden other than source.
+
+    On a cycle that breadth-first search grows two paths from source, one
+    vertex each per level: first the one toward the smaller neighbour of
+    source, as the Graph of the cycle lists it first, then the other.  A
+    path stops for good at a forbidden vertex or at one the other path
+    reached already."""
+    if source in targets:
+        return [source]
+    n = len(cyc)
+    k = pos[source]
+    first = -1 if cyc[k - 1] < cyc[(k + 1) % n] else 1
+    paths = {first: [source], -first: [source]}
+    seen = {source}
+    while paths:
+        for step, path in list(paths.items()):
+            w = cyc[(k + step * len(path)) % n]
+            if w in seen or w in forbidden:
+                del paths[step]
+                continue
+            seen.add(w)
+            path.append(w)
+            if w in targets:
+                return path
+    return None
 
 
 def _check_hypotheses(names, force):
@@ -997,13 +1074,6 @@ def tame_linkage(g, a, l, s, i_set, budget=None, force=False, node_budget=None):
         inner = a.window(w, wp)
         crossing = rail_linkage(inner, s, b, dcount, rails[:dcount])
         sector_open = sector.vertices("open")
-        cyc_graphs = {}
-
-        def cycle_graph(i):
-            if i not in cyc_graphs:
-                c = a.cycles.cycles[i - 1]
-                cyc_graphs[i] = Graph(c, _path_edges(c, closed=True))
-            return cyc_graphs[i]
 
         def half_walk(river, idx, depth, window_cycle):
             """The replacement tail on one side, starting at the river's
@@ -1012,26 +1082,20 @@ def tame_linkage(g, a, l, s, i_set, budget=None, force=False, node_budget=None):
             arc meets only linkage parts the surgery removes), back through
             the sector interior to the transfer rail, and along that rail
             to the window cycle."""
-            cyc = cycle_graph(depth)
-            cset = set(a.cycles.cycles[depth - 1])
+            cyc = a.cycles.cycles[depth - 1]
+            pos = {v: t for t, v in enumerate(cyc)}
             wide = a.crossings[(depth, q - b)]
-            x = None
-            for v in river:
-                if v in cset:
-                    x = v
-                    break
+            x = next((v for v in river if v in pos), None)
             if x is None:
                 raise TameFailed("cutting", "river misses cycle %d" % depth)
-            certify = cyc.shortest_path(x, set(wide),
-                                        forbidden_vertices=sector_open)
+            certify = _cycle_path(cyc, pos, x, set(wide), sector_open)
             if certify is None:
                 raise TameFailed("cutting", "no arc to the wide rail on cycle %d"
                                  % depth)
             rail_j = b + idx
             run = a.crossings[(depth, rail_j)]
             blocked = set(a.crossings[(depth, q)])
-            arc = cyc.shortest_path(certify[-1], set(run),
-                                    forbidden_vertices=blocked)
+            arc = _cycle_path(cyc, pos, certify[-1], set(run), blocked)
             if arc is None:
                 raise TameFailed("cutting", "no sector arc from rail %d to rail "
                                  "%d on cycle %d" % (q - b, rail_j, depth))
@@ -1113,12 +1177,11 @@ def tame_tm_model(g, a, m, s, i_set, budget=None):
     edge by edge around the rerouted paths and verified."""
     budget = budget if budget is not None else TamingBudget()
     band = a.cycles.annulus(1, a.r)
-    t_in = m.branches & band.vertices
+    model_in, _ = band.inside(m.model.vertices, ())
+    t_in = model_in & m.branches
     if t_in:
-        raise TmhError("branch vertex %r lies inside the annulus"
-                       % (sorted(t_in)[0],))
-    model_v = set(m.model.vertices)
-    if not (model_v & band.vertices):
+        raise TmhError("branch vertex %r lies inside the annulus" % (min(t_in),))
+    if not model_in:
         return m
 
     arc_list, leftover = arcs(m)

@@ -175,53 +175,31 @@ def _isomorphic_small(g, h):
     return extend(0, {}, set())
 
 
-def find_tm_model(g, h, budget=None, candidates=None, forbidden_interior=()):
+def find_tm_model(g, h, budget=None):
     """Search for a topological-minor model of h inside g, a Graph or a
     graphs.MutableAdjacency: the search orders every candidate list
     itself, so both give the same model for the same nodes.
 
     Returns a TmPair with dissolve(pair) isomorphic to h, or None when the
     exhaustive search certifies absence.  Raises BudgetExceeded when the
-    node budget runs out first.
-
-    candidates optionally restricts, per pattern vertex, the host vertices
-    its branch image may use; forbidden_interior lists host vertices that
-    arc interiors must avoid (their use as branch images is governed by
-    candidates alone).  Both hooks exist for boundaried containment.
+    node budget runs out first.  Boundaried containment runs the same
+    search with its own branch images and a forbidden boundary
+    (_BoundariedHost).
     """
     budget = budget or default_budget()
-    forbidden_interior = frozenset(forbidden_interior)
+    host_vs = sorted(g.vertices)
+    # each arc at the image of p leaves through its own neighbour, so an
+    # image of degree below h.degree(p) roots a subtree without a model,
+    # and dropping it keeps the first model found
+    allowed_at = {p: [c for c in host_vs if g.degree(c) >= h.degree(p)]
+                  for p in sorted(h.vertices, key=lambda v: (-h.degree(v), v))}
+    return _model_search(g, h, allowed_at, frozenset(), budget)
 
-    pattern_vs = sorted(h.vertices, key=lambda v: (-h.degree(v), v))
-    host_vs = list(g.vertices)
 
-    cands = candidates or {}
-
-    def allowed(p):
-        # each arc at the image of p leaves through its own neighbour: an arc
-        # interior vertex, never forbidden, or the image of a pattern
-        # neighbour reached over a direct edge; images short of such
-        # neighbours root subtrees without a model, so dropping them keeps
-        # the first model found.  A candidate next to no forbidden vertex
-        # can use each of its neighbours, so only the others are counted
-        need = h.degree(p)
-        ends = None
-        kept = []
-        for c in sorted(cands.get(p, host_vs)):
-            if c not in g or g.degree(c) < need:
-                continue
-            nbrs = g.neighbors(c)
-            if not forbidden_interior.isdisjoint(nbrs):
-                if ends is None:
-                    ends = set().union(*(cands.get(q, host_vs)
-                                         for q in h.neighbors(p)))
-                if sum(w not in forbidden_interior or w in ends
-                       for w in nbrs) < need:
-                    continue
-            kept.append(c)
-        return kept
-
-    allowed_at = {p: allowed(p) for p in pattern_vs}
+def _model_search(g, h, allowed_at, forbidden_interior, budget):
+    """find_tm_model's search, given the branch images allowed_at[p] of
+    each pattern vertex p, in the order the pattern vertices are placed."""
+    pattern_vs = list(allowed_at)
     pattern_edges = h.sorted_edges()
     image = {}
     paths = {}
@@ -626,24 +604,72 @@ def btm_contains(host, pattern, budget=None):
     Boundary vertices may appear in a model only as branch vertices, and a
     labeled pattern vertex must land exactly on the equally labeled host
     boundary vertex; unlabeled pattern vertices must use inner host
-    vertices.
+    vertices (see _BoundariedHost).
     """
-    budget = budget or default_budget()
-    host_by_label = {lab: v for v, lab in host.labels.items()}
-    for lab in pattern.labels.values():
-        if lab not in host_by_label:
-            return False
-    inner_hosts = [v for v in host.graph.vertices if v not in host.labels]
-    candidates = {}
-    for p in pattern.graph.vertices:
-        if p in pattern.labels:
-            candidates[p] = [host_by_label[pattern.labels[p]]]
-        else:
-            candidates[p] = inner_hosts
-    pair = find_tm_model(
-        host.graph, pattern.graph, budget=budget,
-        candidates=candidates, forbidden_interior=host.boundary)
-    return pair is not None
+    return _BoundariedHost(host).search(pattern, budget or default_budget()) is not None
+
+
+class _BoundariedHost:
+    """btm_contains against one host, for any number of patterns: the
+    search of find_tm_model, with each labeled pattern vertex on the host
+    vertex of its label, each other one on an inner vertex, and the
+    boundary forbidden to arc interiors.  The branch images are read off
+    per-vertex facts gathered once per host.
+
+    An image c of pattern vertex p carries the arcs at p, each through
+    its own neighbour: an arc interior vertex, never a boundary one, or
+    the image of a pattern neighbour of p over a direct edge.  So c needs
+    degree at least need = h.degree(p), and if it has boundary neighbours
+    it counts only its inner neighbours and the boundary neighbours that
+    carry the label of a pattern neighbour of p.  Images short of that
+    root subtrees without a model, so dropping them keeps the first model
+    found.  A list depends on the pattern only through need and those
+    labels, and the unlabelled pattern vertices' lists, which run over
+    every inner vertex in order, are kept per (need, labels)."""
+
+    __slots__ = ("graph", "boundary", "_by_label", "_facts", "_inner", "_lists")
+
+    def __init__(self, bg):
+        g, labels = bg.graph, bg.labels
+        self.graph = g
+        self.boundary = bg.boundary
+        self._by_label = {lab: v for v, lab in labels.items()}
+        # vertex -> its degree and the labels of its boundary neighbours
+        # (None if it has none); the inner vertices' facts in order
+        bounded = {}
+        for b, lab in labels.items():
+            for v in g.neighbors(b):
+                bounded[v] = bounded.get(v, frozenset()) | {lab}
+        self._facts = {v: (g.degree(v), bounded.get(v)) for v in g.vertices}
+        self._inner = [(v, *self._facts[v]) for v in g.vertices if v not in labels]
+        self._lists = {}
+
+    def search(self, pattern, budget):
+        """A TmPair of the model found, or None when there is none."""
+        by_label = self._by_label
+        labels = pattern.labels
+        if any(lab not in by_label for lab in labels.values()):
+            return None
+        h = pattern.graph
+        allowed_at = {}
+        for p in sorted(h.vertices, key=lambda v: (-h.degree(v), v)):
+            need = h.degree(p)
+            near = frozenset(labels[q] for q in h.neighbors(p) if q in labels)
+            if p in labels:
+                c = by_label[labels[p]]
+                cands = [(c, *self._facts[c])]
+            elif (need, near) in self._lists:
+                allowed_at[p] = self._lists[need, near]
+                continue
+            else:
+                cands = self._inner
+            kept = [c for c, degree, bounded in cands
+                    if degree >= need and (bounded is None
+                                           or degree - len(bounded - near) >= need)]
+            if p not in labels:
+                self._lists[need, near] = kept
+            allowed_at[p] = kept
+        return _model_search(self.graph, h, allowed_at, self.boundary, budget)
 
 
 def enumerate_boundaried_graphs(t, h, max_enumeration=2_000_000):
@@ -704,6 +730,49 @@ def _census(t, h):
     return _CENSUS[(t, h)]
 
 
+_CENSUS_BELOW = {}
+
+
+def _census_below(t, h):
+    """For each member of _census(t, h), by index, the indices of the
+    members it contains (btm_contains), itself among them, in increasing
+    order.  Boundaried containment is transitive, so a host that holds a
+    member holds every member below it.
+
+    A member holds only members with no more vertices, no more edges and
+    no other labels, and none but itself with as many vertices and edges
+    (a model that uses every vertex and edge is an isomorphism).  So the
+    members are taken by vertex and edge count, and the lower members of
+    each are searched as compute_folio searches a census (_present).  The
+    searches run at the program's default node count.  Built on first use
+    and kept, like _census."""
+    if (t, h) not in _CENSUS_BELOW:
+        members = _census(t, h)
+        size = [(m.graph.n, m.graph.m) for m in members]
+        below = [None] * len(members)
+        for i in sorted(range(len(members)), key=size.__getitem__):
+            (n, m), labels = size[i], set(members[i].labels.values())
+            lower = [j for j in reversed(range(len(members)))
+                     if size[j][0] <= n and size[j][1] <= m and size[j] != (n, m)
+                     and labels.issuperset(members[j].labels.values())]
+            present = _present(_BoundariedHost(members[i]), members, below, lower,
+                               SearchBudget(DEFAULT_BUDGET_NODES))
+            below[i] = tuple(sorted(present | {i}))
+        _CENSUS_BELOW[(t, h)] = tuple(below)
+    return _CENSUS_BELOW[(t, h)]
+
+
+def _present(host, members, below, order, budget):
+    """The indices in order of the members the host (a _BoundariedHost)
+    contains.  Each is searched in turn unless a member found earlier
+    holds it (below, see _census_below)."""
+    present = set()
+    for i in order:
+        if i not in present and host.search(members[i], budget) is not None:
+            present.update(below[i])
+    return present
+
+
 def f3(t, h):
     """Number of pairwise non-label-isomorphic t-boundaried graphs on at
     most h vertices."""
@@ -746,12 +815,16 @@ class Folio:
 
 def compute_folio(bg, t, h, budget=None):
     """Folio of a boundaried graph by filtering the census through the
-    containment search; the exhaustive route needs no width bound."""
+    containment search; the exhaustive route needs no width bound.
+
+    The members are tested from the last in census order back to the
+    first, and a member that a member found earlier contains is in the
+    folio without a search (_census_below).  The folio keeps census
+    order."""
     if h < 0:
         raise TmhError("folio detail bound must be non-negative")
     budget = budget or default_budget()
-    members = []
-    for cand in _census(t, h):
-        if btm_contains(bg, cand, budget=budget):
-            members.append(cand)
-    return Folio(t, h, members)
+    members = _census(t, h)
+    present = _present(_BoundariedHost(bg), members, _census_below(t, h),
+                       reversed(range(len(members))), budget)
+    return Folio(t, h, [m for i, m in enumerate(members) if i in present])

@@ -19,7 +19,6 @@ from tmh.annulus import (
     AnnulusFamily,
     RailedAnnulus,
     _crossing_path,
-    _cycle_arc,
     _path_edges,
     annuli_capacity,
     annulus_from_wall,
@@ -61,6 +60,18 @@ def wall_in_disk(h):
     w = build_elementary_wall(h)
     g = PartiallyDiskEmbedded(w.host_subgraph, w.embedding, w.perimeter)
     return g, w
+
+
+def _cycle_arc(order, start, end, step):
+    """Vertices of the cycle arc from index start to index end, walking by
+    step (+1 or -1), endpoints included."""
+    n = len(order)
+    out = [order[start % n]]
+    k = start
+    while k % n != end % n:
+        k += step
+        out.append(order[k % n])
+    return out
 
 
 def _reference_rail_geometry(a):
@@ -644,6 +655,62 @@ class TestRailGeometry:
             == "no lateral path from rail 1 to 4 on cycle 1"
         with pytest.raises(TmhError, match="no lateral path from rail 1 to 4"):
             geo.delta_disk(1, 2, 1, 4)
+
+
+def _matrix_bands():
+    """The 50 bands of the acceptance gate's taming matrix: each depth-13
+    or depth-11 host cut to its cycles 2..R-1."""
+    rows = [(13, q, 4 * q + pad, noise)
+            for q in range(5, 12) for pad in (0, 6) for noise in (0, 2, 3)]
+    rows += [(11, q, 4 * q, noise) for q in range(5, 9) for noise in (0, 2)]
+    return [synthetic_annulus(R, q, girth=m, seed=7 * q + noise, noise=noise).window(2, R - 1)
+            for R, q, m, noise in rows]
+
+
+class TestIndexRangeGeometry:
+    """Reference arcs kept as index ranges, lateral orders sliced from
+    them and frames joined from their paths give what the eager
+    reference, which walks arcs and peels frames, gives."""
+
+    def test_matrix_bands_and_drifting_rails_match_the_reference(self):
+        bands = _matrix_bands()
+        assert len(bands) == 50
+        annuli = bands + [synthetic_annulus(5, 4, girth=24, span=2),
+                          synthetic_annulus(7, 5, girth=40, span=3, seed=2, noise=3)]
+        rng = random.Random(7)
+        frames = 0
+        for a in annuli:
+            ref, l_paths, _, ambiguous = _reference_rail_geometry(a)
+            geo = rail_geometry(a)
+            assert geo.reference_edges == ref
+            # no annulus has an ambiguous cycle: the second rail crosses
+            # each cycle inside exactly one of the two candidate arcs
+            assert list(geo.ambiguous_cycles) == ambiguous == []
+            for i, (start, length) in geo.arcs.items():
+                cyc = a.cycles.cycles[i - 1]
+                n = len(cyc)
+                arc = [cyc[(start + t) % n] for t in range(length)]
+                assert set(_path_edges(arc)) == ref[i]
+                # the lateral order walks the rest of the cycle forward,
+                # from the arc's last vertex to its first
+                order, pos = geo._lateral_order(i)
+                assert order[0] == arc[-1] and order[-1] == arc[0]
+                assert all(cyc.index(v) == (cyc.index(u) + 1) % n
+                           for u, v in zip(order, order[1:]))
+                assert set(_path_edges(order)) == set(_path_edges(cyc, closed=True)) - ref[i]
+                assert pos == {v: k for k, v in enumerate(order)}
+            for key, path in l_paths.items():
+                assert geo.l_path(*key) == path
+            z = min(a.r, a.q) // 2
+            keys = [(i, a.r - i + 1, i, a.q - i + 1) for i in range(1, z + 1)]
+            keys += [tuple(sorted(rng.sample(range(1, a.r + 1), 2))
+                           + sorted(rng.sample(range(1, a.q + 1), 2))) for _ in range(12)]
+            ref_geo = rail_geometry(a)
+            for key in keys:
+                assert _outcome(geo._frame_cycle, key) == \
+                    _outcome(_reference_frame_cycle, ref_geo, key)
+                frames += 1
+        assert frames == sum(min(a.r, a.q) // 2 + 12 for a in annuli)
 
 
 class TestDiskMembership:

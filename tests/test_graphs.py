@@ -29,9 +29,11 @@ from tmh.graphs import (
     PlaneEmbedding,
     TmhError,
     _cycle_order,
+    _flood,
     _lr_planar,
     _planar_adjacency,
     _series_parallel_core,
+    _walk_darts,
     is_planar,
     parse_graph,
     planar_rotation,
@@ -176,10 +178,15 @@ class TestGraphBasics:
         assert not is_separation(e, {0}, {1})
 
     def test_cycle_order(self):
-        p = parse_graph("4 3\n0 1\n1 2\n2 3")
-        c = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
-        assert _cycle_order({v: c.neighbors(v) for v in c.vertices}) == [0, 1, 2, 3]
-        assert _cycle_order({v: p.neighbors(v) for v in p.vertices}) is None
+        # every rotation and direction of one closed walk gives one order
+        walk = [0, 1, 2, 3]
+        for k in range(4):
+            for w in (walk[k:] + walk[:k], (walk[k:] + walk[:k])[::-1]):
+                assert _cycle_order(w) == [0, 1, 2, 3]
+        assert _cycle_order([5, 2, 9, 1, 7]) == [1, 7, 5, 2, 9]
+        # a walk that repeats a vertex, or is too short, is no cycle
+        assert _cycle_order([0, 1, 2, 1]) is None
+        assert _cycle_order([0, 1]) is None
 
     def test_components_ordered(self):
         g = Graph.from_edges([(5, 6), (0, 1)], extra_vertices=[9])
@@ -1023,3 +1030,78 @@ class TestRestrict:
 
         with pytest.raises(TmhError, match="no such face"):
             emb.restrict({0, 1, 2}, refuse)
+
+
+def _edge_cut_flood(emb, outside, seeds, cut):
+    """_flood with the cut given as (low, high) edges, read off the face
+    walks dart by dart: the faces the seeds reach, added to outside."""
+    added = [f for f in dict.fromkeys(seeds) if f not in outside]
+    outside.update(added)
+    queue = list(added)
+    while queue:
+        f = queue.pop()
+        for (u, v), g in zip(face_darts(emb.faces[f]),
+                             emb._across[emb._face_base[f]:emb._face_base[f + 1]]):
+            if tuple(sorted((u, v))) not in cut and g not in outside:
+                outside.add(g)
+                added.append(g)
+                queue.append(g)
+    return added
+
+
+class TestDartCuts:
+    """Floods cut by dart ids, found by turning through the rotation, give
+    what floods cut by edges gave."""
+
+    @staticmethod
+    def _embeddings():
+        out = [concentric_triangles(), _rings(4, 6)[0], _rings(3, 5)[0]]
+        for seed in range(6):
+            g = random_planar_graph(seed, 9 + seed, tries=4 + seed)
+            if g.is_connected():
+                out.append(_embed(g))
+        return out
+
+    def test_walk_darts_are_the_darts_of_the_walk_edges(self):
+        rng = random.Random(5)
+        walks = 0
+        for emb in self._embeddings():
+            dart_edge = [tuple(sorted(d)) for face in emb.faces for d in face_darts(face)]
+            for _ in range(25):
+                # a random walk; it may turn back and revisit vertices
+                walk = [rng.choice(emb.graph.vertices)]
+                for _ in range(rng.randint(1, 12)):
+                    walk.append(rng.choice(emb.graph.neighbors(walk[-1])))
+                edges = {tuple(sorted(e)) for e in zip(walk, walk[1:])}
+                assert _walk_darts(emb, walk) == {
+                    d for d, e in enumerate(dart_edge) if e in edges}
+                walks += 1
+        assert walks >= 150
+
+    def test_dart_floods_match_edge_floods(self):
+        rng = random.Random(11)
+        for emb in self._embeddings():
+            faces = range(len(emb.faces))
+            for _ in range(20):
+                walk = [rng.choice(emb.graph.vertices)]
+                for _ in range(rng.randint(1, 10)):
+                    walk.append(rng.choice(emb.graph.neighbors(walk[-1])))
+                seeds = rng.sample(faces, rng.randint(1, 3))
+                start = set(rng.sample(faces, rng.randint(0, 2))) - set(seeds)
+                got, want = set(start), set(start)
+                blocked = []
+                added = _flood(emb, got, seeds, _walk_darts(emb, walk), blocked)
+                _edge_cut_flood(emb, want, seeds, {tuple(sorted(e)) for e in zip(walk, walk[1:])})
+                assert got == want and sorted(added) == sorted(want - start)
+                # every blocked face lies across a step of the walk
+                assert set(blocked) <= {g for f in got for (u, v), g in zip(
+                    face_darts(emb.faces[f]),
+                    emb._across[emb._face_base[f]:emb._face_base[f + 1]])
+                    if {u, v} in [set(e) for e in zip(walk, walk[1:])]}
+
+    def test_a_step_that_is_not_an_edge_is_refused(self):
+        emb = concentric_triangles()
+        for walk, step in (([0, 1, 5], "1-5"), ([7, 0], "7-0"), ([0, 99], "0-99"),
+                           ([99, 0], "99-0")):
+            with pytest.raises(EmbeddingError, match="^cycle step %s is not an edge$" % step):
+                _walk_darts(emb, walk)

@@ -5,7 +5,9 @@ rail rerouting, composite boundary cycles, and the two taming entry points."""
 import hashlib
 import itertools
 import json
+import math
 import random
+from collections import deque
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +16,8 @@ import pytest
 import tmh.linkage
 from tmh.annulus import _path_edges, rail_geometry, synthetic_annulus
 from tmh.decomposition import exact_treewidth, grid_bramble, validate_bramble
-from tmh.graphs import DiskRegion, Graph, TmhError, _flood, _normalize_edge
+from tmh.graphs import (DiskRegion, Graph, NestedCycles, PlaneEmbedding, TmhError,
+                        _normalize_edge)
 from tmh.linkage import (
     LBPair,
     Linkage,
@@ -107,6 +110,23 @@ def dip_path(depth):
     return down + across + up
 
 
+def _edge_flood(emb, outside, seeds, cut):
+    """graphs._flood with its cut given as a set of (low, high) edges, as
+    it was before it took dart ids: add to outside every face the seeds
+    reach in the dual graph without crossing an edge of cut, and return
+    the faces added."""
+    added = [f for f in dict.fromkeys(seeds) if f not in outside]
+    outside.update(added)
+    queue = deque(added)
+    while queue:
+        for u, v, g in emb._steps(queue.popleft()):
+            if _normalize_edge(u, v) not in cut and g not in outside:
+                outside.add(g)
+                added.append(g)
+                queue.append(g)
+    return added
+
+
 def _reference_classify_terrain(g, cycles, d, l):
     """The exhaustive terrain scan: every subpath of every path is built
     and tested as a stream and, at every base cycle, as a mountain and a
@@ -192,7 +212,7 @@ def _reference_classify_terrain(g, cycles, d, l):
                         else:
                             allowed = all_faces - reg.interior_faces
                             seeds = outer_seed
-                        reach = set(_flood(emb, all_faces - allowed, seeds, pe))
+                        reach = set(_edge_flood(emb, all_faces - allowed, seeds, pe))
                         pocket_faces = allowed - reach
                         if not pocket_faces:
                             continue
@@ -1090,6 +1110,86 @@ def _cycle_family_case(seed):
     edges = {e for c in cycles for e in _path_edges(c, closed=True)} | l.edges
     d = SimpleNamespace(vertices=lambda kind: frozenset(banned))
     return Graph(set().union(*edges), edges), _Family(cycles), d, l
+
+
+def _chorded_rings(r, m, spokes, chords):
+    """r rings of m vertices, ring i vertex k being i*m + k at radius
+    r + 1 - i, drawn with straight edges: spokes join (i, k) to (i + 1, k)
+    for each k in spokes and every i, and each chord (i, k) joins (i, k) to
+    (i, k + 2) inside ring i, passing over (i, k + 1), which must have no
+    spoke.  Returns the host and the rings as a NestedCycles."""
+    def vid(i, k):
+        return i * m + k % m
+
+    def xy(v):
+        i, k = divmod(v, m)
+        return ((r + 1 - i) * math.cos(2 * math.pi * k / m),
+                (r + 1 - i) * math.sin(2 * math.pi * k / m))
+
+    edges = [(vid(i, k), vid(i, k + 1)) for i in range(r) for k in range(m)]
+    edges += [(vid(i, k), vid(i + 1, k)) for i in range(r - 1) for k in spokes]
+    edges += [(vid(i, k), vid(i, k + 2)) for i, k in chords]
+    g = Graph(range(r * m), edges)
+
+    def clockwise(v):
+        x, y = xy(v)
+        return tuple(sorted(g.neighbors(v), key=lambda u: -math.atan2(xy(u)[1] - y,
+                                                                     xy(u)[0] - x)))
+
+    rings = [[vid(i, k) for k in range(m)] for i in range(r)]
+    outer = set(rings[0])
+    emb = PlaneEmbedding(g, {v: clockwise(v) for v in g.vertices}, lambda faces: next(
+        f for f, face in enumerate(faces) if set(face) == outer and len(face) == m))
+    return g, NestedCycles(emb, rings)
+
+
+def _self_avoiding_walk(g, rng, length, ring_of):
+    """A random simple path from a random vertex, preferring steps along a
+    ring three times to one, stopped at the given length or a dead end."""
+    path = [rng.choice(g.vertices)]
+    while len(path) < length:
+        free = [w for w in g.neighbors(path[-1]) if w not in path]
+        if not free:
+            break
+        weights = [3 if ring_of(w) == ring_of(path[-1]) else 1 for w in free]
+        path.append(rng.choices(free, weights)[0])
+    return tuple(path)
+
+
+class TestTerrainScan:
+    """classify_terrain's one-pass scan against the exhaustive reference on
+    seeded paths of a host whose rings carry chords."""
+
+    def test_seeded_paths_match_the_reference(self):
+        r, m = 5, 16
+        g, cycles = _chorded_rings(r, m, spokes=(0, 4, 8, 12), chords=((1, 1), (2, 9), (3, 14)))
+        assert cycles.embedding._is_plane()
+        ring_of = lambda v: v // m
+        rng = random.Random(3)
+        paths = [_self_avoiding_walk(g, rng, rng.randint(6, 30), ring_of)
+                 for _ in range(120)]
+        # around ring 1 through its index 0, then inward for good
+        paths.append(tuple(range(m + 13, 2 * m)) + (m, m + 1, m + 2, m + 3, m + 4)
+                     + (2 * m + 4, 3 * m + 4, 3 * m + 5))
+        seen = {"wrap": 0, "jump": 0, "single": 0, "leaves": 0, "features": 0}
+        for path in paths:
+            if len(path) < 2:
+                continue
+            steps = list(zip(path, path[1:]))
+            on = [ring_of(v) for v in path]
+            seen["wrap"] += any(ring_of(u) == ring_of(v) and {u % m, v % m} == {0, m - 1}
+                                for u, v in steps)
+            seen["jump"] += any(ring_of(u) == ring_of(v) and (u - v) % m in (2, m - 2)
+                                for u, v in steps)
+            seen["single"] += any(on[t] not in (on[t - 1], on[t + 1])
+                                  for t in range(1, len(path) - 1))
+            seen["leaves"] += any(on[t] not in on[t + 1:] and len(path) - t > 3
+                                  for t in range(len(path)))
+            args = (g, cycles, None, Linkage([path]))
+            got = classify_terrain(*args)
+            assert _terrain_key(got) == _terrain_key(_reference_classify_terrain(*args)), path
+            seen["features"] += bool(got.mountains or got.valleys)
+        assert min(seen.values()) >= 3, seen
 
 
 class TestFoldedSearch:

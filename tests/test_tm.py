@@ -10,8 +10,10 @@ from networkx import graph_atlas_g
 
 from helpers import folio_via_model_enumeration, label_isomorphic
 from tmh import synth, tm
-from tmh.annulus import boundaried_at_cycle, sub_annulus, synthetic_disk_host
+from tmh import solver
+from tmh.annulus import AnnulusFamily, boundaried_at_cycle, sub_annulus, synthetic_disk_host
 from tmh.graphs import Graph, MutableAdjacency, TmhError
+from tmh.linkage import TamingBudget
 from tmh.tm import (
     BUILTIN_PATTERNS,
     BoundariedGraph,
@@ -525,6 +527,53 @@ def test_forced_pipeline_folio_sizes():
     assert sizes == [17] * 18 + [16]
 
 
+def test_census_order_memo_is_containment():
+    # each member's list is exactly the members it contains, on every
+    # census with at most two labels
+    for t in (0, 1, 2):
+        for h in range(5):
+            members = tm._census(t, h)
+            assert tm._census_below(t, h) == tuple(
+                tuple(j for j, low in enumerate(members) if btm_contains(high, low))
+                for high in members), (t, h)
+
+
+def test_inferred_folios_match_model_enumeration():
+    # at h = 4 a present member implies many below it, so most members
+    # are inferred rather than searched
+    hosts = [(BoundariedGraph(cycle_graph(5), {0: 1, 2: 2}), 2),
+             (BoundariedGraph(grid_graph(2, 3), {0: 1}), 1),
+             *tiny_hosts_touching_the_boundary()]
+    for host, t in hosts:
+        if host.graph.m > 10:
+            continue
+        assert compute_folio(host, t, 4).keys == \
+            folio_via_model_enumeration(host, t, 4).keys, host
+
+
+def test_forced_solve_searches_only_uninferred_members(monkeypatch):
+    # the 19 folios of the forced pipeline over the 17-member census
+    # (1, 3) searched all 323 members; each member found present now
+    # settles the members below it
+    gr, full = synthetic_disk_host(25, 3, seed=1, noise=2)
+    fam = AnnulusFamily(sub_annulus(full, 1, 3), [sub_annulus(full, 7, 25)])
+    zero = TamingBudget(f1=lambda k: 0)
+    tm._census_below(1, 3)
+    searched = []
+    search = tm._BoundariedHost.search
+
+    def counting(self, pattern, budget):
+        searched.append(pattern)
+        return search(self, pattern, budget)
+
+    monkeypatch.setattr(tm._BoundariedHost, "search", counting)
+    out = solver.solve_tm_deletion(gr.graph, PatternFamily([Graph(range(2), [(0, 1)])]), 0,
+                                   budget=zero, mode="safe", force=True, annuli=(gr, fam),
+                                   params=solver.derive_params(0, 2, zero))
+    assert out.answer is False
+    assert len(searched) == 77
+
+
 # (host seed, census index, model edges, branches) with n = 8 + seed % 6,
 # t = 1 + seed % 2 and the boundary sampled by the seed; every case has a
 # candidate branch image with enough neighbours but too few usable ones
@@ -550,12 +599,9 @@ def test_boundaried_search_returns_the_frozen_model(seed, index, edges, branches
     g = synth.random_planar_graph(seed, 8 + seed % 6, tries=2 + seed % 4)
     boundary = random.Random(seed).sample(sorted(g.vertices), t)
     by_label = {i + 1: v for i, v in enumerate(boundary)}
-    inner = [v for v in g.vertices if v not in boundary]
     pattern = enumerate_boundaried_graphs(t, 3)[index]
-    candidates = {p: [by_label[pattern.labels[p]]] if p in pattern.labels else inner
-                  for p in pattern.graph.vertices}
-    pair = find_tm_model(g, pattern.graph, candidates=candidates,
-                         forbidden_interior=boundary)
+    host = tm._BoundariedHost(BoundariedGraph(g, {v: lab for lab, v in by_label.items()}))
+    pair = host.search(pattern, SearchBudget(10_000_000))
     if edges is None:
         assert pair is None
     else:
