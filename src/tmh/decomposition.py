@@ -751,8 +751,8 @@ def extract_subwall_at(g, coords, q, x0=1, y0=1):
 
 
 def find_wall(g, q, c=DEFAULT_WIDTH_FACTOR):
-    """Either a q-wall with a width-certified compass, or a tree
-    decomposition of width at most c*q.  Wall recognition runs first so a
+    """Either a q-wall with a width-certified compass, or a validated
+    tree decomposition of width at most c*q.  Wall recognition runs first so a
     host that is itself a wall gets the wall branch even when its width is
     below the bound.  The decomposition comes from the exact treewidth DP
     on at most DEFAULT_EXACT_TW_CAP vertices and from min-fill above that;
@@ -776,8 +776,9 @@ def find_wall(g, q, c=DEFAULT_WIDTH_FACTOR):
 
 def _find_wall(g, q, c, decompose):
     # find_wall on a planar graph with a checked height, taking the
-    # decomposition branch's decomposition from decompose(g); the host is
-    # embedded only when it is recognised as a wall, at its coordinates
+    # decomposition branch's decomposition from decompose(g), validated
+    # here for every caller; the host is embedded only when it is
+    # recognised as a wall, at its coordinates
     bound = c * q
     found = _recognize_elementary_wall(g)
     if found is not None and found[0] >= q:
@@ -795,6 +796,9 @@ def _find_wall(g, q, c, decompose):
         return WallWithCompass(sub, compass, cert)
 
     td = decompose(g)
+    check = validate_decomposition(g, td)
+    if not isinstance(check, int):
+        raise TmhError("decomposition violates %s at %r" % (check.axiom, check.witness))
     if td.width <= bound:
         return td
     raise TmhError(

@@ -38,7 +38,6 @@ from .decomposition import (
     TreeDecomposition,
     _find_wall,
     greedy_treewidth,
-    validate_decomposition,
 )
 
 # candidate deletion sets examined per block before reduction refuses
@@ -523,10 +522,6 @@ def _irrelevant_vertex_pass(k, h, g, params, force, annuli, b, family, mode,
         except TmhError as err:
             return _fall_back(trace, str(err))
         if isinstance(found, TreeDecomposition):
-            check = validate_decomposition(g, found)
-            if not isinstance(check, int):
-                raise TmhError("tree decomposition fails validation: %r"
-                               % (check,))
             trace.add("wall", {"branch": "decomposition",
                                "width": found.width,
                                "width_bound": DEFAULT_WIDTH_FACTOR * wq_geom},

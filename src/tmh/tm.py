@@ -7,10 +7,12 @@ has degree exactly two in M, so M is a subdivision shape.  Dissolving the
 degree-two vertices of M recovers a graph on T which must be isomorphic to H.
 
 Containment search is exhaustive and budgeted.  A family of frequently used
-small patterns (triangle, 4-cycle, K4, K2,3) is additionally recognized and
-dispatched to direct structural criteria; the generic search remains the
-reference implementation and the two routes are cross-checked in the test
-suite rather than trusted blindly.
+small patterns (triangle, 4-cycle, K4, K2,3) is additionally recognized, by
+canonical form, and dispatched to direct structural criteria; K2,3 is
+present exactly when some block of at least 5 vertices is not outerplanar
+(Chartrand and Harary, 1967).  The generic search remains the reference
+implementation and the two routes are cross-checked in the test suite
+rather than trusted blindly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import itertools
 import math
 import os
 
-from .graphs import Graph, MutableAdjacency, TmhError, _augment, _series_parallel_core, is_planar
+from .graphs import Graph, TmhError, _planar_adjacency, _series_parallel_core, is_planar
 
 
 class BudgetExceeded(TmhError):
@@ -134,45 +136,6 @@ def dissolve(pair):
 
 
 # -- generic containment search ---------------------------------------------
-
-
-def _isomorphic_small(g, h):
-    """Exact isomorphism for small graphs by ordered backtracking."""
-    if g.n != h.n or g.m != h.m:
-        return False
-    if sorted(g.degree(v) for v in g.vertices) != sorted(h.degree(v) for v in h.vertices):
-        return False
-    hv = sorted(h.vertices, key=lambda v: (-h.degree(v), v))
-    gv = list(g.vertices)
-
-    def extend(i, mapping, used):
-        if i == len(hv):
-            return True
-        p = hv[i]
-        for c in gv:
-            if c in used or g.degree(c) != h.degree(p):
-                continue
-            ok = True
-            for q in h.neighbors(p):
-                if q in mapping and not g.has_edge(mapping[q], c):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for q in hv[:i]:
-                if not h.has_edge(p, q) and g.has_edge(mapping[q], c):
-                    ok = False
-                    break
-            if ok:
-                mapping[p] = c
-                used.add(c)
-                if extend(i + 1, mapping, used):
-                    return True
-                del mapping[p]
-                used.discard(c)
-        return False
-
-    return extend(0, {}, set())
 
 
 def find_tm_model(g, h, budget=None):
@@ -308,6 +271,13 @@ def _model_search(g, h, allowed_at, forbidden_interior, budget):
 # Each criterion below is an if-and-only-if characterization of containing
 # the named pattern as a topological minor; all four patterns have maximum
 # degree three, where topological-minor and minor containment coincide.
+# classify_pattern tags a pattern by its canonical form.  A K2,3
+# subdivision is 2-connected, so it lies in one block; a block is
+# outerplanar exactly when it holds no subdivision of K4 or K2,3
+# (Chartrand and Harary, 1967), and a block of 5 or more vertices that
+# holds K4 also holds K2,3 (a subdivided K4, or K4 with an ear).  So g
+# holds K2,3 exactly when a block of at least 5 vertices is not
+# outerplanar, which is one planarity test of the block plus an apex.
 
 
 def _triangle_graph():
@@ -400,19 +370,16 @@ def _block_vertex_sets(g):
                     yield block
 
 
-def _count_internally_disjoint_long_paths(g, s, t, need):
-    """Vertex-disjoint s-t paths of length at least two, up to need, by
-    unit-capacity augmentation on the split digraph with the direct s-t
-    edge removed: vertex v enters at (v, 0) and leaves at (v, 1)."""
-    residual = {}
-    for v in g.vertices:
-        residual[(v, 0), (v, 1)] = need if v in (s, t) else 1
-        residual[(v, 1), (v, 0)] = 0
-        for w in g.neighbors(v):
-            if {v, w} != {s, t}:
-                residual[(v, 1), (w, 0)] = 1
-                residual[(w, 0), (v, 1)] = 0
-    return _augment(residual, (s, 1), (t, 0), need)
+def _outerplanar_block(g, block):
+    """Whether the block of g on the vertex set block is outerplanar: it
+    stays planar with one apex joined to all of its vertices (the
+    left-right test applies Euler's bound itself)."""
+    adj = {v: block.intersection(g.neighbors(v)) for v in block}
+    apex = object()
+    for ns in adj.values():
+        ns.add(apex)
+    adj[apex] = set(block)
+    return _planar_adjacency(adj)
 
 
 def _contains_fast(g, tag):
@@ -423,17 +390,8 @@ def _contains_fast(g, tag):
     if tag == "k4":
         return bool(_series_parallel_core({v: g.neighbors(v) for v in g.vertices}))
     if tag == "k23":
-        # a vertex of degree at most one lies in no model of a pattern of
-        # minimum degree two, so the test runs on the 2-core
-        core = MutableAdjacency(g)
-        core.delete_leaves()
-        if core.m < 6:
-            return False
-        cands = sorted(v for v in core.vertices if core.degree(v) >= 3)
-        for s, t in itertools.combinations(cands, 2):
-            if _count_internally_disjoint_long_paths(core, s, t, 3) >= 3:
-                return True
-        return False
+        return any(len(b) >= 5 and not _outerplanar_block(g, b)
+                   for b in _block_vertex_sets(g))
     raise TmhError("unknown fast containment tag %r" % tag)
 
 
@@ -452,10 +410,12 @@ _TAGS_BELOW = {"triangle": (), "c4": ("triangle",),
 
 
 def classify_pattern(h):
-    """Tag patterns that have a direct structural containment test."""
+    """Tag patterns that have a direct structural containment test, by
+    canonical form (a BoundariedGraph with an empty boundary)."""
+    form = BoundariedGraph(h, {}).canonical_form
     for tag, make in _FAST_TAGS:
         ref = make()
-        if h.n == ref.n and h.m == ref.m and _isomorphic_small(h, ref):
+        if (h.n, h.m) == (ref.n, ref.m) and form() == BoundariedGraph(ref, {}).canonical_form():
             return tag
     return None
 
@@ -509,16 +469,16 @@ BUILTIN_PATTERNS = {
 }
 
 
-def is_F_free(g, family, budget=None, use_fast_paths=True):
+def is_F_free(g, family, budget=None):
     """True when no pattern of the family has a topological-minor model in g."""
-    return _is_free(g, family, budget or default_budget(), use_fast_paths)
+    return _is_free(g, family, budget or default_budget())
 
 
-def _is_free(g, family, budget, use_fast_paths=True):
+def _is_free(g, family, budget):
     # is_F_free on a Graph or a graphs.MutableAdjacency, which the fast
     # tests and the generic search read alike
     for pattern, tag in zip(family.patterns, family.tags):
-        if use_fast_paths and tag is not None:
+        if tag is not None:
             if tag not in family.implied and _contains_fast(g, tag):
                 return False
         elif find_tm_model(g, pattern, budget=budget) is not None:
@@ -526,15 +486,14 @@ def _is_free(g, family, budget, use_fast_paths=True):
     return True
 
 
-def pF_oracle(g, family, kmax, budget=None, use_fast_paths=True):
+def pF_oracle(g, family, kmax, budget=None):
     """Smallest k <= kmax such that some k vertex deletions make g free of
     the family, together with the lexicographically least witness set.
     Returns (k, witness) or None when every set of size <= kmax fails."""
     budget = budget or default_budget()
     for k in range(kmax + 1):
         for s in itertools.combinations(g.vertices, k):
-            if is_F_free(g.delete_vertices(s), family, budget=budget,
-                         use_fast_paths=use_fast_paths):
+            if is_F_free(g.delete_vertices(s), family, budget=budget):
                 return k, tuple(s)
     return None
 

@@ -6,14 +6,23 @@ cycle and the refusing membership query of a disk,
 the darts of a face and a reference tracer of face walks as darts, the
 separation of a partially disk-embedded graph, label-respecting
 isomorphism of boundaried graphs, a folio found by enumerating models
-instead of by containment tests, and a graph kept as an explicit edge set
-to check Graph against."""
+instead of by containment tests, a graph kept as an explicit edge set
+to check Graph against, and the containment checks and deletion oracle of
+the generic search alone, with K2,3 also decided by vertex-pair flows."""
 
 import itertools
 import json
 
-from tmh.graphs import DiskRegion, EmbeddingError, Graph, TmhError, _normalize_edge
-from tmh.tm import BoundariedGraph, Folio, TmPair, dissolve
+from tmh.graphs import (
+    DiskRegion,
+    EmbeddingError,
+    Graph,
+    MutableAdjacency,
+    TmhError,
+    _augment,
+    _normalize_edge,
+)
+from tmh.tm import BoundariedGraph, Folio, TmPair, dissolve, find_tm_model
 
 
 def adjacency_graph(adj):
@@ -245,3 +254,44 @@ class EdgeSetGraph:
     def union(self, other):
         return EdgeSetGraph(set(self.vertices) | set(other.vertices),
                             self.edges | other.edges)
+
+
+def generic_free(g, family):
+    """is_F_free by the generic search alone: find_tm_model once per
+    pattern, whatever its tag."""
+    return all(find_tm_model(g, p) is None for p in family.patterns)
+
+
+def generic_oracle(g, family, kmax):
+    """pF_oracle with generic_free as its containment check: the least
+    k <= kmax and the lexicographically least witness, or None."""
+    for k in range(kmax + 1):
+        for s in itertools.combinations(g.vertices, k):
+            if generic_free(g.delete_vertices(s), family):
+                return k, tuple(s)
+    return None
+
+
+def k23_by_flows(g):
+    """Whether g (a Graph or a MutableAdjacency) holds a K2,3 subdivision,
+    decided by vertex pairs: on the 2-core, some two vertices of degree at
+    least 3 are joined by three internally disjoint paths of length at
+    least two, counted by unit-capacity augmentation on the split digraph
+    without the direct edge (vertex v enters at (v, 0), leaves at (v, 1))."""
+    core = MutableAdjacency(g)
+    core.delete_leaves()
+    if core.m < 6:
+        return False
+    cands = sorted(v for v in core.vertices if core.degree(v) >= 3)
+    for s, t in itertools.combinations(cands, 2):
+        residual = {}
+        for v in core.vertices:
+            residual[(v, 0), (v, 1)] = 3 if v in (s, t) else 1
+            residual[(v, 1), (v, 0)] = 0
+            for w in core.neighbors(v):
+                if {v, w} != {s, t}:
+                    residual[(v, 1), (w, 0)] = 1
+                    residual[(w, 0), (v, 1)] = 0
+        if _augment(residual, (s, 1), (t, 0), 3) >= 3:
+            return True
+    return False

@@ -385,9 +385,11 @@ class TestFindWall:
 
     def test_broken_decomposition_is_a_stage_failure(self, files, capsys,
                                                      monkeypatch):
-        # one bag on K4's vertices but vertex 3: vertex 3 is uncovered
+        # one bag on K4's vertices but vertex 3: vertex 3 is uncovered;
+        # the wall search validates the decomposition it is handed
         broken = TreeDecomposition(Graph([0]), {0: {0, 1, 2}})
-        monkeypatch.setattr("tmh.cli.find_wall", lambda g, q, c: broken)
+        monkeypatch.setattr("tmh.decomposition.exact_treewidth",
+                            lambda h: (1, broken))
         code, rep, err = run(capsys, "find-wall", "--graph", files["k4"],
                              "--height", "3")
         assert code == 2

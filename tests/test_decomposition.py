@@ -646,6 +646,16 @@ def test_find_wall_is_exact_below_the_cap_and_the_solver_is_not():
     assert td.width == greedy_treewidth(g).width == 3
 
 
+def test_find_wall_refuses_a_decomposition_that_fails_validation():
+    # one bag on K4's vertices but vertex 3: the search validates what
+    # decompose hands it, for the solver and `tmh find-wall` alike
+    broken = TreeDecomposition(Graph([0]), {0: {0, 1, 2}})
+    with pytest.raises(TmhError, match="^decomposition violates vertex-uncovered at 3$"):
+        decomposition._find_wall(complete_graph(4), 3, 124, lambda h: broken)
+    good = decomposition._find_wall(complete_graph(4), 3, 124, greedy_treewidth)
+    assert validate_decomposition(complete_graph(4), good) == good.width == 3
+
+
 def test_find_wall_rejects_bad_input():
     with pytest.raises(TmhError):
         find_wall(path_graph(4), 4)

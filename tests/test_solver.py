@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx import check_planarity, graph_atlas_g
 
-from helpers import adjacency_graph
+from helpers import adjacency_graph, generic_free, generic_oracle
 from tmh import decomposition, solver
 from tmh.graphs import EmbeddingError, Graph, MutableAdjacency, TmhError
 from tmh.linkage import TamingBudget
@@ -384,6 +384,21 @@ class TestFindIrrelevantVertex:
         assert payload["width"] == greedy_treewidth(g).width
         assert payload["width_bound"] == DEFAULT_WIDTH_FACTOR * _odd(p.wall_q)
 
+    def test_decomposition_failing_validation_falls_back(self, monkeypatch):
+        # the wall search refuses a decomposition that fails an axiom, and
+        # the pass exits to the endgame with that reason
+        g = random_planar_graph(4, 16)
+        broken = TreeDecomposition(Graph([0]), {0: set(g.vertices) - {g.vertices[0]}})
+        monkeypatch.setattr(solver, "greedy_treewidth", lambda h: broken)
+        tr = ReductionTrace()
+        out = find_irrelevant_vertex(0, 1, g, budget=ZERO, trace=tr,
+                                     family=PatternFamily([K3]),
+                                     params=derive_params(0, 1, ZERO))
+        assert out is None
+        assert tr.steps[0].payload == {
+            "branch": "decomposition",
+            "reason": "decomposition violates vertex-uncovered at %r" % (g.vertices[0],)}
+
     def test_wall_branch_carves_the_annuli_and_reduces(self):
         # sizes preset small enough that find_wall meets a wall of the
         # needed height and the carving succeeds: the pass records the
@@ -642,14 +657,15 @@ PLANAR_ATLAS = [ng for ng in graph_atlas_g() if check_planarity(ng)[0]]
                          ids=["K3", "C4", "K4", "K23", "all4"])
 def test_safe_solve_matches_the_generic_oracle_on_the_atlas(patterns):
     # the oracle and the witness check search every pattern with
-    # find_tm_model, so they share none of the fast containment tests the
-    # solver runs; pF_oracle(g, fam, 2) returns the least deletion count,
-    # which settles k = 0, 1 and 2 at once
+    # find_tm_model (helpers.generic_oracle, generic_free), so they share
+    # none of the fast containment tests the solver runs; the oracle at
+    # kmax = 2 returns the least deletion count, which settles k = 0, 1
+    # and 2 at once
     fam = PatternFamily(patterns)
     solved = 0
     for ng in PLANAR_ATLAS:
         g = Graph(ng.nodes(), ng.edges())
-        best = pF_oracle(g, fam, 2, use_fast_paths=False)
+        best = generic_oracle(g, fam, 2)
         for k in (0, 1, 2):
             out = solve_tm_deletion(g, fam, k, mode="safe")
             solved += 1
@@ -657,8 +673,7 @@ def test_safe_solve_matches_the_generic_oracle_on_the_atlas(patterns):
                 "atlas graph %r, k=%d" % (sorted(g.edges), k)
             if out.answer:
                 assert len(out.witness) <= k
-                assert is_F_free(g.delete_vertices(out.witness), fam,
-                                 use_fast_paths=False)
+                assert generic_free(g.delete_vertices(out.witness), fam)
     assert solved == 3 * len(PLANAR_ATLAS)
 
 

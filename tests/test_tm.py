@@ -6,9 +6,16 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+import networkx as nx
 from networkx import graph_atlas_g
 
-from helpers import folio_via_model_enumeration, label_isomorphic
+from helpers import (
+    adjacency_graph,
+    folio_via_model_enumeration,
+    generic_free,
+    k23_by_flows,
+    label_isomorphic,
+)
 from tmh import synth, tm
 from tmh import solver
 from tmh.annulus import AnnulusFamily, boundaried_at_cycle, sub_annulus, synthetic_disk_host
@@ -32,7 +39,6 @@ from tmh.tm import (
     find_tm_model,
     is_F_free,
     pF_oracle,
-    _isomorphic_small,
 )
 
 
@@ -61,6 +67,12 @@ def petersen():
     edges += [(i, i + 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph.from_edges(edges)
+
+
+def canonical(g):
+    """The canonical form of g as a boundaried graph with no boundary:
+    equal exactly for isomorphic graphs."""
+    return BoundariedGraph(g, {}).canonical_form()
 
 
 def subdivide_edge(g, u, v, fresh):
@@ -144,7 +156,7 @@ def test_triangle_model_in_five_cycle():
     pair = find_tm_model(cycle_graph(5), K3)
     assert pair is not None
     assert pair.branches <= set(range(5))
-    assert _isomorphic_small(dissolve(pair), K3)
+    assert canonical(dissolve(pair)) == canonical(K3)
     assert pair.model.edges <= cycle_graph(5).edges
 
 
@@ -156,13 +168,13 @@ def test_k5_absent_from_petersen():
 def test_k33_present_in_petersen():
     pair = find_tm_model(petersen(), BUILTIN_PATTERNS["K33"]())
     assert pair is not None
-    assert _isomorphic_small(dissolve(pair), BUILTIN_PATTERNS["K33"]())
+    assert canonical(dissolve(pair)) == canonical(BUILTIN_PATTERNS["K33"]())
 
 
 def test_k4_found_in_grid():
     pair = find_tm_model(grid_graph(4, 4), K4)
     assert pair is not None
-    assert _isomorphic_small(dissolve(pair), K4)
+    assert canonical(dissolve(pair)) == canonical(K4)
     host = grid_graph(4, 4)
     assert pair.model.edges <= host.edges
 
@@ -238,7 +250,7 @@ def test_fast_paths_agree_with_generic_search(tag, pattern):
     for seed in range(40):
         g = random_graph(seed, 9, seed % 7)
         fast = is_F_free(g, fam_fast)
-        slow = is_F_free(g, fam_fast, use_fast_paths=False)
+        slow = generic_free(g, fam_fast)
         assert fast == slow, "route disagreement on seed %d for %s" % (seed, tag)
     # and on every graph of at most seven vertices
     atlas = graph_atlas_g()
@@ -246,7 +258,7 @@ def test_fast_paths_agree_with_generic_search(tag, pattern):
     for ng in atlas:
         g = Graph(ng.nodes(), ng.edges())
         fast = is_F_free(g, fam_fast)
-        slow = is_F_free(g, fam_fast, use_fast_paths=False)
+        slow = generic_free(g, fam_fast)
         assert fast == slow, "route disagreement on %r for %s" % (
             sorted(g.edges), tag)
 
@@ -280,6 +292,103 @@ def test_fast_paths_read_an_adjacency_as_its_graph(tag):
             adj.delete(g.vertices[0])
             assert tm._contains_fast(adj, tag) == tm._contains_fast(
                 g.delete_vertices([g.vertices[0]]), tag)
+
+
+def _wheel(k):
+    # hub 0 on the rim cycle 1..k
+    return [(0, i) for i in range(1, k + 1)] + [(i, i % k + 1) for i in range(1, k + 1)]
+
+
+# blocks (2-connected, or one edge), each with whether it holds K2,3: a
+# block of at most 4 vertices never does, a larger one exactly when it is
+# not outerplanar
+K23_BLOCKS = {
+    "edge": ([(0, 1)], False),
+    "triangle": (list(K3.edges), False),
+    "c4": (list(C4.edges), False),
+    "diamond": ([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], False),
+    "k4": (list(K4.edges), False),
+    "c5": ([(i, (i + 1) % 5) for i in range(5)], False),
+    "fan5": ([(1, 2), (2, 3), (3, 4)] + [(0, i) for i in range(1, 5)], False),
+    "c6_chords": ([(i, (i + 1) % 6) for i in range(6)] + [(0, 2), (2, 4), (0, 4)],
+                  False),
+    "k23": (list(K23.edges), True),
+    "k4_subdivided": (list(subdivide_edge(K4, 0, 1, 4).edges), True),
+    "k4_ear": (list(K4.edges) + [(0, 4), (4, 1)], True),
+    "k4_long_ear": (list(K4.edges) + [(0, 4), (4, 5), (5, 1)], True),
+    "w4": (_wheel(4), True),
+    "w5": (_wheel(5), True),
+    "w6": (_wheel(6), True),
+}
+
+
+def _block_chain(rnd, names):
+    """The named blocks, each glued at its vertex 0 to a seeded vertex of
+    the chain so far (a cut vertex), plus up to two seeded pendant
+    vertices, on seeded vertex ids."""
+    edges, n = [], 1
+    for name in names:
+        block, _ = K23_BLOCKS[name]
+        size = 1 + max(map(max, block))
+        ids = [rnd.randrange(n)] + list(range(n, n + size - 1))
+        edges += [(ids[u], ids[v]) for u, v in block]
+        n += size - 1
+    for _ in range(rnd.randrange(3)):
+        edges.append((rnd.randrange(n), n))
+        n += 1
+    ids = rnd.sample(range(10 * n), n)
+    return Graph(ids, [(ids[u], ids[v]) for u, v in edges])
+
+
+def test_k23_is_a_large_block_that_is_not_outerplanar():
+    # the block test against the vertex-pair flows it replaced, and
+    # against the generic search on hosts of at most 10 vertices (it
+    # takes seconds on some hosts of 20), on built hosts and on their
+    # adjacencies with deletions standing
+    for name, (block, holds) in K23_BLOCKS.items():
+        g = Graph.from_edges(block)
+        assert tm._contains_fast(g, "k23") == k23_by_flows(g) == holds, name
+        assert (find_tm_model(g, K23) is not None) == holds, name
+    rnd = random.Random(23)
+    names = sorted(K23_BLOCKS)
+    chains = [["k4"] * 4, ["k4", "c6_chords", "fan5", "diamond"], ["w4", "k4"]]
+    chains += [rnd.choices(names, k=rnd.randint(1, 4)) for _ in range(120)]
+    answers, searched = set(), 0
+    for chain in chains:
+        g = _block_chain(rnd, chain)
+        want = any(K23_BLOCKS[name][1] for name in chain)
+        answers.add(want)
+        assert tm._contains_fast(g, "k23") == k23_by_flows(g) == want, chain
+        if g.n <= 10:
+            searched += 1
+            assert (find_tm_model(g, K23) is not None) == want, chain
+        adj = MutableAdjacency(g)
+        for v in rnd.sample(g.vertices, min(3, g.n)):
+            adj.delete(v)
+            got = tm._contains_fast(adj, "k23")
+            assert got == k23_by_flows(adj), (chain, v)
+            if adj.n <= 10:
+                searched += 1
+                assert got == (find_tm_model(adjacency_graph(adj), K23) is not None), \
+                    (chain, v)
+    assert answers == {False, True} and searched > 200
+
+
+def test_classification_is_isomorphism_to_a_tagged_graph():
+    # every atlas graph of at most 6 vertices, on seeded vertex ids, is
+    # tagged exactly when networkx finds it isomorphic to a tagged graph
+    refs = {tag: nx.Graph(make().sorted_edges()) for tag, make in tm._FAST_TAGS}
+    rnd = random.Random(6)
+    tagged = set()
+    for ng in graph_atlas_g():
+        if ng.number_of_nodes() > 6:
+            break
+        ids = rnd.sample(range(100), ng.number_of_nodes())
+        g = Graph(ids, [(ids[u], ids[v]) for u, v in ng.edges()])
+        want = [tag for tag, ref in refs.items() if nx.is_isomorphic(ng, ref)]
+        assert [classify_pattern(g)] == (want or [None]), sorted(g.edges)
+        tagged.update(want)
+    assert tagged == set(refs)
 
 
 def _reference_block_vertex_sets(g):
